@@ -11,7 +11,9 @@ Workloads: fairness, chi2_strategic, market, audit (see perfbench/README.md).
 The workload runs in a child process with BLAS/OpenMP pinned to one thread
 and the repository's ``src/`` as the only added import path.  With
 ``--trace 0`` the end-to-end metrics are reported; set-up is measured in that
-process and in three set-up-only processes, and the median is reported.
+process and in three set-up-only processes, and the median is reported.  The
+two times are rescaled to a reference host speed (see hostspeed.py); the raw
+wall times are printed before the result.
 With ``--trace 1`` the per-layer metrics of a traced pass are reported.
 ``--profile`` prints the top functions by own time of one pass instead of a
 result.  The last line of standard output is the JSON result.  Exit code 2
@@ -141,15 +143,17 @@ def parse_args(argv=None):
 
 def measure(args, rundir: Path, deadline: float) -> tuple[dict, dict]:
     """Run the workload; returns (result line, machine facts)."""
-    setups = []
+    setups, setup_walls = [], []
     if not args.trace:
         for i in range(SETUP_PROBES):
-            probe = start_worker(args, "setup", rundir / f"probe{i}", deadline)
-            setups.append(worker_result(probe, "setup")["setup_s"])
+            probe = worker_result(start_worker(args, "setup", rundir / f"probe{i}", deadline), "setup")
+            setups.append(probe["setup_s"])
+            setup_walls.append(probe["setup_wall_s"])
     spans = WORK_DIR / "spans" / f"{args.workload}-seed{args.seed}.npz"
     extra = ("--spans", str(spans)) if args.trace else ()
     res = worker_result(start_worker(args, "run", rundir / "run", deadline, extra), "run")
     setups.append(res["setup_s"])
+    setup_walls.append(res["setup_wall_s"])
 
     walls = res["walls"]
     passes = sum(len(v) for v in walls.values())
@@ -166,9 +170,12 @@ def measure(args, rundir: Path, deadline: float) -> tuple[dict, dict]:
             print(f"{name:32} {calls:>10} {total:>10.4f} {self_s:>10.4f}")
         print(f"spans written to {spans.relative_to(ROOT)}")
     else:
-        print(f"set-up times (s): {setups}")
+        print(f"pass times at the reference host speed (s): {res['scaled_walls']}")
+        print(f"host speed over each pass (reference = 1): {res['speeds']}")
+        print(f"set-up wall times (s): {setup_walls}")
+        print(f"set-up times at the reference host speed (s): {setups}")
         values = {
-            "wall_s": statistics.median(walls["untraced"]),
+            "wall_s": statistics.median(res["scaled_walls"]),
             "setup_s": statistics.median(setups),
             "peak_rss_mb": res["peak_rss_mb"],
         }

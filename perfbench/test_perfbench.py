@@ -7,8 +7,10 @@ checked.
 
 import json
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
 sys.path[:0] = [str(HERE), str(ROOT / "src")]
+import hostspeed  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -81,3 +84,25 @@ def test_csv_reference_tolerates_last_bits_only(tmp_path):
     assert workloads.compare_csv(workloads.csv_fingerprint(path), recorded) == []
     path.write_text("# scenario=x\nstep,value\n1,0.3000001\n")
     assert workloads.compare_csv(workloads.csv_fingerprint(path), recorded) != []
+
+
+def test_probe_samples_during_a_span_and_stops_its_timer():
+    probe = hostspeed.Probe()
+    t0 = time.perf_counter()
+    probe.start()
+    while time.perf_counter() - t0 < 0.45:
+        pass
+    wall = time.perf_counter() - t0
+    rescaled = probe.stop(wall)
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert len(probe.samples) >= 3
+    assert 0 < rescaled < wall * probe.speed  # the kernel's own time is taken out
+
+
+def test_probe_samples_once_after_a_span_shorter_than_its_interval():
+    probe = hostspeed.Probe()
+    t0 = time.perf_counter()
+    probe.start()
+    rescaled = probe.stop(time.perf_counter() - t0)
+    assert len(probe.samples) == 1 and probe.speed > 0
+    assert abs(rescaled) < 1e-3  # the span was the warm-up alone, which is taken out

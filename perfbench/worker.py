@@ -12,6 +12,10 @@ Phases:
   reported;
 * ``profile`` - set up, run one pass under cProfile and print the top
   functions by own time.  A diagnostic: never part of a timed run.
+
+With ``--trace 0`` the set-up and every pass are also reported rescaled to
+the reference host speed by a ``hostspeed.Probe`` that samples a calibration
+kernel during them; the raw wall times are reported as well.
 """
 
 import time
@@ -26,14 +30,19 @@ import sys  # noqa: E402
 import traceback  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-import workloads  # noqa: E402
-from tracer import Tracer, layer_metrics, layer_table  # noqa: E402
+import hostspeed  # noqa: E402
 
 
-def run_pass(ops, tracer=None) -> tuple[float, dict]:
-    """Run every operation once; returns the pass wall time and each output (or exception)."""
+def run_pass(ops, tracer=None, probe=None) -> tuple[float, float, dict]:
+    """Run every operation once.
+
+    Returns the pass wall time, the same rescaled by ``probe`` (the wall time
+    again without one) and each output (or exception).
+    """
     outputs = {}
     t0 = time.perf_counter()
+    if probe is not None:
+        probe.start()
     if tracer is not None:
         tracer.begin_pass()
     for op in ops:
@@ -44,7 +53,8 @@ def run_pass(ops, tracer=None) -> tuple[float, dict]:
             outputs[op.name] = err
     if tracer is not None:
         tracer.end_pass()
-    return time.perf_counter() - t0, outputs
+    wall = time.perf_counter() - t0
+    return wall, (probe.stop(wall) if probe is not None else wall), outputs
 
 
 def check_pass(ops, outputs: dict, reference) -> int:
@@ -76,7 +86,7 @@ def median_index(values: list[float]) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -85,13 +95,23 @@ def main() -> int:
     parser.add_argument("--workdir", type=Path, required=True)
     parser.add_argument("--spans", type=Path, help="where the traced run writes its spans")
     args = parser.parse_args()
+    # the probe samples the set-up from here on, and the untraced passes
+    probe = hostspeed.Probe() if args.trace == 0 and args.phase != "profile" else None
+    if probe is not None:
+        probe.start()
 
+    import workloads
+    from tracer import Tracer, layer_metrics, layer_table
+
+    if args.workload not in workloads.WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}")
     args.workdir.mkdir(parents=True, exist_ok=True)
     workload = workloads.WORKLOADS[args.workload](args.seed, args.workdir, args.smoke)
     ops = workload.ops()
-    setup_s = time.perf_counter() - T_START
+    setup_wall = time.perf_counter() - T_START
+    setup_s = probe.stop(setup_wall) if probe is not None else setup_wall
     if args.phase == "setup":
-        print(json.dumps({"setup_s": setup_s}))
+        print(json.dumps({"setup_s": setup_s, "setup_wall_s": setup_wall}))
         return 0
 
     if args.phase == "profile":
@@ -109,6 +129,8 @@ def main() -> int:
     kinds = ("untraced", "traced") if args.trace else ("untraced",)
     tracer = Tracer() if args.trace else None
     walls: dict[str, list[float]] = {k: [] for k in kinds}
+    scaled: list[float] = []  # passes rescaled by the probe
+    speeds: list[float] = []
     traced_layers: list[tuple[dict, dict]] = []
     attempted = failed = 0
     peak_rss_mb = None
@@ -120,7 +142,11 @@ def main() -> int:
             predicted = time.perf_counter() - t_begin + walls[kind][-1]
             if predicted > args.seconds:
                 break
-        wall, outputs = run_pass(ops, tracer if kind == "traced" else None)
+        # there is a probe only with --trace 0, where every pass is untraced
+        wall, rescaled, outputs = run_pass(ops, tracer if kind == "traced" else None, probe)
+        if probe is not None:
+            scaled.append(rescaled)
+            speeds.append(probe.speed)
         if peak_rss_mb is None:
             # the peak through the first pass; later passes redo the same work
             # but can raise the peak through heap fragmentation alone
@@ -136,7 +162,10 @@ def main() -> int:
         "attempted": attempted,
         "failed": failed,
         "setup_s": setup_s,
+        "setup_wall_s": setup_wall,
         "walls": walls,
+        "scaled_walls": scaled,
+        "speeds": speeds,
         "peak_rss_mb": peak_rss_mb,
         "reference_checked": reference is not None,
         "versions": versions(),
