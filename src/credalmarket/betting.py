@@ -28,8 +28,10 @@ __all__ = [
     "KellyConfig",
     "WealthProcess",
     "step",
+    "kelly_bets",
     "kelly_optimal_bet",
     "adaptive_bet",
+    "plugin_paths",
     "run_sequential_license",
     "verify_supermartingale",
     "write_trajectory_csv",
@@ -127,58 +129,73 @@ def step(process: WealthProcess, b: BettingScore, lam: float, z: int) -> WealthP
     )
 
 
-def kelly_optimal_bet(dist: Categorical, b: BettingScore, cfg: KellyConfig,
-                      init: Optional[float] = None) -> float:
-    """argmax over [0, B] of E_dist[ln(1 + lambda * b(Z))].
+def kelly_bets(probs, b: BettingScore, cfg: KellyConfig, init=None) -> np.ndarray:
+    """Per row of an (N, m) ``probs``: argmax over [0, B] of E[ln(1 + lambda * b(Z))].
 
     The objective is concave, so a safeguarded Newton iteration on its
-    derivative converges fast; a dense grid pass backs it up if the iteration
-    stalls.  A non-positive edge (E[b] <= 0) means no profitable bet.
-    ``init`` is an optional warm-start guess; it changes only the iteration
-    path, never the answer.
+    derivative converges fast; a dense grid pass backs up rows that stall.  A
+    non-positive edge (E[b] <= 0) means no bet.  ``init`` holds optional
+    per-row warm starts, used where strictly inside (0, B).  Rows are solved
+    together, each bit-identical to solving it alone.
+    """
+    # Row dots use np.vecdot on contiguous rows: it rounds like the 1-D
+    # ``probs @ x`` of a single solve, where einsum or sum(axis=1) do not.
+    P = np.ascontiguousarray(probs, dtype=float)
+    score = b.score
+    out = np.zeros(P.shape[0])
+    edge = np.vecdot(P, score)
+    ceiling = cfg.ceiling(score)
+    rows = np.flatnonzero(edge > 0.0)
+    P_rows = P[rows]
+    # Objective still increasing at the ceiling: bet the ceiling.
+    rising = np.vecdot(P_rows, score / (1.0 + ceiling * score)) >= 0.0
+    out[rows[rising]] = ceiling
+    rows, P_rows = rows[~rising], P_rows[~rising]
+
+    # f'(lo) > 0 > f'(hi) brackets the root; start from the small-lambda
+    # approximation unless a usable warm start is given.
+    lam = np.minimum(edge[rows] / np.vecdot(P_rows, score**2), ceiling)
+    if init is not None:
+        guess = np.asarray(init, dtype=float)[rows]
+        lam = np.where((0.0 < guess) & (guess < ceiling), guess, lam)
+    lo, hi = np.zeros(rows.size), np.full(rows.size, ceiling)
+    neg_sq = -(score**2)
+    for _ in range(cfg.max_iter):
+        if rows.size == 0:
+            break
+        denom = 1.0 + lam[:, None] * score
+        d1 = np.vecdot(P_rows, score / denom)
+        rising = d1 > 0
+        lo, hi = np.where(rising, lam, lo), np.where(rising, hi, lam)
+        lam_next = lam - d1 / np.vecdot(P_rows, neg_sq / denom**2)
+        lam_next = np.where((lo < lam_next) & (lam_next < hi), lam_next, 0.5 * (lo + hi))
+        # A flat derivative keeps lam; otherwise stop once the step is tiny.
+        lam_next = np.where(np.abs(d1) <= cfg.newton_tol, lam, lam_next)
+        done = np.abs(lam_next - lam) <= cfg.newton_tol * np.maximum(1.0, lam)
+        if done.any():
+            out[rows[done]] = lam_next[done]
+            rows, P_rows, lam_next, lo, hi = (a[~done] for a in (rows, P_rows, lam_next, lo, hi))
+        lam = lam_next
+    if rows.size:
+        # Bisection stalled inside tolerance of the bracket; fall back to a grid.
+        grid = np.linspace(0.0, ceiling, cfg.grid_fallback)
+        table = np.log1p(np.outer(grid, score))
+        for r in rows:
+            out[r] = grid[int(np.argmax(table @ P[r]))]
+    return out
+
+
+def kelly_optimal_bet(dist: Categorical, b: BettingScore, cfg: KellyConfig,
+                      init: Optional[float] = None) -> float:
+    """argmax over [0, B] of E_dist[ln(1 + lambda * b(Z))]: one row of :func:`kelly_bets`.
+
+    ``init`` is an optional warm-start guess.  It changes the iteration path,
+    so the answer agrees with the cold start only to ``newton_tol``, not bit
+    for bit; the fairness scenario's CSV depends on its warm starts.
     """
     if dist.space != b.space:
         raise ValueError("distribution and score live on different spaces")
-    probs, score = dist.probs, b.score
-    edge = float(probs @ score)
-    if edge <= 0.0:
-        return 0.0
-    ceiling = cfg.ceiling(score)
-
-    def fprime(lam: float) -> float:
-        return float(probs @ (score / (1.0 + lam * score)))
-
-    if fprime(ceiling) >= 0.0:
-        return ceiling  # objective still increasing at the ceiling
-
-    lo, hi = 0.0, ceiling  # f'(lo) > 0 > f'(hi): bracket the root
-    lam = min(edge / float(probs @ score**2), ceiling)  # small-lambda approximation
-    if init is not None and 0.0 < init < ceiling:
-        lam = init
-    for _ in range(cfg.max_iter):
-        d1 = fprime(lam)
-        if abs(d1) <= cfg.newton_tol:
-            return lam
-        if d1 > 0:
-            lo = lam
-        else:
-            hi = lam
-        d2 = float(probs @ (-(score**2) / (1.0 + lam * score) ** 2))
-        lam_next = lam - d1 / d2
-        if not (lo < lam_next < hi):
-            lam_next = 0.5 * (lo + hi)
-        if abs(lam_next - lam) <= cfg.newton_tol * max(1.0, lam):
-            return lam_next
-        lam = lam_next
-    # Bisection stalled inside tolerance of the bracket; fall back to a grid.
-    grid = np.linspace(0.0, ceiling, cfg.grid_fallback)
-    values = np.log1p(np.outer(grid, score)) @ probs
-    return float(grid[int(np.argmax(values))])
-
-
-def _smoothed_counts(counts: np.ndarray, space: EvidenceSpace) -> Categorical:
-    c = counts.astype(float) + 1.0  # Laplace mass keeps early bets off the ceiling
-    return Categorical(space, c / c.sum())
+    return float(kelly_bets(dist.probs[None, :], b, cfg, init=None if init is None else [init])[0])
 
 
 def adaptive_bet(history, b: BettingScore, cfg: KellyConfig) -> float:
@@ -187,7 +204,39 @@ def adaptive_bet(history, b: BettingScore, cfg: KellyConfig) -> float:
     if hist.size == 0:
         return 0.0
     counts = np.bincount(hist, minlength=b.space.size)
-    return kelly_optimal_bet(_smoothed_counts(counts, b.space), b, cfg)
+    return float(kelly_bets([(counts + 1.0) / (hist.size + b.space.size)], b, cfg)[0])
+
+
+def plugin_paths(
+    z: np.ndarray, b: BettingScore, cfg: KellyConfig, params: MechanismParams,
+    warm_start: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bets, log-wealth, licenses) of plug-in Kelly betting along each row of ``z``.
+
+    Round t bets against the add-one-smoothed counts of the row's first t
+    outcomes (round 0 bets nothing), one :func:`kelly_bets` solve per round;
+    ``warm_start`` starts each solve from the row's previous bet.  Wealth
+    starts at C and is summed in round order from ``math.log1p`` factors, so
+    rows match a scalar loop bit for bit.  The issued license is R once
+    log-wealth reaches ln R, else the wealth.
+    """
+    runs, n = z.shape
+    m = b.space.size
+    lams = np.zeros((runs, n))
+    counts = np.zeros((runs, m), dtype=np.int64)
+    rows = np.arange(runs)
+    for t in range(1, n):
+        counts[rows, z[:, t - 1]] += 1
+        init = lams[:, t - 1] if warm_start else None
+        lams[:, t] = kelly_bets((counts + 1.0) / (t + m), b, cfg, init=init)
+    log_wealth = np.full((runs, n + 1), math.log(params.C))
+    steps = np.fromiter(map(math.log1p, (lams * b.score[z]).flat), float, runs * n)
+    log_wealth[:, 1:] = steps.reshape(runs, n)
+    log_wealth = np.cumsum(log_wealth, axis=1, out=log_wealth)[:, 1:]
+    licenses = np.full((runs, n), params.R)
+    below = log_wealth < math.log(params.R)
+    licenses[below] = np.fromiter(map(math.exp, log_wealth[below]), float)
+    return lams, log_wealth, licenses
 
 
 def run_sequential_license(
@@ -200,25 +249,7 @@ def run_sequential_license(
     """Adaptive betting for n rounds; returns the per-step license values."""
     if n < 1:
         raise ValueError("need at least one betting round")
-    outcomes = sample(stream, n)
-    counts = np.zeros(b.space.size, dtype=np.int64)
-    log_wealth = math.log(params.C)
-    log_cap = math.log(params.R)
-    values = np.empty(n)
-    cache: dict[bytes, float] = {}
-    for t, z in enumerate(outcomes):
-        key = counts.tobytes()
-        lam = cache.get(key)
-        if lam is None:
-            if counts.sum() == 0:
-                lam = 0.0
-            else:
-                lam = kelly_optimal_bet(_smoothed_counts(counts, b.space), b, cfg)
-            cache[key] = lam
-        log_wealth += math.log1p(lam * float(b.score[z]))
-        counts[z] += 1
-        values[t] = params.R if log_wealth >= log_cap else math.exp(log_wealth)
-    return values
+    return plugin_paths(sample(stream, n)[None, :], b, cfg, params)[2][0]
 
 
 def verify_supermartingale(
@@ -237,8 +268,9 @@ def verify_supermartingale(
     error of the final wealth.  Obedience holds when mean <= C + 3 * SE.
 
     Bets are the same plug-in Kelly rule as :func:`adaptive_bet`; since the
-    rule depends on history only through outcome counts, identical counts are
-    solved once and shared across trajectories.
+    rule depends on history only through outcome counts, each round solves
+    the distinct count rows once, in one :func:`kelly_bets` call, and shares
+    the bets across trajectories.
     """
     if null_dist.space != b.space:
         raise ValueError("distribution and score live on different spaces")
@@ -247,25 +279,20 @@ def verify_supermartingale(
         raise ValueError("verify_supermartingale needs a null with E[b] <= 0")
     params = params or MechanismParams(C=15.0, R=250.0)
     m = b.space.size
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    cdf = np.cumsum(null_dist.probs)
-    cdf[-1] = 1.0
+    stream = SampleStream(null_dist, seed=seed)
     counts = np.zeros((runs, m), dtype=np.int64)
     log_wealth = np.full(runs, math.log(params.C))
-    cache: dict[bytes, float] = {np.zeros(m, dtype=np.int64).tobytes(): 0.0}
-    for _ in range(n):
-        z = np.searchsorted(cdf, rng.random(runs), side="right")
-        uniq, inverse = np.unique(counts, axis=0, return_inverse=True)
-        lams = np.empty(uniq.shape[0])
-        for i, row in enumerate(uniq):
-            key = row.tobytes()
-            lam = cache.get(key)
-            if lam is None:
-                lam = kelly_optimal_bet(_smoothed_counts(row, b.space), b, cfg)
-                cache[key] = lam
-            lams[i] = lam
-        lam_per_run = lams[inverse]
-        log_wealth += np.log1p(lam_per_run * b.score[z])
+    for t in range(n):
+        z = sample(stream, runs)
+        if t > 0:
+            order = np.lexsort(counts.T[::-1])  # rows sorted by count vector
+            ordered = counts[order]
+            first = np.ones(runs, dtype=bool)
+            first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+            inverse = np.empty(runs, dtype=np.intp)
+            inverse[order] = np.cumsum(first) - 1
+            lams = kelly_bets((ordered[first] + 1.0) / (t + m), b, cfg)
+            log_wealth += np.log1p(lams[inverse] * b.score[z])
         counts[np.arange(runs), z] += 1
     wealth = np.exp(log_wealth)
     mean = float(wealth.mean())
@@ -284,19 +311,13 @@ def write_trajectory_csv(
 ) -> None:
     """Run one adaptive trajectory and dump step, lambda, outcome, wealth, license_value."""
     outcomes = sample(stream, n)
-    counts = np.zeros(b.space.size, dtype=np.int64)
-    log_wealth = math.log(params.C)
+    lams, log_wealth, _ = plugin_paths(outcomes[None, :], b, cfg, params)
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["step", "lambda", "outcome", "wealth", "license_value"])
-        for t, z in enumerate(outcomes, start=1):
-            if counts.sum() == 0:
-                lam = 0.0
-            else:
-                lam = kelly_optimal_bet(_smoothed_counts(counts, b.space), b, cfg)
-            log_wealth += math.log1p(lam * float(b.score[z]))
-            counts[z] += 1
-            wealth = math.exp(log_wealth)
-            writer.writerow([t, repr(lam), int(z), repr(wealth), repr(min(wealth, params.R))])
+        for t in range(n):
+            wealth = math.exp(float(log_wealth[0, t]))
+            writer.writerow([t + 1, repr(float(lams[0, t])), int(outcomes[t]), repr(wealth),
+                             repr(min(wealth, params.R))])

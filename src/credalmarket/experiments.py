@@ -32,14 +32,14 @@ from typing import Optional
 
 import numpy as np
 
-from .betting import BettingScore, KellyConfig, kelly_optimal_bet
+from .betting import BettingScore, KellyConfig, plugin_paths
 from .credal import (
     MEAN_SCORE_GE,
     ConstraintCredalSpec,
     CredalSet,
     approximate_constraint_set,
 )
-from .evidence import Categorical, EvidenceSpace, spawn_seeds
+from .evidence import Categorical, EvidenceSpace, SampleStream, sample, spawn_seeds
 from .licenses import MechanismParams, minimize_kappa
 
 __all__ = [
@@ -103,13 +103,8 @@ def _mean_se(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 def _draw_outcomes(dist: Categorical, runs: int, n: int, seed: int) -> np.ndarray:
     """(runs, n) outcome matrix, one spawned PCG64 stream per replicate."""
-    cdf = np.cumsum(dist.probs)
-    cdf[-1] = 1.0
-    out = np.empty((runs, n), dtype=np.int64)
-    for i, s in enumerate(spawn_seeds(seed, runs)):
-        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
-        out[i] = np.searchsorted(cdf, gen.random(n), side="right")
-    return out
+    return np.array([sample(SampleStream(dist, seed=s), n) for s in spawn_seeds(seed, runs)],
+                    dtype=np.int64).reshape(runs, n)
 
 
 def _capped_exp(log_values: np.ndarray, cap: float) -> np.ndarray:
@@ -257,24 +252,8 @@ def parity_credal_set(tau: float, grid_resolution: int) -> CredalSet:
 def _betting_trajectories(
     z: np.ndarray, score: BettingScore, cfg_kelly: KellyConfig, params: MechanismParams
 ) -> np.ndarray:
-    runs, n = z.shape
-    out = np.empty((runs, n))
-    log_cap = math.log(params.R)
-    for r in range(runs):
-        counts = np.zeros(score.space.size, dtype=np.int64)
-        log_wealth = math.log(params.C)
-        prev_lam = 0.0
-        for t in range(n):
-            if t == 0:
-                lam = 0.0
-            else:
-                smoothed = Categorical(score.space, (counts + 1.0) / (counts.sum() + score.space.size))
-                lam = kelly_optimal_bet(smoothed, score, cfg_kelly, init=prev_lam)
-            prev_lam = lam
-            log_wealth += math.log1p(lam * float(score.score[z[r, t]]))
-            counts[z[r, t]] += 1
-            out[r, t] = params.R if log_wealth >= log_cap else math.exp(log_wealth)
-    return out
+    """Warm-started plug-in Kelly license paths, one per row of ``z``."""
+    return plugin_paths(z, score, cfg_kelly, params, warm_start=True)[2]
 
 
 def _cumulative_trajectories(

@@ -234,7 +234,8 @@ def minimize_kappa(
     simplex.  kappa is not known to be convex in P, so the starts cover every
     vertex, the barycenter, and seeded random points; ties in the final value
     resolve to the lowest start index so results are deterministic.
-    Returns (best weights, kappa value, converged flag).
+    Returns (best weights, kappa value, converged flag); the flag is that of
+    the returned start, False when it stopped at ``max_iter``.
     """
     V = credal.vertex_matrix
     k = V.shape[0]
@@ -265,8 +266,7 @@ def minimize_kappa(
     while len(starts) < max(n_starts, k + 1):
         starts.append(rng.dirichlet(np.ones(k)))
 
-    best_w, best_val, best_idx = None, np.inf, -1
-    any_converged = False
+    best_w, best_val, best_idx, best_converged = None, np.inf, -1, False
     for idx, w0 in enumerate(starts):
         w = w0.copy()
         val = kappa_of(w)
@@ -291,10 +291,9 @@ def minimize_kappa(
             if not improved:
                 converged = True
                 break
-        any_converged = any_converged or converged
         if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15 and best_idx < 0):
-            best_w, best_val, best_idx = w, val, idx
-    return best_w, best_val, any_converged
+            best_w, best_val, best_idx, best_converged = w, val, idx, converged
+    return best_w, best_val, best_converged
 
 
 def _budget_exact_scale(ratio: np.ndarray, support: np.ndarray, V: np.ndarray,

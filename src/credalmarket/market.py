@@ -17,9 +17,9 @@ from typing import Callable, Literal, Optional
 
 import numpy as np
 
-from .betting import BettingScore, KellyConfig, run_sequential_license
+from .betting import BettingScore, KellyConfig, plugin_paths
 from .credal import CredalSet, maximize_over_mixtures, membership, sequential_glr_value
-from .evidence import Categorical, SampleStream, spawn_seeds
+from .evidence import Categorical, SampleStream, sample, spawn_seeds
 from .licenses import (
     MechanismParams,
     optimal_risk_averse_license,
@@ -146,12 +146,8 @@ def _betting_sup_value(
     cfg: KellyConfig,
 ) -> float:
     score = BettingScore.from_metric(provider.q.space, req.metric, req.tau)
-    seeds = spawn_seeds(seed, replicates)
-    finals = []
-    for s in seeds:
-        stream = SampleStream(provider.q, seed=s)
-        finals.append(run_sequential_license(stream, score, cfg, params, n)[-1])
-    return float(np.mean(finals))
+    z = np.stack([sample(SampleStream(provider.q, seed=s), n) for s in spawn_seeds(seed, replicates)])
+    return float(np.mean(plugin_paths(z, score, cfg, params)[2][:, -1]))
 
 
 def simulate_market(
@@ -176,6 +172,8 @@ def simulate_market(
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if mechanism == "betting" and req.kind != "threshold":
         raise ValueError("the betting mechanism needs a threshold requirement")
+    if mechanism == "betting" and n < 1:
+        raise ValueError("need at least one betting round")
     cfg = kelly_cfg or KellyConfig()
     rows = []
     for provider in sorted(providers, key=lambda pr: pr.id):

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import random_categorical, random_credal
-from credalmarket.betting import BettingScore, KellyConfig, kelly_optimal_bet, verify_supermartingale
+from credalmarket.betting import (
+    BettingScore,
+    KellyConfig,
+    kelly_bets,
+    kelly_optimal_bet,
+    verify_supermartingale,
+)
 from credalmarket.credal import CredalSet, upper_expectation
 from credalmarket.evidence import Categorical, EvidenceSpace, SampleStream, sample
 from credalmarket.experiments import (
@@ -148,21 +154,23 @@ def _exact_expected_wealth(p_win: float, score: BettingScore, n: int, C: float,
                            cfg: KellyConfig) -> float:
     """Exact E[wealth_n] for the adaptive plug-in Kelly rule on a binary score.
 
-    Dynamic program over the (step, win-count) lattice; the bet at each state
-    comes from the same kelly_optimal_bet rule the simulator uses, so this is
-    an exact (non-Monte-Carlo) evaluation of the wealth expectation.
+    Dynamic program over the (step, win-count) lattice; the bets at each step
+    come from one kelly_bets solve over the step's win counts, the same rule
+    the simulator uses, so this is an exact (non-Monte-Carlo) evaluation of
+    the wealth expectation.
     """
-    space = score.space
     b = score.score
     masses = {0: 1.0}
     for t in range(n):
+        if t == 0:
+            lams = np.zeros(1)
+        else:
+            wins = np.arange(t + 1)
+            lams = kelly_bets(np.stack([(wins + 1) / (t + 2), (t - wins + 1) / (t + 2)], axis=1),
+                              score, cfg)
         nxt: dict[int, float] = {}
         for wins, mass in masses.items():
-            if t == 0:
-                lam = 0.0
-            else:
-                smoothed = Categorical(space, [(wins + 1) / (t + 2), (t - wins + 1) / (t + 2)])
-                lam = kelly_optimal_bet(smoothed, score, cfg)
+            lam = float(lams[wins])
             nxt[wins + 1] = nxt.get(wins + 1, 0.0) + mass * p_win * (1.0 + lam * b[0])
             nxt[wins] = nxt.get(wins, 0.0) + mass * (1.0 - p_win) * (1.0 + lam * b[1])
         masses = nxt

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +10,77 @@ from credalmarket.betting import (
     KellyConfig,
     WealthProcess,
     adaptive_bet,
+    kelly_bets,
     kelly_optimal_bet,
     run_sequential_license,
     step,
     verify_supermartingale,
     write_trajectory_csv,
 )
-from credalmarket.evidence import Categorical, EvidenceSpace, SampleStream
+from credalmarket.evidence import Categorical, EvidenceSpace, SampleStream, sample, spawn_seeds
+from credalmarket.experiments import (
+    FairnessConfig,
+    _betting_trajectories,
+    _draw_outcomes,
+    paired_fairness_distribution,
+    parity_betting_score,
+)
 from credalmarket.licenses import MechanismParams
+from credalmarket.market import Provider, Requirement, _betting_sup_value
 
 PARAMS = MechanismParams(C=15.0, R=250.0)
+
+
+def scalar_kelly(probs, score, cfg, init=None):
+    """One-distribution safeguarded Newton solve: the reference kelly_bets must match."""
+    edge = float(probs @ score)
+    if edge <= 0.0:
+        return 0.0
+    ceiling = cfg.ceiling(score)
+
+    def fprime(lam):
+        return float(probs @ (score / (1.0 + lam * score)))
+
+    if fprime(ceiling) >= 0.0:
+        return ceiling
+    lo, hi = 0.0, ceiling
+    lam = min(edge / float(probs @ score**2), ceiling)
+    if init is not None and 0.0 < init < ceiling:
+        lam = init
+    for _ in range(cfg.max_iter):
+        d1 = fprime(lam)
+        if abs(d1) <= cfg.newton_tol:
+            return lam
+        if d1 > 0:
+            lo = lam
+        else:
+            hi = lam
+        d2 = float(probs @ (-(score**2) / (1.0 + lam * score) ** 2))
+        lam_next = lam - d1 / d2
+        if not (lo < lam_next < hi):
+            lam_next = 0.5 * (lo + hi)
+        if abs(lam_next - lam) <= cfg.newton_tol * max(1.0, lam):
+            return lam_next
+        lam = lam_next
+    grid = np.linspace(0.0, ceiling, cfg.grid_fallback)
+    values = np.log1p(np.outer(grid, score)) @ probs
+    return float(grid[int(np.argmax(values))])
+
+
+def scalar_license_path(z, score, cfg, params, warm_start=False):
+    """Per-round license values of one plug-in Kelly trajectory, one scalar solve per round."""
+    m = score.space.size
+    counts = np.zeros(m, dtype=np.int64)
+    log_wealth, log_cap = math.log(params.C), math.log(params.R)
+    lam, out = 0.0, np.empty(len(z))
+    for t, zt in enumerate(z):
+        if t > 0:
+            lam = scalar_kelly((counts + 1.0) / (counts.sum() + m), score.score, cfg,
+                               init=lam if warm_start else None)
+        log_wealth += math.log1p(lam * float(score.score[zt]))
+        counts[zt] += 1
+        out[t] = params.R if log_wealth >= log_cap else math.exp(log_wealth)
+    return out
 
 
 def binary_score(space):
@@ -120,6 +183,94 @@ class TestKellyBet:
             f_grid = np.log1p(np.outer(grid, score.score)) @ dist.probs
             f_opt = float(dist.probs @ np.log1p(lam * score.score))
             assert f_opt >= float(f_grid.max()) - 1e-10
+
+
+@st.composite
+def kelly_problems(draw):
+    """Shapes and solver settings from hypothesis, values from a drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 6))
+    rows = draw(st.integers(1, 12))
+    score = rng.uniform(-2.0, 2.0, size=m)
+    if draw(st.booleans()):
+        score = np.abs(score)  # no losing outcome: the default ceiling applies
+    probs = rng.dirichlet(np.full(m, draw(st.sampled_from([0.3, 1.0, 5.0]))), size=rows)
+    cfg = KellyConfig(max_iter=draw(st.sampled_from([1, 2, 200])))
+    init = None
+    if draw(st.booleans()):
+        init = rng.uniform(-0.5, 1.5, size=rows) * cfg.ceiling(score)  # some outside (0, B)
+    return BettingScore(EvidenceSpace.of_size(m), score), probs, cfg, init
+
+
+class TestKellyBets:
+    @given(kelly_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_newton_bitwise(self, problem):
+        b, probs, cfg, init = problem
+        got = kelly_bets(probs, b, cfg, init=init)
+        want = [scalar_kelly(probs[i], b.score, cfg, None if init is None else float(init[i]))
+                for i in range(len(probs))]
+        assert np.array_equal(got, want)
+
+    def test_edge_cases_in_one_batch(self, bspace):
+        cfg = KellyConfig()
+        probs = np.array([[0.5, 0.5], [0.3, 0.7], [0.7, 0.3], [0.75, 0.25]])
+        got = kelly_bets(probs, binary_score(bspace), cfg, init=[0.2, 0.2, 0.0, 0.3])
+        assert got[0] == 0.0 and got[1] == 0.0  # zero and negative edge
+        assert got[2] == pytest.approx(0.4, abs=1e-9)
+        assert got[3] == pytest.approx(0.5, abs=1e-9)
+        sure_win = kelly_bets(probs, BettingScore(bspace, [0.4, 0.4]), cfg)
+        assert np.array_equal(sure_win, np.full(4, cfg.lambda_default_max))
+
+    def test_guesses_at_the_bracket_ends_are_ignored(self):
+        cfg = KellyConfig()
+        score = BettingScore(EvidenceSpace.of_size(3), [0.4, -1.6, 1.5])
+        probs = np.random.default_rng(0).dirichlet(np.ones(3), size=500)
+        cold = kelly_bets(probs, score, cfg)
+        for end in (0.0, cfg.ceiling(score.score)):
+            assert np.array_equal(kelly_bets(probs, score, cfg, init=np.full(500, end)), cold)
+
+    def test_grid_fallback_after_one_iteration(self, bspace):
+        # An uneven score leaves Newton short after one step, so the grid decides.
+        cfg = KellyConfig(max_iter=1, grid_fallback=1001)
+        score = BettingScore(bspace, [1.0, -0.5])
+        probs = np.array([[0.5, 0.5], [0.6, 0.4]])
+        got = kelly_bets(probs, score, cfg)
+        grid = np.linspace(0.0, cfg.ceiling(score.score), cfg.grid_fallback)
+        assert np.all(np.isin(got, grid))
+        assert got == pytest.approx([0.5, 0.8], abs=2e-3)
+        assert np.array_equal(got, [scalar_kelly(p, score.score, cfg) for p in probs])
+
+
+class TestBatchedPaths:
+    def test_fairness_loop_matches_per_run_scalar_loop(self):
+        cfg = FairnessConfig(runs=4, n=300)
+        score = parity_betting_score(cfg.tau)
+        kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
+        z = _draw_outcomes(paired_fairness_distribution(0.4), cfg.runs, cfg.n, cfg.seed)
+        got = _betting_trajectories(z, score, kelly_cfg, cfg.params)
+        want = np.stack([scalar_license_path(row, score, kelly_cfg, cfg.params, warm_start=True)
+                         for row in z])
+        assert np.array_equal(got, want)
+
+    def test_sequential_license_matches_scalar_loop(self):
+        space = EvidenceSpace.of_size(3)
+        score = BettingScore(space, [0.5, -0.3, -1.0])
+        q = Categorical(space, [0.6, 0.3, 0.1])
+        got = run_sequential_license(SampleStream(q, seed=5), score, KellyConfig(), PARAMS, 300)
+        want = scalar_license_path(sample(SampleStream(q, seed=5), 300), score, KellyConfig(), PARAMS)
+        assert np.array_equal(got, want)
+
+    def test_market_sup_value_matches_per_replicate_loop(self):
+        space = EvidenceSpace.of_size(3)
+        req = Requirement(kind="threshold", metric=np.array([1.0, 0.4, 0.0]), tau=0.5)
+        provider = Provider(id="p", q=Categorical(space, [0.5, 0.3, 0.2]))
+        cfg = KellyConfig()
+        got = _betting_sup_value(provider, req, PARAMS, n=200, seed=9, replicates=7, cfg=cfg)
+        score = BettingScore.from_metric(space, req.metric, req.tau)
+        finals = [run_sequential_license(SampleStream(provider.q, seed=s), score, cfg, PARAMS, 200)[-1]
+                  for s in spawn_seeds(9, 7)]
+        assert got == float(np.mean(finals))
 
 
 class TestAdaptiveBet:

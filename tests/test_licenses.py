@@ -172,6 +172,19 @@ class TestKappa:
             two_term = kl_divergence(q, p) - tail
             assert kappa(q, p, params) == pytest.approx(two_term, abs=1e-12)
 
+    def test_converged_flag_describes_the_returned_start(self, space2):
+        # One iteration leaves the best start short of the optimum while a
+        # vertex start stops at once; the flag must report the best start.
+        credal = CredalSet(space2, (Categorical(space2, [0.98, 0.02]),
+                                    Categorical(space2, [0.12, 0.88])))
+        q = Categorical(space2, [0.31, 0.69])
+        params = MechanismParams(15.0, 250.0)
+        _, val_short, converged_short = minimize_kappa(q, credal, params, max_iter=1)
+        _, val_full, converged_full = minimize_kappa(q, credal, params)
+        assert converged_full
+        assert val_full < val_short - 1e-6
+        assert not converged_short
+
 
 class TestRiskAverseResponse:
     def test_singleton_direct_formula(self, space2, params_small):
