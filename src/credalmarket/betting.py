@@ -198,13 +198,18 @@ def kelly_optimal_bet(dist: Categorical, b: BettingScore, cfg: KellyConfig,
     return float(kelly_bets(dist.probs[None, :], b, cfg, init=None if init is None else [init])[0])
 
 
+def _smoothed(counts, total: int, m: int) -> np.ndarray:
+    """(N, m) add-one-smoothed distributions from count rows summing to ``total``."""
+    return (np.atleast_2d(counts) + 1.0) / (total + m)
+
+
 def adaptive_bet(history, b: BettingScore, cfg: KellyConfig) -> float:
     """Plug-in Kelly bet from the add-one-smoothed empirical distribution."""
     hist = np.asarray(history, dtype=np.int64)
     if hist.size == 0:
         return 0.0
     counts = np.bincount(hist, minlength=b.space.size)
-    return float(kelly_bets([(counts + 1.0) / (hist.size + b.space.size)], b, cfg)[0])
+    return float(kelly_bets(_smoothed(counts, hist.size, b.space.size), b, cfg)[0])
 
 
 def plugin_paths(
@@ -228,7 +233,7 @@ def plugin_paths(
     for t in range(1, n):
         counts[rows, z[:, t - 1]] += 1
         init = lams[:, t - 1] if warm_start else None
-        lams[:, t] = kelly_bets((counts + 1.0) / (t + m), b, cfg, init=init)
+        lams[:, t] = kelly_bets(_smoothed(counts, t, m), b, cfg, init=init)
     log_wealth = np.full((runs, n + 1), math.log(params.C))
     steps = np.fromiter(map(math.log1p, (lams * b.score[z]).flat), float, runs * n)
     log_wealth[:, 1:] = steps.reshape(runs, n)
@@ -291,7 +296,7 @@ def verify_supermartingale(
             first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
             inverse = np.empty(runs, dtype=np.intp)
             inverse[order] = np.cumsum(first) - 1
-            lams = kelly_bets((ordered[first] + 1.0) / (t + m), b, cfg)
+            lams = kelly_bets(_smoothed(ordered[first], t, m), b, cfg)
             log_wealth += np.log1p(lams[inverse] * b.score[z])
         counts[np.arange(runs), z] += 1
     wealth = np.exp(log_wealth)

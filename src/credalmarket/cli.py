@@ -80,7 +80,7 @@ def _note(args: argparse.Namespace, message: str) -> None:
 def _params_from(payload: dict, what: str) -> MechanismParams:
     params = _require(payload, "params", what)
     try:
-        return MechanismParams(C=float(params["C"]), R=float(params["R"]))
+        return MechanismParams(C=params["C"], R=params["R"])
     except (KeyError, TypeError) as err:
         raise ValueError(f"{what} field 'params' needs numeric C and R: {err}")
 

@@ -47,6 +47,9 @@ class MechanismParams:
     R: float
 
     def __post_init__(self) -> None:
+        # Floats, so integer values from a JSON config never give integer arrays.
+        object.__setattr__(self, "C", float(self.C))
+        object.__setattr__(self, "R", float(self.R))
         if not (0.0 < self.C < self.R):
             raise ValueError("mechanism parameters need 0 < C < R")
 
@@ -87,7 +90,7 @@ class License:
         try:
             space = EvidenceSpace(tuple(payload["space"]))
             lic = License(space, payload["payout"])
-            params = MechanismParams(float(payload["params"]["C"]), float(payload["params"]["R"]))
+            params = MechanismParams(payload["params"]["C"], payload["params"]["R"])
         except KeyError as err:
             raise ValueError(f"license JSON is missing field {err.args[0]!r}") from err
         return lic, params

@@ -253,6 +253,18 @@ class TestBatchedPaths:
                          for row in z])
         assert np.array_equal(got, want)
 
+    def test_integer_params_give_the_float_params_paths(self):
+        # A JSON config can give C and R as integers; licenses below R must
+        # not be truncated to integers.
+        cfg = FairnessConfig(runs=3, n=200)
+        score = parity_betting_score(cfg.tau)
+        kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
+        z = _draw_outcomes(paired_fairness_distribution(0.4), cfg.runs, cfg.n, cfg.seed)
+        got = _betting_trajectories(z, score, kelly_cfg, MechanismParams(C=15, R=250))
+        want = _betting_trajectories(z, score, kelly_cfg, MechanismParams(C=15.0, R=250.0))
+        assert got.dtype == float and np.array_equal(got, want)
+        assert np.any(got != np.round(got))
+
     def test_sequential_license_matches_scalar_loop(self):
         space = EvidenceSpace.of_size(3)
         score = BettingScore(space, [0.5, -0.3, -1.0])

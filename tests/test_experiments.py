@@ -210,6 +210,10 @@ class TestConfigLoading:
         assert cfg.runs == 5 and cfg.seed == 99
         assert cfg.params == MechanismParams(10.0, 100.0)
 
+    def test_integer_params_are_stored_as_floats(self):
+        cfg = load_config("fairness", {"params": {"C": 15, "R": 250}})
+        assert type(cfg.params.C) is float and type(cfg.params.R) is float
+
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             load_config("nope")
