@@ -7,7 +7,7 @@ responses), :mod:`betting` (sequential testing-by-betting licenses),
 runners), :mod:`cli` (command line).
 """
 
-from .betting import BettingScore, KellyConfig, WealthProcess
+from .betting import BettingScore, KellyConfig
 from .credal import ConstraintCredalSpec, CredalSet
 from .evidence import Categorical, EvidenceSpace, SampleStream
 from .licenses import License, MechanismParams, OptimalLicenseResult
@@ -27,7 +27,6 @@ __all__ = [
     "Provider",
     "Requirement",
     "SampleStream",
-    "WealthProcess",
 ]
 
 __version__ = "0.1.0"

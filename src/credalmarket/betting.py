@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -26,8 +26,6 @@ from .licenses import MechanismParams
 __all__ = [
     "BettingScore",
     "KellyConfig",
-    "WealthProcess",
-    "step",
     "kelly_bets",
     "kelly_optimal_bet",
     "adaptive_bet",
@@ -86,47 +84,6 @@ class KellyConfig:
         if worst >= 0.0:
             return self.lambda_default_max
         return min(self.lambda_default_max, (1.0 - self.margin) / (-worst))
-
-
-@dataclass(frozen=True)
-class WealthProcess:
-    """Sequential betting state: log wealth, cap, and bet history."""
-
-    log_wealth: float
-    cap: float
-    n: int = 0
-    history: tuple[tuple[float, int], ...] = ()
-
-    @staticmethod
-    def start(params: MechanismParams) -> "WealthProcess":
-        return WealthProcess(log_wealth=math.log(params.C), cap=params.R)
-
-    @property
-    def wealth(self) -> float:
-        return math.exp(self.log_wealth)
-
-    @property
-    def license_value(self) -> float:
-        return min(self.wealth, self.cap)
-
-
-def step(process: WealthProcess, b: BettingScore, lam: float, z: int) -> WealthProcess:
-    """Apply one bet: wealth *= 1 + lam * b(z).
-
-    ``lam`` must keep wealth positive on every outcome, not just the realized
-    one; inadmissible bets are rejected before the state changes.
-    """
-    if lam < 0.0:
-        raise ValueError("bets are long-only: lambda must be non-negative")
-    if 1.0 + lam * float(np.min(b.score)) <= 0.0:
-        raise ValueError("inadmissible bet: wealth could hit zero on some outcome")
-    factor = 1.0 + lam * float(b.score[z])
-    return replace(
-        process,
-        log_wealth=process.log_wealth + math.log(factor),
-        n=process.n + 1,
-        history=process.history + ((lam, int(z)),),
-    )
 
 
 def kelly_bets(probs, b: BettingScore, cfg: KellyConfig, init=None) -> np.ndarray:
@@ -314,15 +271,21 @@ def write_trajectory_csv(
     n: int,
     header_comment: str = "",
 ) -> None:
-    """Run one adaptive trajectory and dump step, lambda, outcome, wealth, license_value."""
+    """Run one adaptive trajectory and dump step, lambda, outcome, wealth, license_value.
+
+    Wealth is uncapped and reads ``inf`` once it passes the float range.
+    """
     outcomes = sample(stream, n)
-    lams, log_wealth, _ = plugin_paths(outcomes[None, :], b, cfg, params)
+    lams, log_wealth, licenses = plugin_paths(outcomes[None, :], b, cfg, params)
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["step", "lambda", "outcome", "wealth", "license_value"])
         for t in range(n):
-            wealth = math.exp(float(log_wealth[0, t]))
+            try:
+                wealth = math.exp(log_wealth[0, t])
+            except OverflowError:
+                wealth = math.inf
             writer.writerow([t + 1, repr(float(lams[0, t])), int(outcomes[t]), repr(wealth),
-                             repr(min(wealth, params.R))])
+                             repr(float(licenses[0, t]))])

@@ -63,6 +63,21 @@ def _require(payload: dict, field: str, what: str):
     return payload[field]
 
 
+def _fields(payload, allowed: tuple[str, ...], what: str) -> dict:
+    """``payload`` itself, once it is a JSON object with no field outside ``allowed``.
+
+    An unknown field is an error, not a default: a misspelled key would
+    otherwise run with the default it was meant to change.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(payload) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}; "
+                         f"allowed: {', '.join(allowed)}")
+    return payload
+
+
 def _check_out(path: str, force: bool) -> None:
     target = Path(path)
     if target.exists() and not force:
@@ -78,7 +93,7 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def _params_from(payload: dict, what: str) -> MechanismParams:
-    params = _require(payload, "params", what)
+    params = _fields(_require(payload, "params", what), ("C", "R"), f"{what} field 'params'")
     try:
         return MechanismParams(C=params["C"], R=params["R"])
     except (KeyError, TypeError) as err:
@@ -88,10 +103,11 @@ def _params_from(payload: dict, what: str) -> MechanismParams:
 def cmd_license(args: argparse.Namespace) -> int:
     try:
         credal = CredalSet.from_json(_load_json(args.credal, "credal set"))
-        payload = _load_json(args.config, "license config")
+        payload = _fields(_load_json(args.config, "license config"), ("provider", "params"),
+                          "license config")
         params = _params_from(payload, "license config")
         q = Categorical(credal.space, _require(payload, "provider", "license config"))
-    except ValueError as err:
+    except (ValueError, TypeError) as err:
         return _fail(str(err))
 
     _note(args, f"credal set: {len(credal.vertices)} vertices over {credal.space.size} outcomes")
@@ -128,35 +144,33 @@ def cmd_license(args: argparse.Namespace) -> int:
 def cmd_market(args: argparse.Namespace) -> int:
     try:
         credal = CredalSet.from_json(_load_json(args.credal, "credal set"))
-        payload = _load_json(args.config, "market config")
+        payload = _fields(_load_json(args.config, "market config"),
+                          ("params", "providers", "requirement", "mechanism", "seed", "n"),
+                          "market config")
         params = _params_from(payload, "market config")
-        providers = [
-            Provider(
-                id=str(_require(row, "id", "provider entry")),
-                q=Categorical(credal.space, _require(row, "q", "provider entry")),
-                attitude=row.get("attitude", "risk-neutral"),
-            )
-            for row in _require(payload, "providers", "market config")
-        ]
-        req_payload = _require(payload, "requirement", "market config")
+        providers = []
+        for row in _require(payload, "providers", "market config"):
+            _fields(row, ("id", "q"), "provider entry")
+            providers.append(Provider(id=str(_require(row, "id", "provider entry")),
+                                      q=Categorical(credal.space, _require(row, "q", "provider entry"))))
+        req_payload = _fields(_require(payload, "requirement", "market config"),
+                              ("kind", "metric", "tau"), "requirement")
         kind = _require(req_payload, "kind", "requirement")
         if kind == "threshold":
-            req = Requirement(kind="threshold",
-                              metric=np.asarray(req_payload["metric"], dtype=float),
-                              tau=float(req_payload["tau"]))
-        elif kind == "credal":
-            req = Requirement(kind="credal", credal=credal)
-        else:
-            raise ValueError(f"unknown requirement kind {kind!r}")
+            metric = _require(req_payload, "metric", "requirement")
+            tau = _require(req_payload, "tau", "requirement")
+            req = Requirement(kind=kind, metric=np.asarray(metric, dtype=float), tau=float(tau))
+        else:  # Requirement rejects unknown kinds, and a metric or tau on a credal one
+            req = Requirement(kind=kind, credal=credal,
+                              metric=req_payload.get("metric"), tau=req_payload.get("tau"))
         mechanism = payload.get("mechanism", "optimal-LP")
         seed = args.seed if args.seed is not None else int(payload.get("seed", 0))
-        report = simulate_market(
-            providers, req, credal, params,
-            mechanism=mechanism,
-            n=int(payload.get("n", 500)),
-            seed=seed,
-        )
-    except ValueError as err:
+        n = int(payload.get("n", 500))
+    except (ValueError, TypeError) as err:  # TypeError: a field of the wrong JSON type
+        return _fail(str(err))
+    try:
+        report = simulate_market(providers, req, credal, params, mechanism=mechanism, n=n, seed=seed)
+    except ValueError as err:  # unknown mechanism, or betting without a threshold or rounds
         return _fail(str(err))
 
     if args.out:
@@ -175,7 +189,9 @@ def cmd_market(args: argparse.Namespace) -> int:
 
 def cmd_betting(args: argparse.Namespace) -> int:
     try:
-        payload = _load_json(args.config, "betting config")
+        payload = _fields(_load_json(args.config, "betting config"),
+                          ("params", "labels", "source", "metric", "tau", "n", "seed"),
+                          "betting config")
         params = _params_from(payload, "betting config")
         labels = _require(payload, "labels", "betting config")
         space = EvidenceSpace(tuple(labels))
@@ -184,11 +200,13 @@ def cmd_betting(args: argparse.Namespace) -> int:
         tau = float(_require(payload, "tau", "betting config"))
         score = BettingScore.from_metric(space, metric, tau)
         n = int(payload.get("n", 500))
+        if n < 1:
+            raise ValueError("betting config field 'n' needs at least one betting round")
         seed = args.seed if args.seed is not None else int(payload.get("seed", 0))
         if not args.out:
             raise ValueError("betting run needs --out for the trajectory CSV")
         _check_out(args.out, args.force)
-    except ValueError as err:
+    except (ValueError, TypeError) as err:
         return _fail(str(err))
     stream = SampleStream(source, seed=seed)
     write_trajectory_csv(

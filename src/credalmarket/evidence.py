@@ -1,4 +1,4 @@
-"""Finite evidence spaces, categorical distributions, divergences, and seeded sampling.
+"""Finite evidence spaces, categorical distributions, divergences, likelihood ratios, sampling.
 
 Everything downstream (credal sets, licenses, betting, markets) works over a
 finite outcome space, so expectations and optimization problems stay exact.
@@ -25,6 +25,8 @@ __all__ = [
     "SampleStream",
     "mixture",
     "kl_divergence",
+    "ratio",
+    "log_ratio",
     "sample",
     "empirical_distribution",
     "spawn_seeds",
@@ -137,6 +139,27 @@ def kl_divergence(q: Categorical, p: Categorical) -> float:
     return float(np.sum(qp[support] * np.log(qp[support] / pp[support])))
 
 
+def ratio(q, p) -> np.ndarray:
+    """Elementwise likelihood ratio Q/P.
+
+    Every license is a likelihood ratio against a projection P, so one rule
+    fixes where it pays the cap and where it pays nothing: the ratio is +inf
+    (log +inf) where P = 0 < Q, and 0 (log -inf) where Q = 0, whatever P is.
+    Elsewhere ``ratio`` is q / p and ``log_ratio`` is ln q - ln p, never
+    ln(q / p), so callers keep the float arithmetic their outputs depend on.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q > 0, np.where(p > 0, q / p, np.inf), 0.0)
+
+
+def log_ratio(q, p) -> np.ndarray:
+    """ln q - ln p under the P = 0 / Q = 0 rule of :func:`ratio`."""
+    # ln 0 = -inf, so ln q - ln p is already +inf where p = 0 < q; only 0/0
+    # gives nan, and the Q = 0 branch replaces it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q > 0, np.log(q) - np.log(p), -np.inf)
+
+
 @dataclass(eq=False)
 class SampleStream:
     """A deterministic i.i.d. outcome stream from a categorical source.
@@ -156,8 +179,9 @@ class SampleStream:
         cdf = np.cumsum(self.source.probs)
         cdf[-1] = 1.0  # guard the last bin against rounding
         self._cdf = cdf
-        if self.position:
-            self._gen.random(self.position)  # fast-forward a restored stream
+        # One uniform draw consumes one PCG64 output, so a restored stream
+        # skips ``position`` outputs without drawing them.
+        self._gen.bit_generator.advance(self.position)
 
 
 def sample(stream: SampleStream, n: int) -> np.ndarray:

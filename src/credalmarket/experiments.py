@@ -39,7 +39,7 @@ from .credal import (
     CredalSet,
     approximate_constraint_set,
 )
-from .evidence import Categorical, EvidenceSpace, SampleStream, sample, spawn_seeds
+from .evidence import Categorical, EvidenceSpace, SampleStream, log_ratio, sample, spawn_seeds
 from .licenses import MechanismParams, minimize_kappa
 
 __all__ = [
@@ -168,12 +168,8 @@ def run_simplex_gaming(cfg: SimplexGamingConfig) -> ResultTable:
     log_points = np.stack([np.log(p.probs)[z].cumsum(axis=1) for p in points])
     naive_log = math.log(cfg.params.C) + log_num - log_points.max(axis=0)
 
-    with np.errstate(divide="ignore"):
-        step_ratio = np.where(p_star > 0, np.log(q.probs) - np.log(np.where(p_star > 0, p_star, 1.0)), np.inf)
-    credal_log = math.log(cfg.params.C) + step_ratio[z].cumsum(axis=1)
-
     naive = _capped_exp(naive_log, cfg.params.R)
-    credal = _capped_exp(credal_log, cfg.params.R)
+    credal = _cumulative_trajectories(z, q, p_star, cfg.params, 0)
     naive_mean, naive_se = _mean_se(naive)
     credal_mean, credal_se = _mean_se(credal)
     rows = tuple(
@@ -260,13 +256,7 @@ def _cumulative_trajectories(
     z: np.ndarray, q: Categorical, p_star: np.ndarray, params: MechanismParams, burn_in: int
 ) -> np.ndarray:
     """Cumulative likelihood-ratio licenses, held at C through the burn-in prefix."""
-    with np.errstate(divide="ignore"):
-        step_log = np.where(
-            p_star > 0,
-            np.where(q.probs > 0, np.log(np.where(q.probs > 0, q.probs, 1.0)), -np.inf)
-            - np.log(np.where(p_star > 0, p_star, 1.0)),
-            np.inf,
-        )
+    step_log = log_ratio(q.probs, p_star)
     runs, n = z.shape
     logs = np.zeros((runs, n))
     active = step_log[z[:, burn_in:]] if burn_in < n else np.zeros((runs, 0))

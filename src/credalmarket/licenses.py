@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linprog import solve_box_lp
 from .credal import CredalSet, upper_expectation
-from .evidence import Categorical, EvidenceSpace
+from .evidence import Categorical, EvidenceSpace, log_ratio, ratio
 
 __all__ = [
     "License",
@@ -173,11 +173,8 @@ def neyman_pearson_license(q: Categorical, p: Categorical,
     """
     if q.space != p.space:
         raise ValueError("distributions live on different spaces")
-    qp, pp = q.probs, p.probs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(pp > 0, qp / np.where(pp > 0, pp, 1.0), np.inf)
-    ratio = np.where((pp == 0) & (qp == 0), 0.0, ratio)
-    order = np.lexsort((np.arange(q.space.size), -ratio))
+    pp = p.probs
+    order = np.lexsort((np.arange(q.space.size), -ratio(q.probs, pp)))
     payout = np.zeros(q.space.size)
     budget = params.C
     for z in order:
@@ -207,10 +204,8 @@ def kappa(q: Categorical, p: Categorical, params: MechanismParams) -> float:
 
 def _kappa_raw(qp: np.ndarray, pp: np.ndarray, log_cap: float) -> float:
     support = qp > 0.0
-    qs, ps = qp[support], pp[support]
-    with np.errstate(divide="ignore"):
-        log_ratio = np.where(ps > 0, np.log(qs) - np.log(np.where(ps > 0, ps, 1.0)), np.inf)
-    return float(qs @ np.minimum(log_ratio, log_cap))
+    qs = qp[support]
+    return float(qs @ np.minimum(log_ratio(qs, pp[support]), log_cap))
 
 
 def _project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -243,6 +238,7 @@ def minimize_kappa(
     V = credal.vertex_matrix
     k = V.shape[0]
     qp = q.probs
+    support = qp > 0.0
     log_cap = math.log(params.cap_ratio)
 
     def kappa_of(w: np.ndarray) -> float:
@@ -250,12 +246,8 @@ def minimize_kappa(
 
     def gradient(w: np.ndarray) -> np.ndarray:
         p = w @ V
-        support = qp > 0.0
-        with np.errstate(divide="ignore"):
-            log_ratio = np.where(
-                p > 0, np.log(np.where(qp > 0, qp, 1.0)) - np.log(np.where(p > 0, p, 1.0)), np.inf
-            )
-        active = support & (log_ratio < log_cap) & (p > 0)
+        # P = 0 < Q gives +inf, so the ratio test also drops vanishing P.
+        active = support & (log_ratio(qp, p) < log_cap)
         if not np.any(active):
             return np.zeros(k)
         return -(V[:, active] @ (qp[active] / p[active]))
@@ -299,25 +291,28 @@ def minimize_kappa(
     return best_w, best_val, best_converged
 
 
-def _budget_exact_scale(ratio: np.ndarray, support: np.ndarray, V: np.ndarray,
-                        params: MechanismParams) -> float:
-    """Largest gamma with max_P E_P[min{gamma * ratio, R} * 1_support] <= C.
+def _truncated_payout(lr: np.ndarray, gamma: float, R: float) -> np.ndarray:
+    """Truncated likelihood-ratio payout min{gamma * lr, R}: R where lr is +inf."""
+    with np.errstate(invalid="ignore"):  # 0 * inf when gamma = 0
+        return np.where(lr < np.inf, np.minimum(gamma * lr, R), R)
+
+
+def _budget_exact_scale(lr: np.ndarray, V: np.ndarray, params: MechanismParams) -> float:
+    """Largest gamma with max_P E_P[min{gamma * lr, R}] <= C for a ratio ``lr`` = Q/P*.
 
     The truncated likelihood-ratio license is only budget-tight when the cap
     never binds; scaling the uncapped branch keeps the mechanism's obedience
     constraint exactly active whenever some supported outcome stays below R.
     With no cap active, gamma equals C and the plain formula is recovered.
     """
-    finite = support & np.isfinite(ratio) & (ratio > 0)
+    finite = (lr > 0) & (lr < np.inf)
 
     def sup_expectation(gamma: float) -> float:
-        payout = np.where(finite, np.minimum(gamma * ratio, params.R), 0.0)
-        payout = np.where(support & ~finite, params.R, payout)
-        return float(np.max(V @ payout))
+        return float(np.max(V @ _truncated_payout(lr, gamma, params.R)))
 
     if not np.any(finite):
         return params.C
-    gamma_all_capped = params.R / float(np.min(ratio[finite]))
+    gamma_all_capped = params.R / float(np.min(lr[finite]))
     if sup_expectation(gamma_all_capped) <= params.C:
         return gamma_all_capped  # every supported payout at R and still obedient
     lo, hi = 0.0, gamma_all_capped
@@ -357,15 +352,9 @@ def optimal_risk_averse_license(
         q, credal, params, n_starts=n_starts, max_iter=max_iter, grad_tol=grad_tol, seed=seed
     )
     p_star = w @ credal.vertex_matrix
-    qp = q.probs
-    support = qp > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(p_star > 0, qp / np.where(p_star > 0, p_star, 1.0), np.inf)
-    gamma = _budget_exact_scale(ratio, support, credal.vertex_matrix, params)
-    finite = support & np.isfinite(ratio)
-    payout = np.where(finite, np.minimum(gamma * ratio, params.R), 0.0)
-    payout = np.where(support & ~finite, params.R, payout)
-    lic = License(q.space, payout)
+    lr = ratio(q.probs, p_star)
+    gamma = _budget_exact_scale(lr, credal.vertex_matrix, params)
+    lic = License(q.space, _truncated_payout(lr, gamma, params.R))
     # Renormalize the projection in case of simplex round-off.
     p_star = np.clip(p_star, 0.0, None)
     p_star = p_star / p_star.sum()
@@ -391,13 +380,12 @@ def cumulative_license(z_seq, q: Categorical, p_star: Categorical,
     z = np.asarray(z_seq, dtype=np.int64)
     if z.size == 0:
         return params.C
-    qz = q.probs[z]
-    pz = p_star.probs[z]
-    if np.any((pz == 0.0) & (qz > 0.0)):
+    steps = log_ratio(q.probs[z], p_star.probs[z])
+    if np.any(steps == np.inf):
         return params.R
-    if np.any(qz == 0.0):
+    if np.any(steps == -np.inf):
         return 0.0
-    log_value = math.log(params.C) + float(np.sum(np.log(qz) - np.log(pz)))
+    log_value = math.log(params.C) + float(np.sum(steps))
     if log_value >= math.log(params.R):
         return params.R
     return math.exp(log_value)

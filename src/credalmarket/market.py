@@ -69,16 +69,10 @@ class Requirement:
 
 @dataclass(frozen=True, eq=False)
 class Provider:
-    """A market participant: an evidence distribution plus a risk attitude."""
+    """A market participant: an id and its evidence distribution (type)."""
 
     id: str
     q: Categorical
-    attitude: Literal["risk-neutral", "risk-averse", "bettor"] = "risk-neutral"
-    strategy: Optional[tuple[Categorical, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.strategy is not None and len(self.strategy) < 2:
-            raise ValueError("strategic providers need at least two base models")
 
 
 @dataclass(frozen=True)

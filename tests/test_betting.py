@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from credalmarket.betting import (
     BettingScore,
     KellyConfig,
-    WealthProcess,
     adaptive_bet,
     kelly_bets,
     kelly_optimal_bet,
     run_sequential_license,
-    step,
     verify_supermartingale,
     write_trajectory_csv,
 )
@@ -94,51 +92,6 @@ def binary_dist(space, p):
 @pytest.fixture
 def bspace():
     return EvidenceSpace.of_size(2, prefix="o")
-
-
-class TestWealthProcess:
-    def test_no_bet_leaves_wealth_unchanged(self, bspace):
-        proc = WealthProcess.start(PARAMS)
-        after = step(proc, binary_score(bspace), 0.0, 1)
-        assert after.wealth == pytest.approx(PARAMS.C)
-        assert after.n == 1 and after.history == ((0.0, 1),)
-
-    def test_win_arithmetic(self, bspace):
-        score = BettingScore(bspace, [0.5, -0.5])
-        proc = WealthProcess.start(PARAMS)
-        after = step(proc, score, 1.0, 0)
-        assert after.wealth == pytest.approx(22.5)
-
-    def test_license_is_capped(self, bspace):
-        score = BettingScore(bspace, [2.0, -0.5])
-        proc = WealthProcess.start(PARAMS)
-        for _ in range(4):  # 15 * 3^4 = 1215 raw wealth
-            proc = step(proc, score, 1.0, 0)
-        assert proc.wealth > PARAMS.R
-        assert proc.license_value == PARAMS.R
-
-    def test_inadmissible_bet_rejected(self, bspace):
-        proc = WealthProcess.start(PARAMS)
-        with pytest.raises(ValueError):
-            step(proc, binary_score(bspace), 1.0, 0)  # a loss would zero the wealth
-        with pytest.raises(ValueError):
-            step(proc, binary_score(bspace), -0.1, 0)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_admissible_bets_keep_wealth_positive(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(2, 6))
-        space = EvidenceSpace.of_size(m)
-        score = BettingScore(space, rng.uniform(-2.0, 2.0, size=m))
-        cfg = KellyConfig()
-        lam = float(rng.uniform(0.0, 1.0)) * cfg.ceiling(score.score)
-        proc = WealthProcess.start(PARAMS)
-        for _ in range(5):
-            z = int(rng.integers(0, m))
-            proc = step(proc, score, lam, z)
-            assert proc.wealth > 0.0
-            assert proc.license_value <= PARAMS.R
 
 
 class TestKellyBet:

@@ -176,3 +176,116 @@ class TestBettingCommand:
         }))
         code, _, err = run_cli(capsys, "betting", "run", "--config", str(cfg))
         assert code == 2
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return path
+
+
+BETTING_CONFIG = {
+    "labels": ["win", "lose"], "source": [0.75, 0.25], "metric": [1.0, -1.0], "tau": 0.0,
+    "n": 40, "params": {"C": 15.0, "R": 250.0},
+}
+MARKET_CONFIG = {
+    "params": {"C": 15.0, "R": 250.0},
+    "providers": [{"id": "good", "q": [0.9, 0.05, 0.05]}],
+    "requirement": {"kind": "threshold", "metric": [1.0, 0.0, 0.0], "tau": 0.5},
+    "mechanism": "optimal-LP", "seed": 0, "n": 50,
+}
+
+
+@pytest.fixture
+def hull_credal(tmp_path):
+    return write_json(tmp_path / "hull.json", {
+        "space": ["z0", "z1", "z2"],
+        "vertices": [[0.35, 0.35, 0.30], [0.35, 0.30, 0.35], [0.30, 0.35, 0.35]],
+    })
+
+
+class TestInputValidation:
+    def test_full_market_config_is_accepted(self, capsys, tmp_path, hull_credal):
+        cfg = write_json(tmp_path / "market.json", MARKET_CONFIG)
+        code, out, _ = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                               "--config", str(cfg))
+        assert code == 0 and "perfect=true" in out
+
+    @pytest.mark.parametrize("field", ["metric", "tau"])
+    def test_threshold_requirement_field_missing_exits_2(self, capsys, tmp_path, hull_credal,
+                                                         field):
+        requirement = dict(MARKET_CONFIG["requirement"])
+        del requirement[field]
+        cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, "requirement": requirement})
+        code, _, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                               "--config", str(cfg))
+        assert code == 2
+        assert repr(field) in err
+
+    def test_tau_on_credal_requirement_exits_2(self, capsys, tmp_path, hull_credal):
+        cfg = write_json(tmp_path / "market.json",
+                         {**MARKET_CONFIG, "requirement": {"kind": "credal", "tau": 0.5}})
+        code, _, _ = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                             "--config", str(cfg))
+        assert code == 2
+
+    @pytest.mark.parametrize("where, key", [
+        ("config", "mechansim"),
+        ("provider", "attitude"),
+        ("requirement", "threshold"),
+        ("params", "fee"),
+    ])
+    def test_unknown_market_key_exits_2(self, capsys, tmp_path, hull_credal, where, key):
+        payload = json.loads(json.dumps(MARKET_CONFIG))
+        target = {"config": payload, "provider": payload["providers"][0],
+                  "requirement": payload["requirement"], "params": payload["params"]}[where]
+        target[key] = "betting"
+        cfg = write_json(tmp_path / "market.json", payload)
+        code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                                 "--config", str(cfg))
+        assert code == 2
+        assert repr(key) in err and out == ""
+
+    def test_unknown_betting_key_exits_2(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "bet.json", {**BETTING_CONFIG, "rounds": 100})
+        code, _, err = run_cli(capsys, "betting", "run", "--config", str(cfg),
+                               "--out", str(tmp_path / "bet.csv"))
+        assert code == 2 and "'rounds'" in err
+        assert not (tmp_path / "bet.csv").exists()
+
+    def test_unknown_license_key_exits_2(self, capsys, tmp_path, singleton_credal):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"provider": [0.6, 0.4], "params": {"C": 0.5, "R": 1.0}, "seed": 3})
+        code, out, err = run_cli(capsys, "license", "optimal", "--credal", str(singleton_credal),
+                                 "--config", str(cfg))
+        assert code == 2 and "'seed'" in err and out == ""
+
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_betting_without_rounds_exits_2(self, capsys, tmp_path, n):
+        cfg = write_json(tmp_path / "bet.json", {**BETTING_CONFIG, "n": n})
+        code, _, err = run_cli(capsys, "betting", "run", "--config", str(cfg),
+                               "--out", str(tmp_path / "bet.csv"))
+        assert code == 2 and "'n'" in err
+
+    def test_wealth_beyond_float_range_reads_inf(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "bet.json", {
+            "labels": ["hit", "miss"], "source": [0.95, 0.05], "metric": [1, 0], "tau": 0.5,
+            "n": 3000, "params": {"C": 15.0, "R": 250.0},
+        })
+        out = tmp_path / "bet.csv"
+        code, _, _ = run_cli(capsys, "betting", "run", "--config", str(cfg), "--seed", "1",
+                             "--out", str(out))
+        assert code == 0
+        last = out.read_text().splitlines()[-1].split(",")
+        assert last[3] == "inf"
+        assert float(last[4]) == 250.0
+
+    def test_field_of_the_wrong_type_exits_2(self, capsys, tmp_path, hull_credal):
+        requirement = {**MARKET_CONFIG["requirement"], "tau": [0.5]}
+        cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, "requirement": requirement})
+        code, _, _ = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                             "--config", str(cfg))
+        assert code == 2
+        cfg = write_json(tmp_path / "bet.json", {**BETTING_CONFIG, "labels": 2})
+        code, _, _ = run_cli(capsys, "betting", "run", "--config", str(cfg),
+                             "--out", str(tmp_path / "bet.csv"))
+        assert code == 2

@@ -11,7 +11,9 @@ from credalmarket.evidence import (
     SampleStream,
     empirical_distribution,
     kl_divergence,
+    log_ratio,
     mixture,
+    ratio,
     sample,
     spawn_seeds,
 )
@@ -133,9 +135,28 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(stream, -1)
 
+    @pytest.mark.parametrize("k", [0, 1, 7, 1000, 12345])
+    def test_restored_stream_continues_the_drawn_one(self, space3, k):
+        src = Categorical(space3, [0.2, 0.3, 0.5])
+        drawn = SampleStream(src, seed=4)
+        sample(drawn, k)
+        restored = SampleStream(src, seed=4, position=k)
+        assert sample(restored, 500).tolist() == sample(drawn, 500).tolist()
+        assert restored.position == drawn.position == k + 500
+
     def test_spawn_seeds_deterministic(self):
         assert spawn_seeds(5, 4) == spawn_seeds(5, 4)
         assert len(set(spawn_seeds(5, 4))) == 4
+
+
+class TestLikelihoodRatioRule:
+    def test_ratio_conventions(self):
+        q = np.array([0.5, 0.25, 0.0, 0.0, 0.25])
+        p = np.array([0.0, 0.5, 0.0, 0.5, -0.0])
+        assert ratio(q, p).tolist() == [np.inf, 0.5, 0.0, 0.0, np.inf]
+        assert log_ratio(q, p).tolist() == [
+            np.inf, math.log(0.25) - math.log(0.5), -np.inf, -np.inf, np.inf
+        ]
 
 
 class TestEmpiricalDistribution:

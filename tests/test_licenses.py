@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import random_categorical, random_credal
@@ -11,6 +13,7 @@ from credalmarket.evidence import Categorical, EvidenceSpace, kl_divergence
 from credalmarket.licenses import (
     License,
     MechanismParams,
+    _project_to_simplex,
     cumulative_license,
     improvement_incentive_check,
     is_obedient,
@@ -330,3 +333,181 @@ def test_license_json_round_trip(tmp_path, space2):
     assert loaded_params == params
     with pytest.raises(ValueError):
         License.from_json({"space": ["a", "b"], "payout": [0.1, 0.2]})
+
+
+# ---------------------------------------------------------------------------
+# The shared P = 0 / Q = 0 rule against the inline formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def inline_np_payout(qp, pp, params):
+    """Neyman-Pearson payout with the ratio written out inline."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(pp > 0, qp / np.where(pp > 0, pp, 1.0), np.inf)
+    ratio = np.where((pp == 0) & (qp == 0), 0.0, ratio)
+    order = np.lexsort((np.arange(qp.size), -ratio))
+    payout = np.zeros(qp.size)
+    budget = params.C
+    for z in order:
+        cost = pp[z] * params.R
+        if cost <= budget:
+            payout[z] = params.R
+            budget -= cost
+        else:
+            if budget > 0:
+                payout[z] = params.R * (budget / cost)
+                budget = 0.0
+            break
+    return payout
+
+
+def inline_kappa_raw(qp, pp, log_cap):
+    support = qp > 0.0
+    qs, ps = qp[support], pp[support]
+    with np.errstate(divide="ignore"):
+        log_ratio = np.where(ps > 0, np.log(qs) - np.log(np.where(ps > 0, ps, 1.0)), np.inf)
+    return float(qs @ np.minimum(log_ratio, log_cap))
+
+
+def inline_minimize_kappa(qp, V, params, n_starts=8, max_iter=500, grad_tol=1e-8, seed=0):
+    """Multi-start projected gradient with the kappa gradient written out inline."""
+    k = V.shape[0]
+    log_cap = math.log(params.cap_ratio)
+
+    def kappa_of(w):
+        return inline_kappa_raw(qp, w @ V, log_cap)
+
+    def gradient(w):
+        p = w @ V
+        support = qp > 0.0
+        with np.errstate(divide="ignore"):
+            log_ratio = np.where(
+                p > 0, np.log(np.where(qp > 0, qp, 1.0)) - np.log(np.where(p > 0, p, 1.0)), np.inf
+            )
+        active = support & (log_ratio < log_cap) & (p > 0)
+        if not np.any(active):
+            return np.zeros(k)
+        return -(V[:, active] @ (qp[active] / p[active]))
+
+    if k == 1:
+        return np.ones(1), kappa_of(np.ones(1)), True
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    starts = [np.eye(k)[i] for i in range(k)]
+    starts.append(np.full(k, 1.0 / k))
+    while len(starts) < max(n_starts, k + 1):
+        starts.append(rng.dirichlet(np.ones(k)))
+    best_w, best_val, best_idx, best_converged = None, np.inf, -1, False
+    for idx, w0 in enumerate(starts):
+        w = w0.copy()
+        val = kappa_of(w)
+        converged = False
+        for _ in range(max_iter):
+            g = gradient(w)
+            step_dir = _project_to_simplex(w - g) - w
+            if np.linalg.norm(step_dir) <= grad_tol:
+                converged = True
+                break
+            eta = 1.0
+            improved = False
+            for _ in range(40):
+                w_new = _project_to_simplex(w - eta * g)
+                val_new = kappa_of(w_new)
+                if val_new < val - 1e-14:
+                    w, val = w_new, val_new
+                    improved = True
+                    break
+                eta *= 0.5
+            if not improved:
+                converged = True
+                break
+        if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15 and best_idx < 0):
+            best_w, best_val, best_idx, best_converged = w, val, idx, converged
+    return best_w, best_val, best_converged
+
+
+def inline_risk_averse_payout(qp, p_star, V, params):
+    """Truncated-ratio payout and its budget scale, with the ratio written out inline."""
+    support = qp > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(p_star > 0, qp / np.where(p_star > 0, p_star, 1.0), np.inf)
+    finite_pos = support & np.isfinite(ratio) & (ratio > 0)
+
+    def sup_expectation(gamma):
+        with np.errstate(invalid="ignore"):
+            payout = np.where(finite_pos, np.minimum(gamma * ratio, params.R), 0.0)
+        payout = np.where(support & ~finite_pos, params.R, payout)
+        return float(np.max(V @ payout))
+
+    if not np.any(finite_pos):
+        gamma = params.C
+    else:
+        gamma = params.R / float(np.min(ratio[finite_pos]))
+        if sup_expectation(gamma) > params.C:
+            lo, hi = 0.0, gamma
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if sup_expectation(mid) <= params.C:
+                    lo = mid
+                else:
+                    hi = mid
+            gamma = lo
+    finite = support & np.isfinite(ratio)
+    with np.errstate(invalid="ignore"):  # gamma = 0 times an infinite ratio
+        payout = np.where(finite, np.minimum(gamma * ratio, params.R), 0.0)
+    return np.where(support & ~finite, params.R, payout)
+
+
+def inline_cumulative(z, qp, pp, params):
+    z = np.asarray(z, dtype=np.int64)
+    if z.size == 0:
+        return params.C
+    qz, pz = qp[z], pp[z]
+    if np.any((pz == 0.0) & (qz > 0.0)):
+        return params.R
+    if np.any(qz == 0.0):
+        return 0.0
+    log_value = math.log(params.C) + float(np.sum(np.log(qz) - np.log(pz)))
+    if log_value >= math.log(params.R):
+        return params.R
+    return math.exp(log_value)
+
+
+@st.composite
+def sparse_instances(draw):
+    """A type Q and one to three credal vertices with zeros in Q, in P, or in both."""
+    m = draw(st.integers(2, 5))
+
+    def sparse_vector():
+        mass = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+        w = np.array(draw(st.lists(mass, min_size=m, max_size=m)))
+        if not np.any(w > 0):
+            w[draw(st.integers(0, m - 1))] = 1.0
+        return w / w.sum()
+
+    space = EvidenceSpace.of_size(m)
+    q = Categorical(space, sparse_vector())
+    vertices = tuple(Categorical(space, sparse_vector()) for _ in range(draw(st.integers(1, 3))))
+    params = MechanismParams(C=draw(st.floats(0.5, 20.0)), R=draw(st.floats(25.0, 300.0)))
+    z = draw(st.lists(st.integers(0, m - 1), max_size=12))
+    return q, CredalSet(space, vertices), params, z
+
+
+class TestLikelihoodRatioRule:
+    @given(sparse_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_sites_match_the_inline_formulas_bitwise(self, instance):
+        q, credal, params, z = instance
+        V = credal.vertex_matrix
+        p = credal.vertices[0]
+        np_payout = neyman_pearson_license(q, p, params).payout
+        assert np.array_equal(np_payout, inline_np_payout(q.probs, p.probs, params))
+        log_cap = math.log(params.cap_ratio)
+        for v in credal.vertices:
+            assert kappa(q, v, params) == inline_kappa_raw(q.probs, v.probs, log_cap)
+        w, val, converged = minimize_kappa(q, credal, params)
+        w_ref, val_ref, converged_ref = inline_minimize_kappa(q.probs, V, params)
+        assert np.array_equal(w, w_ref) and val == val_ref and converged == converged_ref
+        res = optimal_risk_averse_license(q, credal, params)
+        assert np.array_equal(res.license.payout,
+                              inline_risk_averse_payout(q.probs, w_ref @ V, V, params))
+        assert cumulative_license(z, q, p, params) == inline_cumulative(z, q.probs, p.probs, params)

@@ -43,9 +43,7 @@ class TestRequirement:
 class TestSimulateMarket:
     def test_gaming_population_all_excluded(self, simplex_hull, simplex_points, uniform3):
         providers = [Provider(id=f"p{i}", q=p) for i, p in enumerate(simplex_points)]
-        providers.append(
-            Provider(id="strategic", q=uniform3, strategy=tuple(simplex_points))
-        )
+        providers.append(Provider(id="strategic", q=uniform3))
         req = Requirement(kind="credal", credal=simplex_hull)
         report = simulate_market(providers, req, simplex_hull, PARAMS, mechanism="optimal-LP")
         assert all(not row.participated for row in report.rows)
@@ -88,8 +86,8 @@ class TestSimulateMarket:
     def test_betting_mechanism_smoke(self, space2):
         credal = CredalSet.singleton(Categorical(space2, [0.4, 0.6]))
         req = Requirement(kind="threshold", metric=np.array([1.0, -1.0]), tau=0.0)
-        compliant = Provider(id="win", q=Categorical(space2, [0.75, 0.25]), attitude="bettor")
-        noncompliant = Provider(id="lose", q=Categorical(space2, [0.45, 0.55]), attitude="bettor")
+        compliant = Provider(id="win", q=Categorical(space2, [0.75, 0.25]))
+        noncompliant = Provider(id="lose", q=Categorical(space2, [0.45, 0.55]))
         report = simulate_market(
             [compliant, noncompliant], req, credal, PARAMS,
             mechanism="betting", n=400, seed=5, betting_replicates=10,
