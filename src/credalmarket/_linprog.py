@@ -1,10 +1,12 @@
 """Dense simplex solver for small box-constrained linear programs.
 
-Solves  max c.x  subject to  A x <= b,  0 <= x <= u  with b > 0, which is the
-shape of every optimal-license program here (the origin is always feasible, so
-no phase-1 step is needed).  Bland's pivoting rule keeps the method finite and
-deterministic; problem sizes are tiny (tens of variables), so the dense
-tableau is more than fast enough.
+Solves  max c.x  subject to  A x <= b,  0 <= x <= u  with b, u >= 0, which is
+the shape of every linear program here: the optimal-license programs and the
+hull-membership test.  The origin is always feasible, so no phase-1 step is
+needed.  Bland's pivoting rule (R. G. Bland, "New finite pivoting rules for
+the simplex method", Math. Oper. Res. 2(2), 1977) keeps the method finite and
+deterministic.  Problem sizes are tiny (tens of variables), so each pivot is
+a few array operations on one dense tableau.
 """
 
 from __future__ import annotations
@@ -55,16 +57,15 @@ def solve_box_lp(c, A, b, upper) -> LpSolution:
     iterations = 0
     max_iter = 200 * (n + m_rows)
     while True:
-        reduced = T[-1, :-1]
-        entering = -1
-        for j in range(n + m_rows):  # Bland: lowest improving index
-            if reduced[j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(T[-1, :-1] < -PIVOT_TOL)
+        if improving.size == 0:
             break
-        col = T[:m_rows, entering]
-        rhs = T[:m_rows, -1]
+        entering = int(improving[0])  # Bland: lowest improving index
+        col = T[:m_rows, entering].tolist()
+        rhs = T[:m_rows, -1].tolist()
+        # Bland's ratio test scans rows in order against the running best:
+        # taking the minimum first and then its ties picks another row on
+        # near-ties (ratios within PIVOT_TOL of each other).
         best_ratio = np.inf
         leaving = -1
         for i in range(m_rows):
@@ -78,11 +79,10 @@ def solve_box_lp(c, A, b, upper) -> LpSolution:
                     leaving = i
         if leaving < 0:
             raise RuntimeError("LP is unbounded, which a box LP cannot be")
-        pivot = T[leaving, entering]
-        T[leaving] /= pivot
-        for i in range(m_rows + 1):
-            if i != leaving and abs(T[i, entering]) > 0.0:
-                T[i] -= T[i, entering] * T[leaving]
+        T[leaving] /= T[leaving, entering]
+        factors = T[:, entering].copy()
+        factors[leaving] = 0.0
+        T -= factors[:, None] * T[leaving]
         basis[leaving] = entering
         iterations += 1
         if iterations > max_iter:

@@ -10,9 +10,9 @@ Commands
 * ``betting run``      - one adaptive betting trajectory as CSV.
 * ``experiment <scenario>`` - run a scenario and write its CSV table.
 
-Exit codes: 0 success, 1 optimizer non-convergence (best-found still
-written), 2 config or input errors.  stdout carries summary lines only;
-diagnostics go to stderr.
+Exit codes: 0 success, 1 optimizer non-convergence or a risk-averse license
+that is not obedient (best-found still written), 2 config or input errors.
+stdout carries summary lines only; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -78,6 +78,13 @@ def _fields(payload, allowed: tuple[str, ...], what: str) -> dict:
     return payload
 
 
+def _integer(value, name: str, minimum: int) -> int:
+    """``value`` itself, once it is a JSON integer (not a float or a bool) >= ``minimum``."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _check_out(path: str, force: bool) -> None:
     target = Path(path)
     if target.exists() and not force:
@@ -107,6 +114,8 @@ def cmd_license(args: argparse.Namespace) -> int:
                           "license config")
         params = _params_from(payload, "license config")
         q = Categorical(credal.space, _require(payload, "provider", "license config"))
+        if args.out:
+            _check_out(args.out, args.force)
     except (ValueError, TypeError) as err:
         return _fail(str(err))
 
@@ -124,10 +133,6 @@ def cmd_license(args: argparse.Namespace) -> int:
         print(f"neyman_pearson_payout={np_license.payout.tolist()!r}")
 
     if args.out:
-        try:
-            _check_out(args.out, args.force)
-        except ValueError as err:
-            return _fail(str(err))
         blob = {
             "risk_neutral": neutral.license.to_json(params),
             "risk_averse": averse.license.to_json(params),
@@ -136,7 +141,8 @@ def cmd_license(args: argparse.Namespace) -> int:
         Path(args.out).write_text(json.dumps(blob, indent=2) + "\n")
         print(f"wrote={args.out}")
     if not averse.converged:
-        print("warning: risk-averse optimizer hit its iteration cap", file=sys.stderr)
+        print("warning: the risk-averse optimizer hit its iteration cap or returned a license "
+              "that is not obedient", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
 
@@ -164,8 +170,10 @@ def cmd_market(args: argparse.Namespace) -> int:
             req = Requirement(kind=kind, credal=credal,
                               metric=req_payload.get("metric"), tau=req_payload.get("tau"))
         mechanism = payload.get("mechanism", "optimal-LP")
-        seed = args.seed if args.seed is not None else int(payload.get("seed", 0))
-        n = int(payload.get("n", 500))
+        seed = _integer(args.seed if args.seed is not None else payload.get("seed", 0), "seed", 0)
+        n = _integer(payload.get("n", 500), "market config field 'n'", 0)
+        if args.out:
+            _check_out(args.out, args.force)
     except (ValueError, TypeError) as err:  # TypeError: a field of the wrong JSON type
         return _fail(str(err))
     try:
@@ -174,10 +182,6 @@ def cmd_market(args: argparse.Namespace) -> int:
         return _fail(str(err))
 
     if args.out:
-        try:
-            _check_out(args.out, args.force)
-        except ValueError as err:
-            return _fail(str(err))
         report.to_csv(args.out)
         report.save_summary(Path(args.out).with_suffix(".summary.json"))
         print(f"wrote={args.out}")
@@ -199,10 +203,8 @@ def cmd_betting(args: argparse.Namespace) -> int:
         metric = np.asarray(_require(payload, "metric", "betting config"), dtype=float)
         tau = float(_require(payload, "tau", "betting config"))
         score = BettingScore.from_metric(space, metric, tau)
-        n = int(payload.get("n", 500))
-        if n < 1:
-            raise ValueError("betting config field 'n' needs at least one betting round")
-        seed = args.seed if args.seed is not None else int(payload.get("seed", 0))
+        n = _integer(payload.get("n", 500), "betting config field 'n'", 1)
+        seed = _integer(args.seed if args.seed is not None else payload.get("seed", 0), "seed", 0)
         if not args.out:
             raise ValueError("betting run needs --out for the trajectory CSV")
         _check_out(args.out, args.force)
@@ -226,7 +228,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     except ValueError as err:
         return _fail(str(err))
     _note(args, f"running {cfg!r}")
-    table = run_scenario(cfg)
+    try:
+        table = run_scenario(cfg)
+    except ValueError as err:  # a value out of its range, e.g. gamma + 0.1 > 1 or a bad provider_q
+        return _fail(str(err))
     try:
         table.to_csv(out)
     except OSError as err:

@@ -3,8 +3,9 @@
 A credal set is stored by its generating vertices; the represented set is
 their convex hull, which is closed and convex by construction.  Envelope
 queries reduce to finite maxima over vertices, hull membership to a small
-feasibility linear program, and constraint-defined sets (like the demographic
-parity family) to grid enumeration.
+box linear program on the package's one simplex solver, and
+constraint-defined sets (like the demographic parity family) to grid
+enumeration.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 
+from ._linprog import solve_box_lp
 from .evidence import Categorical, EvidenceSpace, kl_divergence, mixture
 
 __all__ = [
@@ -34,7 +36,10 @@ __all__ = [
     "maximize_over_mixtures",
 ]
 
-#: default infinity-norm tolerance for hull membership (LP solver round-off)
+#: default bound on the uncovered mass 1 - sum w of a hull member (LP round-off).
+#: A member's witness reproduces q to 2 * tol in L1, and so in the
+#: infinity norm; a q farther than 2 * tol from the hull in the infinity norm
+#: leaves more than tol uncovered and is rejected.
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -107,43 +112,28 @@ def lower_expectation(credal: CredalSet, payoff) -> float:
 class MembershipWitness(NamedTuple):
     is_member: bool
     weights: Optional[np.ndarray]
-    max_deviation: float
+    uncovered: float
 
 
 def membership(q: Categorical, credal: CredalSet, tol: float = MEMBERSHIP_TOL) -> MembershipWitness:
     """Test whether q lies in the convex hull of the vertices.
 
-    Solves  min t  s.t.  |V^T w - q| <= t,  sum w = 1,  w >= 0  and accepts
-    when the optimal infinity-norm deviation is at most ``tol``.
+    Solves the box LP  max sum w  s.t.  V^T w <= q,  0 <= w <= 1.  V^T w has
+    mass sum w and q has mass 1, so the uncovered mass 1 - sum w is the L1
+    distance from q to the best sub-mixture below it; it is 0 exactly when q
+    is a mixture of the vertices.  q is a member when the uncovered mass is at
+    most ``tol``, with witness weights w / sum w.
     """
     if q.space != credal.space:
         raise ValueError("distribution and credal set live on different spaces")
     V = credal.vertex_matrix  # (k, m)
-    k, m = V.shape
-    # Variables: w (k entries), t.  Objective: minimize t.
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    ones_t = -np.ones((m, 1))
-    A_ub = np.block([[V.T, ones_t], [-V.T, ones_t]])
-    b_ub = np.concatenate([q.probs, -q.probs])
-    A_eq = np.zeros((1, k + 1))
-    A_eq[0, :k] = 1.0
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * k + [(0, None)],
-        method="highs",
-    )
-    if not res.success:  # pragma: no cover - highs solves this class reliably
-        raise RuntimeError(f"membership LP failed: {res.message}")
-    deviation = float(res.x[-1])
-    if deviation <= tol:
-        w = np.clip(res.x[:k], 0.0, None)
-        return MembershipWitness(True, w / w.sum(), deviation)
-    return MembershipWitness(False, None, deviation)
+    k = V.shape[0]
+    sol = solve_box_lp(c=np.ones(k), A=V.T, b=q.probs, upper=np.ones(k))
+    uncovered = 1.0 - sol.value
+    if uncovered <= tol:
+        w = np.clip(sol.x, 0.0, None)  # the ratio-test tie tolerance can leave w_i slightly < 0
+        return MembershipWitness(True, w / w.sum(), uncovered)
+    return MembershipWitness(False, None, uncovered)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import ClassVar, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -131,6 +131,9 @@ class SimplexGamingConfig:
     seed: int = 7
     provider_q: Optional[tuple[float, ...]] = None  # defaults to the uniform mixture
 
+    #: counts that must be at least 1 (a mean over no runs is NaN)
+    POSITIVE: ClassVar[tuple[str, ...]] = ("runs",)
+
 
 def _empirical_loglik(z: np.ndarray, m: int) -> np.ndarray:
     """Running maximized log-likelihood sum_z k_z(t) * ln(k_z(t)/t) per run."""
@@ -221,6 +224,8 @@ class FairnessConfig:
     grid_resolution: int = 10
     kelly_margin: float = 0.01
     bet_zero_control: bool = False  # hold lambda at 0: flat-at-C control curves
+
+    POSITIVE: ClassVar[tuple[str, ...]] = ("runs", "n")
 
 
 def parity_betting_score(tau: float) -> BettingScore:
@@ -333,6 +338,8 @@ class Chi2Config:
     mc_power: int = 100_000
     seed: int = 23
 
+    POSITIVE: ClassVar[tuple[str, ...]] = ("d0", "n_per_test", "mc_calibration", "mc_power")
+
 
 def _batch_loglik_ratio(d0: int, df: int, batches: int, n: int, seed: int) -> np.ndarray:
     """Log LR of d0 (alternative) vs d0+1 (null) on batches of chi^2_df draws.
@@ -423,6 +430,8 @@ class SpuriousConfig:
     n: int = 1000
     seed: int = 31
 
+    POSITIVE: ClassVar[tuple[str, ...]] = ("runs", "n")
+
 
 def run_synthetic_spurious(cfg: SpuriousConfig) -> ResultTable:
     """Cumulative licenses for both surrogates plus the per-outcome ratio table.
@@ -488,24 +497,70 @@ SCENARIOS = {
 }
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _config_value(what: str, hint, value):
+    """``value`` as a config field of type ``hint`` stores it, once it is JSON of that type.
+
+    Every integer field is a count or a seed, so it must be non-negative.
+    """
+    if hint is MechanismParams:
+        if isinstance(value, dict) and set(value) == {"C", "R"}:
+            try:
+                return MechanismParams(**value)
+            except TypeError as err:
+                raise ValueError(f"{what}: {err}") from err
+        expected = "an object with the numbers C and R"
+    elif hint is bool:
+        if type(value) is bool:
+            return value
+        expected = "true or false"
+    elif hint is int:
+        if type(value) is int and value >= 0:
+            return value
+        expected = "a non-negative integer"
+    elif hint is float:
+        if _is_number(value):
+            return value
+        expected = "a number"
+    else:  # tuple[float, ...], or Optional of it
+        if value is None and type(None) in get_args(hint):
+            return None
+        if isinstance(value, (list, tuple)) and all(map(_is_number, value)):
+            return tuple(value)
+        expected = "a list of numbers"
+    raise ValueError(f"{what} must be {expected}, got {value!r}")
+
+
 def load_config(scenario: str, payload: Optional[dict] = None, seed: Optional[int] = None):
-    """Build a scenario config from a JSON payload, applying defaults."""
+    """Build a scenario config from a JSON payload, applying defaults.
+
+    A key the config does not have, a value of the wrong JSON type (a float
+    for a count, a number for a list) and a count below the config's
+    ``POSITIVE`` minimum of 1 are errors.
+    """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
     cls, _ = SCENARIOS[scenario]
-    payload = dict(payload or {})
+    if payload is None:
+        payload = {}
+    if not isinstance(payload, dict):
+        raise ValueError(f"{scenario} config must be a JSON object, got {payload!r}")
+    payload = dict(payload)
     payload.pop("scenario", None)
-    if "params" in payload:
-        payload["params"] = MechanismParams(**payload["params"])
-    for key in ("gammas", "alpha_grid", "q_compliant", "q_noncompliant", "p_random", "provider_q"):
-        if key in payload and payload[key] is not None:
-            payload[key] = tuple(payload[key])
     if seed is not None:
         payload["seed"] = seed
-    try:
-        return cls(**payload)
-    except TypeError as err:
-        raise ValueError(f"bad {scenario} config: {err}") from err
+    hints = get_type_hints(cls)
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{scenario} config has unknown field(s) {', '.join(map(repr, unknown))}")
+    for key, value in payload.items():
+        payload[key] = _config_value(f"{scenario} config field {key!r}", hints[key], value)
+        if key in cls.POSITIVE and payload[key] < 1:
+            raise ValueError(f"{scenario} config field {key!r} must be at least 1, got {value!r}")
+    return cls(**payload)
 
 
 def run_scenario(cfg) -> ResultTable:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -47,6 +48,10 @@ class MechanismParams:
     R: float
 
     def __post_init__(self) -> None:
+        for name in ("C", "R"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"mechanism parameter {name} must be a number, got {value!r}")
         # Floats, so integer values from a JSON config never give integer arrays.
         object.__setattr__(self, "C", float(self.C))
         object.__setattr__(self, "R", float(self.R))
@@ -344,7 +349,10 @@ def optimal_risk_averse_license(
     with an active cap the plain formula can leave budget slack or even
     overcharge other credal vertices, and the scaled form restores
     sup_P E_P[pi*] = C.  When the optimizer exhausts its iteration budget the
-    best point found is returned with converged=False.
+    best point found is returned with converged=False, and so is a license
+    that is not obedient (to ``is_obedient``'s default tolerance): a P* with
+    no mass on a Q-supported outcome that another vertex charges pays R there
+    for every gamma.
     """
     if q.space != credal.space:
         raise ValueError("type and credal set live on different spaces")
@@ -363,7 +371,7 @@ def optimal_risk_averse_license(
         value=lic.expected_under(q),
         tight_vertex_weights=w,
         projection=Categorical(q.space, p_star),
-        converged=converged,
+        converged=converged and is_obedient(lic, credal, params),
         kappa_value=kappa_val,
     )
 

@@ -259,7 +259,7 @@ class TestInputValidation:
                                  "--config", str(cfg))
         assert code == 2 and "'seed'" in err and out == ""
 
-    @pytest.mark.parametrize("n", [-1, 0])
+    @pytest.mark.parametrize("n", [-1, 0, 2.7, True])
     def test_betting_without_rounds_exits_2(self, capsys, tmp_path, n):
         cfg = write_json(tmp_path / "bet.json", {**BETTING_CONFIG, "n": n})
         code, _, err = run_cli(capsys, "betting", "run", "--config", str(cfg),
@@ -289,3 +289,79 @@ class TestInputValidation:
         code, _, _ = run_cli(capsys, "betting", "run", "--config", str(cfg),
                              "--out", str(tmp_path / "bet.csv"))
         assert code == 2
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("n", 2.9), ("seed", -1)])
+    def test_market_integer_fields_exit_2(self, capsys, tmp_path, hull_credal, field, value):
+        cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, field: value})
+        code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                                 "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert field in err
+
+    @pytest.mark.parametrize("payload", [
+        {"params": {"C": 15.0, "R": 250.0, "fee": 1.0}},
+        {"params": [15.0, 250.0]},
+        {"params": {"C": "15", "R": 250.0}},
+        {"gammas": 0.4},
+        {"n": 20.7},
+        {"runs": 0},
+        {"n": 0},
+        {"burn_in": -1},
+        {"bet_zero_control": 1},
+        {"grid_resolution": 1},
+        {"gammas": [0.95]},
+        [1, 2],
+    ], ids=["params-unknown-key", "params-not-object", "params-string", "gammas-scalar",
+            "n-float", "runs-0", "n-0", "burn-in-negative", "flag-int", "grid-1",
+            "gamma-out-of-range", "payload-not-object"])
+    def test_experiment_config_exits_2(self, capsys, tmp_path, payload):
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "experiment", "fairness", "--config", str(cfg),
+                                 "--out", str(out_path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert not out_path.exists()
+
+
+class TestOutputCheckedFirst:
+    def test_license_refuses_existing_output_before_computing(self, capsys, tmp_path,
+                                                              singleton_credal, license_config):
+        out_path = tmp_path / "license.json"
+        out_path.write_text("keep")
+        code, out, err = run_cli(capsys, "license", "optimal", "--credal", str(singleton_credal),
+                                 "--config", str(license_config), "--out", str(out_path))
+        assert code == 2 and out == "" and "--force" in err
+        assert out_path.read_text() == "keep"
+
+    def test_market_refuses_existing_output_before_computing(self, capsys, tmp_path,
+                                                             hull_credal, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the market ran")
+
+        monkeypatch.setattr("credalmarket.cli.simulate_market", fail)
+        cfg = write_json(tmp_path / "market.json", MARKET_CONFIG)
+        out_path = tmp_path / "report.csv"
+        out_path.write_text("keep")
+        code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                                 "--config", str(cfg), "--out", str(out_path))
+        assert code == 2 and out == "" and "--force" in err
+        assert out_path.read_text() == "keep"
+        assert not out_path.with_suffix(".summary.json").exists()
+
+
+def test_license_that_is_not_obedient_exits_1(capsys, tmp_path):
+    credal = write_json(tmp_path / "credal.json", {
+        "space": ["z0", "z1"],
+        "vertices": [[0.0, 1.0], [0.11818315092721399, 0.881816849072786], [1.0, 0.0]],
+    })
+    cfg = write_json(tmp_path / "cfg.json", {
+        "provider": [0.9659557992953943, 0.03404420070460571],
+        "params": {"C": 2.9063453991814963, "R": 212.37797700435968},
+    })
+    code, out, err = run_cli(capsys, "license", "optimal", "--credal", str(credal),
+                             "--config", str(cfg))
+    assert code == 1
+    assert "risk_averse_obedient=false" in out
+    assert "not obedient" in err

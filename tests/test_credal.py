@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conftest import random_credal
 from credalmarket.credal import (
+    MEMBERSHIP_TOL,
     MEAN_SCORE_GE,
     PARITY_GAP_GE,
     PARITY_GAP_LT,
@@ -82,6 +86,70 @@ class TestMembership:
     def test_space_mismatch(self, simplex_hull, space2):
         with pytest.raises(ValueError):
             membership(Categorical.uniform(space2), simplex_hull)
+
+    def test_point_just_outside_a_face_is_rejected(self, simplex_hull, simplex_points, space3):
+        # Its first coordinate exceeds every hull point's by 6.5e-9, above the
+        # tolerance but below an LP solver's default 1e-7 feasibility tolerance.
+        v0 = simplex_points[0].probs
+        q = Categorical(space3, v0 + 1e-8 * (np.array([1.0, 0.0, 0.0]) - v0))
+        assert q.probs[0] - np.max(simplex_hull.vertex_matrix[:, 0]) > 6e-9
+        res = membership(q, simplex_hull)
+        assert not res.is_member and res.weights is None
+        assert res.uncovered > MEMBERSHIP_TOL
+
+
+def infinity_norm_distance(q: np.ndarray, V: np.ndarray) -> float:
+    """min_w |V^T w - q|_inf over the weight simplex, by HiGHS at tight tolerances."""
+    k, m = V.shape
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    slack = -np.ones((m, 1))
+    res = linprog(
+        c,
+        A_ub=np.block([[V.T, slack], [-V.T, slack]]),
+        b_ub=np.concatenate([q, -q]),
+        A_eq=np.append(np.ones(k), 0.0)[None, :],
+        b_eq=[1.0],
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success
+    return float(res.fun)
+
+
+class TestMembershipAgainstOracle:
+    """The box-LP verdict against the infinity-norm LP, outside the band both tolerances blur."""
+
+    @given(
+        m=st.integers(2, 6),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        step=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 1.0]),
+    )
+    @example(m=30, k=60, seed=0, step=0.0)
+    @example(m=30, k=60, seed=1, step=1e-4)
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_matches_oracle(self, m, k, seed, step):
+        # q moves from a hull point toward a random distribution by ``step``.
+        rng = np.random.default_rng(seed)
+        space = EvidenceSpace.of_size(m)
+        cs = random_credal(rng, space, k)
+        V = cs.vertex_matrix
+        inside = rng.dirichlet(np.ones(k)) @ V
+        probs = (1.0 - step) * inside + step * rng.dirichlet(np.ones(m))
+        q = Categorical(space, probs / probs.sum())
+        distance = infinity_norm_distance(q.probs, V)
+        assume(not 1e-10 < distance <= 1e-7)
+        res = membership(q, cs)
+        assert res.is_member == (distance <= 1e-10)
+        if res.is_member:
+            # the witness reproduces q
+            assert np.all(res.weights >= 0.0) and res.weights.sum() == pytest.approx(1.0)
+            assert np.max(np.abs(res.weights @ V - q.probs)) <= 1e-9
+        else:
+            # the uncovered mass is at least half the distance to the hull
+            assert res.uncovered >= distance / 2 - 1e-10
 
 
 class TestHullInvariance:

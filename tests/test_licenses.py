@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import random_categorical, random_credal
-from credalmarket._linprog import solve_box_lp
+from credalmarket._linprog import PIVOT_TOL, solve_box_lp
 from credalmarket.credal import CredalSet, upper_expectation
 from credalmarket.evidence import Categorical, EvidenceSpace, kl_divergence
 from credalmarket.licenses import (
@@ -34,7 +34,85 @@ def test_params_validation():
     assert MechanismParams(15.0, 250.0).cap_ratio == pytest.approx(250.0 / 15.0)
 
 
+def looped_box_lp(c, A, b, u):
+    """Reference: the Bland simplex with one Python loop per scan and per row update."""
+    c, A, b, u = (np.asarray(v, dtype=float) for v in (c, np.atleast_2d(A), b, u))
+    n = c.size
+    A_full = np.vstack([A, np.eye(n)])
+    m_rows = A_full.shape[0]
+    T = np.zeros((m_rows + 1, n + m_rows + 1))
+    T[:m_rows, :n] = A_full
+    T[:m_rows, n : n + m_rows] = np.eye(m_rows)
+    T[:m_rows, -1] = np.concatenate([b, u])
+    T[-1, :n] = -c
+    basis = list(range(n, n + m_rows))
+    iterations = 0
+    while True:
+        entering = -1
+        for j in range(n + m_rows):
+            if T[-1, j] < -PIVOT_TOL:
+                entering = j
+                break
+        if entering < 0:
+            break
+        col, rhs = T[:m_rows, entering], T[:m_rows, -1]
+        best_ratio, leaving = np.inf, -1
+        for i in range(m_rows):
+            if col[i] > PIVOT_TOL:
+                r = rhs[i] / col[i]
+                if r < best_ratio - PIVOT_TOL or (
+                    abs(r - best_ratio) <= PIVOT_TOL and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio, leaving = r, i
+        pivot = T[leaving, entering]
+        T[leaving] /= pivot
+        for i in range(m_rows + 1):
+            if i != leaving and abs(T[i, entering]) > 0.0:
+                T[i] -= T[i, entering] * T[leaving]
+        basis[leaving] = entering
+        iterations += 1
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = T[i, -1]
+    duals = T[-1, n : n + m_rows].copy()
+    duals[np.abs(duals) < PIVOT_TOL] = 0.0
+    return x, float(c @ x), duals, iterations
+
+
 class TestSimplexSolver:
+    def test_bitwise_equal_to_the_looped_tableau(self):
+        # license-shaped (sparse objective), membership-shaped and generic box LPs
+        rng = np.random.default_rng(6)
+        for trial in range(300):
+            m, k = int(rng.integers(2, 8)), int(rng.integers(1, 13))
+            V = rng.dirichlet(np.ones(m), size=k)
+            if trial % 3 == 0:
+                q = rng.dirichlet(np.ones(m)) * (rng.random(m) > 0.3)
+                lp = (q, V, np.full(k, 1.5), np.full(m, 20.0))
+            elif trial % 3 == 1:
+                q = rng.dirichlet(np.ones(k)) @ V if trial % 2 else rng.dirichlet(np.ones(m))
+                lp = (np.ones(k), V.T, q, np.ones(k))
+            else:
+                lp = (rng.normal(size=m), rng.uniform(0.0, 1.0, size=(k, m)),
+                      rng.uniform(0.2, 2.0, size=k), rng.uniform(0.2, 3.0, size=m))
+            sol = solve_box_lp(*lp)
+            x, value, duals, iterations = looped_box_lp(*lp)
+            assert sol.x.tobytes() == x.tobytes() and sol.duals.tobytes() == duals.tobytes()
+            assert sol.value == value and sol.iterations == iterations
+
+    def test_near_tie_ratios_follow_bland_row_order(self):
+        # Scanning rows in order, the third ratio beats the first by more than
+        # PIVOT_TOL and leaves; the minimum-then-lowest-basic-index rule would
+        # take the second, which ties with the minimum.
+        b = np.array([1.0, 1.0 - 0.7e-10, 1.0 - 1.4e-10])
+        lp = ([1.0], np.ones((3, 1)), b, [10.0])
+        sol = solve_box_lp(*lp)
+        assert sol.x[0] == b[2]
+        x, value, duals, iterations = looped_box_lp(*lp)
+        assert sol.x.tobytes() == x.tobytes() and sol.duals.tobytes() == duals.tobytes()
+        assert sol.value == value and sol.iterations == iterations
+
     def test_against_scipy_on_random_box_lps(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -189,6 +267,15 @@ class TestKappa:
         assert not converged_short
 
 
+_SPACE2 = EvidenceSpace.of_size(2)
+NOT_OBEDIENT_INSTANCE = (
+    Categorical(_SPACE2, [0.9659557992953943, 0.03404420070460571]),
+    CredalSet(_SPACE2, tuple(Categorical(_SPACE2, v) for v in (
+        [0.0, 1.0], [0.11818315092721399, 0.881816849072786], [1.0, 0.0]))),
+    MechanismParams(C=2.9063453991814963, R=212.37797700435968),
+)
+
+
 class TestRiskAverseResponse:
     def test_singleton_direct_formula(self, space2, params_small):
         q = Categorical(space2, [0.9, 0.1])
@@ -255,6 +342,14 @@ class TestRiskAverseResponse:
             arbitrary = License(space, raw * scale)
             assert is_obedient(arbitrary, cs, params, tol=1e-9)
             assert neutral.value >= q.expectation(arbitrary.payout) - 1e-8
+
+    def test_license_that_is_not_obedient_is_not_converged(self):
+        # P* = [1, 0] has no mass on outcome 1, which vertex [0, 1] charges, so
+        # the payout there is R for every gamma and sup_P E_P[pi] = R > C.
+        q, credal, params = NOT_OBEDIENT_INSTANCE
+        res = optimal_risk_averse_license(q, credal, params)
+        assert not is_obedient(res.license, credal, params)
+        assert not res.converged
 
     def test_singleton_credal_set_of_equal_vertices(self, space2, params_small):
         p = Categorical(space2, [0.5, 0.5])
