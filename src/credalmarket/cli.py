@@ -26,7 +26,7 @@ import numpy as np
 
 from .betting import BettingScore, KellyConfig, write_trajectory_csv
 from .credal import CredalSet
-from .evidence import Categorical, EvidenceSpace, SampleStream
+from .evidence import Categorical, EvidenceSpace, SampleStream, is_json_number
 from .experiments import SCENARIOS, load_config, run_scenario
 from .licenses import (
     MechanismParams,
@@ -85,6 +85,22 @@ def _integer(value, name: str, minimum: int) -> int:
     return value
 
 
+def _number(payload: dict, field: str, what: str) -> float:
+    """``payload[field]`` as a float, once it is a JSON number (float() would take "0.5" or true)."""
+    value = _require(payload, field, what)
+    if not is_json_number(value):
+        raise ValueError(f"{what} field {field!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(payload: dict, field: str, what: str) -> list:
+    """``payload[field]`` itself, once it is a JSON list of numbers."""
+    value = _require(payload, field, what)
+    if not isinstance(value, list) or not all(map(is_json_number, value)):
+        raise ValueError(f"{what} field {field!r} must be a list of numbers, got {value!r}")
+    return value
+
+
 def _check_out(path: str, force: bool) -> None:
     target = Path(path)
     if target.exists() and not force:
@@ -113,7 +129,7 @@ def cmd_license(args: argparse.Namespace) -> int:
         payload = _fields(_load_json(args.config, "license config"), ("provider", "params"),
                           "license config")
         params = _params_from(payload, "license config")
-        q = Categorical(credal.space, _require(payload, "provider", "license config"))
+        q = Categorical(credal.space, _numbers(payload, "provider", "license config"))
         if args.out:
             _check_out(args.out, args.force)
     except (ValueError, TypeError) as err:
@@ -158,14 +174,13 @@ def cmd_market(args: argparse.Namespace) -> int:
         for row in _require(payload, "providers", "market config"):
             _fields(row, ("id", "q"), "provider entry")
             providers.append(Provider(id=str(_require(row, "id", "provider entry")),
-                                      q=Categorical(credal.space, _require(row, "q", "provider entry"))))
+                                      q=Categorical(credal.space, _numbers(row, "q", "provider entry"))))
         req_payload = _fields(_require(payload, "requirement", "market config"),
                               ("kind", "metric", "tau"), "requirement")
         kind = _require(req_payload, "kind", "requirement")
         if kind == "threshold":
-            metric = _require(req_payload, "metric", "requirement")
-            tau = _require(req_payload, "tau", "requirement")
-            req = Requirement(kind=kind, metric=np.asarray(metric, dtype=float), tau=float(tau))
+            metric = np.asarray(_numbers(req_payload, "metric", "requirement"), dtype=float)
+            req = Requirement(kind=kind, metric=metric, tau=_number(req_payload, "tau", "requirement"))
         else:  # Requirement rejects unknown kinds, and a metric or tau on a credal one
             req = Requirement(kind=kind, credal=credal,
                               metric=req_payload.get("metric"), tau=req_payload.get("tau"))
@@ -199,10 +214,9 @@ def cmd_betting(args: argparse.Namespace) -> int:
         params = _params_from(payload, "betting config")
         labels = _require(payload, "labels", "betting config")
         space = EvidenceSpace(tuple(labels))
-        source = Categorical(space, _require(payload, "source", "betting config"))
-        metric = np.asarray(_require(payload, "metric", "betting config"), dtype=float)
-        tau = float(_require(payload, "tau", "betting config"))
-        score = BettingScore.from_metric(space, metric, tau)
+        source = Categorical(space, _numbers(payload, "source", "betting config"))
+        score = BettingScore.from_metric(space, _numbers(payload, "metric", "betting config"),
+                                         _number(payload, "tau", "betting config"))
         n = _integer(payload.get("n", 500), "betting config field 'n'", 1)
         seed = _integer(args.seed if args.seed is not None else payload.get("seed", 0), "seed", 0)
         if not args.out:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ._linprog import solve_box_lp
-from .evidence import Categorical, EvidenceSpace, kl_divergence, mixture
+from .evidence import Categorical, EvidenceSpace, is_json_number, kl_divergence, mixture
 
 __all__ = [
     "CredalSet",
@@ -83,10 +83,13 @@ class CredalSet:
     def from_json(payload: dict) -> "CredalSet":
         try:
             space = EvidenceSpace(tuple(payload["space"]))
-            vertices = tuple(Categorical(space, v) for v in payload["vertices"])
+            rows = payload["vertices"]
         except KeyError as err:
             raise ValueError(f"credal JSON is missing field {err.args[0]!r}") from err
-        return CredalSet(space, vertices)
+        for row in rows:  # "0.5" or true would pass through float() as a probability
+            if not isinstance(row, list) or not all(map(is_json_number, row)):
+                raise ValueError(f"credal JSON vertex must be a list of numbers, got {row!r}")
+        return CredalSet(space, tuple(Categorical(space, row) for row in rows))
 
     @staticmethod
     def load(path: str | Path) -> "CredalSet":

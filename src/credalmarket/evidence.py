@@ -30,6 +30,7 @@ __all__ = [
     "sample",
     "empirical_distribution",
     "spawn_seeds",
+    "is_json_number",
 ]
 
 #: tolerance on probability-vector normalization
@@ -60,6 +61,11 @@ class EvidenceSpace:
     def of_size(m: int, prefix: str = "z") -> "EvidenceSpace":
         """Anonymous space with labels ``z0 .. z{m-1}``."""
         return EvidenceSpace(tuple(f"{prefix}{i}" for i in range(m)))
+
+
+def is_json_number(value) -> bool:
+    """True for a number as JSON parsing gives one: an int or a float, not a bool or a string."""
+    return type(value) in (int, float)
 
 
 def _as_prob_vector(probs, m: int) -> np.ndarray:

@@ -22,6 +22,7 @@ leading comment line.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -39,7 +40,15 @@ from .credal import (
     CredalSet,
     approximate_constraint_set,
 )
-from .evidence import Categorical, EvidenceSpace, SampleStream, log_ratio, sample, spawn_seeds
+from .evidence import (
+    Categorical,
+    EvidenceSpace,
+    SampleStream,
+    is_json_number,
+    log_ratio,
+    sample,
+    spawn_seeds,
+)
 from .licenses import MechanismParams, minimize_kappa
 
 __all__ = [
@@ -206,7 +215,7 @@ def paired_fairness_distribution(gamma: float, base_rate: float = 0.1) -> Catego
     """Joint law of one draw from each subgroup, Y0 ~ Bern(0.1), Y1 ~ Bern(gamma+0.1)."""
     p0, p1 = base_rate, gamma + base_rate
     if not (0.0 <= p1 <= 1.0):
-        raise ValueError("gamma + base rate must stay inside [0, 1]")
+        raise ValueError(f"gamma + base rate must stay inside [0, 1], got {gamma!r} + {base_rate!r}")
     probs = [(1 - p0) * (1 - p1), (1 - p0) * p1, p0 * (1 - p1), p0 * p1]
     return Categorical(PAIRED_SPACE, probs)
 
@@ -277,13 +286,16 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
     is re-estimated from the burn-in prefix (add-one smoothed) before the
     cumulative license starts accumulating.
     """
+    try:  # every gamma is checked before the first draw
+        types = [paired_fairness_distribution(gamma) for gamma in cfg.gammas]
+    except ValueError as err:
+        raise ValueError(f"{cfg.scenario} config field 'gammas': {err}") from err
     score = parity_betting_score(cfg.tau)
     credal = parity_credal_set(cfg.tau, cfg.grid_resolution)
     kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
     rows = []
     headline: dict[str, float] = {}
-    for g_idx, gamma in enumerate(cfg.gammas):
-        q = paired_fairness_distribution(gamma)
+    for g_idx, (gamma, q) in enumerate(zip(cfg.gammas, types)):
         z = _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed + g_idx)
         if cfg.bet_zero_control:
             betting = np.full(z.shape, cfg.params.C)
@@ -351,12 +363,16 @@ def _batch_loglik_ratio(d0: int, df: int, batches: int, n: int, seed: int) -> np
     const = 0.5 * math.log(2.0) + math.lgamma((d0 + 1) / 2.0) - math.lgamma(d0 / 2.0)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     out = np.empty(batches)
-    chunk = max(1, int(2_000_000 // max(n, 1)))
+    chunk = max(1, 2_000_000 // n)
+    buf = np.empty((min(chunk, batches), n))  # one buffer, reused in place by every chunk
     done = 0
     while done < batches:
         take = min(chunk, batches - done)
-        draws = 2.0 * gen.standard_gamma(df / 2.0, size=(take, n))
-        out[done : done + take] = n * const - 0.5 * np.log(draws).sum(axis=1)
+        draws = buf[:take]
+        gen.standard_gamma(df / 2.0, out=draws)
+        np.multiply(draws, 2.0, out=draws)
+        np.log(draws, out=draws)
+        out[done : done + take] = n * const - 0.5 * draws.sum(axis=1)
         done += take
     return out
 
@@ -374,10 +390,27 @@ def run_chi2_strategic(cfg: Chi2Config) -> ResultTable:
     Participation is ex ante: null providers enter iff alpha * R >= C,
     compliant providers iff power * R >= C; among null entrants the approved
     fraction is alpha.
+
+    The null (calibration) and alternative (power) samples come from the two
+    children of ``spawn_seeds(cfg.seed, 2)`` and run at the same time, the
+    null one on a helper thread, so a run uses up to two cores.  Each stream
+    draws in the same order as it would alone, so the table does not depend
+    on the number of cores.  A level in ``alpha_grid`` outside [0, 1] is a
+    ``ValueError`` raised before any draw.
     """
+    bad = [alpha for alpha in cfg.alpha_grid if not 0.0 <= alpha <= 1.0]
+    if bad:
+        raise ValueError(f"{cfg.scenario} config field 'alpha_grid' must hold levels in [0, 1], got {bad}")
     seeds = spawn_seeds(cfg.seed, 2)
-    null_stats = _batch_loglik_ratio(cfg.d0, cfg.d0 + 1, cfg.mc_calibration, cfg.n_per_test, seeds[0])
-    alt_stats = _batch_loglik_ratio(cfg.d0, cfg.d0, cfg.mc_power, cfg.n_per_test, seeds[1])
+    # The gamma draws and the array passes release the GIL, so the streams
+    # overlap; result() re-raises an error of the helper thread here.  (The
+    # attribute access loads the executor's module only for this scenario.)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        null_future = pool.submit(
+            _batch_loglik_ratio, cfg.d0, cfg.d0 + 1, cfg.mc_calibration, cfg.n_per_test, seeds[0]
+        )
+        alt_stats = _batch_loglik_ratio(cfg.d0, cfg.d0, cfg.mc_power, cfg.n_per_test, seeds[1])
+        null_stats = null_future.result()
     rows = []
     ratio = cfg.params.C / cfg.params.R
     for alpha in cfg.alpha_grid:
@@ -497,10 +530,6 @@ SCENARIOS = {
 }
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
-
-
 def _config_value(what: str, hint, value):
     """``value`` as a config field of type ``hint`` stores it, once it is JSON of that type.
 
@@ -522,13 +551,13 @@ def _config_value(what: str, hint, value):
             return value
         expected = "a non-negative integer"
     elif hint is float:
-        if _is_number(value):
+        if is_json_number(value):
             return value
         expected = "a number"
     else:  # tuple[float, ...], or Optional of it
         if value is None and type(None) in get_args(hint):
             return None
-        if isinstance(value, (list, tuple)) and all(map(_is_number, value)):
+        if isinstance(value, (list, tuple)) and all(map(is_json_number, value)):
             return tuple(value)
         expected = "a list of numbers"
     raise ValueError(f"{what} must be {expected}, got {value!r}")

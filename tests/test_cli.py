@@ -365,3 +365,76 @@ def test_license_that_is_not_obedient_exits_1(capsys, tmp_path):
     assert code == 1
     assert "risk_averse_obedient=false" in out
     assert "not obedient" in err
+
+
+class TestNumbersGivenAsStrings:
+    """float() and np.asarray(..., dtype=float) take "0.5" and true; the CLI must not."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau", "0.5"),
+        ("metric", ["1", -1.0]),
+        ("metric", [1.0, True]),
+        ("source", ["0.75", "0.25"]),
+    ])
+    def test_betting_field_exits_2(self, capsys, tmp_path, field, value):
+        cfg = write_json(tmp_path / "bet.json", {**BETTING_CONFIG, field: value})
+        out_path = tmp_path / "bet.csv"
+        code, out, err = run_cli(capsys, "betting", "run", "--config", str(cfg),
+                                 "--out", str(out_path))
+        assert code == 2 and out == "" and repr(field) in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau", "0.5"),
+        ("metric", [0, "1", 0]),
+        ("metric", [1.0, False, 0.0]),
+    ])
+    def test_threshold_requirement_field_exits_2(self, capsys, tmp_path, hull_credal,
+                                                 field, value):
+        requirement = {**MARKET_CONFIG["requirement"], field: value}
+        cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, "requirement": requirement})
+        code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                                 "--config", str(cfg))
+        assert code == 2 and out == "" and repr(field) in err
+
+    def test_provider_q_exits_2(self, capsys, tmp_path, hull_credal):
+        provider = {"id": "good", "q": ["0.9", 0.05, 0.05]}
+        cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, "providers": [provider]})
+        code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                                 "--config", str(cfg))
+        assert code == 2 and out == "" and "'q'" in err
+
+    def test_license_provider_exits_2(self, capsys, tmp_path, singleton_credal):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"provider": ["0.2", "0.8"], "params": {"C": 0.5, "R": 1.0}})
+        code, out, err = run_cli(capsys, "license", "optimal", "--credal", str(singleton_credal),
+                                 "--config", str(cfg))
+        assert code == 2 and out == "" and "'provider'" in err
+
+    @pytest.mark.parametrize("vertex", [["0.25", "0.75"], [True, 0.0]])
+    def test_credal_vertex_exits_2(self, capsys, tmp_path, license_config, vertex):
+        credal = write_json(tmp_path / "credal.json", {"space": ["z0", "z1"], "vertices": [vertex]})
+        code, out, err = run_cli(capsys, "license", "optimal", "--credal", str(credal),
+                                 "--config", str(license_config))
+        assert code == 2 and out == "" and "vertex" in err
+
+
+class TestScenarioRangesCheckedFirst:
+    @pytest.mark.parametrize("scenario, payload, field", [
+        ("chi2_strategic", {"alpha_grid": [0.05, -0.2]}, "alpha_grid"),
+        ("chi2_strategic", {"alpha_grid": [0.05, 1.5]}, "alpha_grid"),
+        ("fairness", {"gammas": [0.4, 0.95]}, "gammas"),
+    ])
+    def test_value_out_of_range_exits_2_before_drawing(self, capsys, tmp_path, monkeypatch,
+                                                        scenario, payload, field):
+        def fail(*args, **kwargs):
+            raise AssertionError("the scenario drew before checking its config")
+
+        monkeypatch.setattr("credalmarket.experiments._batch_loglik_ratio", fail)
+        monkeypatch.setattr("credalmarket.experiments._draw_outcomes", fail)
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "experiment", scenario, "--config", str(cfg),
+                                 "--out", str(out_path))
+        assert code == 2 and out == "" and repr(field) in err
+        assert not out_path.exists()

@@ -1,6 +1,11 @@
+import math
+import threading
+
 import numpy as np
 import pytest
 
+from credalmarket import experiments
+from credalmarket.evidence import spawn_seeds
 from credalmarket.experiments import (
     Chi2Config,
     FairnessConfig,
@@ -103,6 +108,14 @@ class TestFairness:
         h = np.array([0.0, 1.0, 1.0, 0.0])
         assert all(v.expectation(h) >= 0.6 - 1e-12 for v in cs.vertices)
 
+    def test_gamma_out_of_range_is_rejected_before_drawing(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("drew before checking every gamma")
+
+        monkeypatch.setattr(experiments, "_draw_outcomes", fail)
+        with pytest.raises(ValueError, match="'gammas'.*0.95"):
+            run_fairness(FairnessConfig(gammas=(0.4, 0.95), runs=2, n=10))
+
     def test_bet_zero_control_is_flat(self):
         cfg = FairnessConfig(runs=2, n=50, bet_zero_control=True)
         table = run_fairness(cfg)
@@ -172,6 +185,92 @@ class TestChi2:
         for col in ("power", "null_enter", "compliant_enter", "null_approved"):
             vals = table.column(col)
             assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+
+
+def _batch_loglik_ratio_reference(d0, df, batches, n, seed):
+    """The allocate-per-chunk loop that the in-place buffer replaced."""
+    const = 0.5 * math.log(2.0) + math.lgamma((d0 + 1) / 2.0) - math.lgamma(d0 / 2.0)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    out = np.empty(batches)
+    chunk = max(1, int(2_000_000 // max(n, 1)))
+    done = 0
+    while done < batches:
+        take = min(chunk, batches - done)
+        draws = 2.0 * gen.standard_gamma(df / 2.0, size=(take, n))
+        out[done : done + take] = n * const - 0.5 * np.log(draws).sum(axis=1)
+        done += take
+    return out
+
+
+def _chi2_rows_reference(cfg):
+    """run_chi2_strategic's rows from its two streams computed one after the other."""
+    seeds = spawn_seeds(cfg.seed, 2)
+    null = experiments._batch_loglik_ratio(cfg.d0, cfg.d0 + 1, cfg.mc_calibration,
+                                           cfg.n_per_test, seeds[0])
+    alt = experiments._batch_loglik_ratio(cfg.d0, cfg.d0, cfg.mc_power, cfg.n_per_test, seeds[1])
+    rows = []
+    for alpha in cfg.alpha_grid:
+        power = 0.0 if alpha == 0.0 else float(np.mean(alt > float(np.quantile(null, 1.0 - alpha))))
+        null_enter = 1.0 if alpha * cfg.params.R >= cfg.params.C else 0.0
+        compliant_enter = 1.0 if power * cfg.params.R >= cfg.params.C else 0.0
+        rows.append((float(alpha), power, null_enter, compliant_enter,
+                     float(alpha if null_enter else 0.0)))
+    return tuple(rows)
+
+
+class TestChi2Streams:
+    @pytest.mark.parametrize("d0, df, batches, n", [
+        (50, 51, 100, 400),       # fewer batches than one chunk (5000 rows)
+        (50, 50, 2001, 3000),     # three full chunks of 666 rows and a partial one
+        (3, 4, 3, 2_000_001),     # one row per chunk
+    ])
+    def test_buffered_draws_equal_the_allocating_loop(self, d0, df, batches, n):
+        got = experiments._batch_loglik_ratio(d0, df, batches, n, seed=5)
+        assert np.array_equal(got, _batch_loglik_ratio_reference(d0, df, batches, n, seed=5))
+
+    def test_rows_equal_the_sequential_streams(self, small_table):
+        cfg, table = small_table
+        assert table.rows == _chi2_rows_reference(cfg)
+        assert run_chi2_strategic(cfg).rows == table.rows
+
+    def test_null_stream_runs_on_a_helper_thread(self, monkeypatch):
+        cfg = Chi2Config(n_per_test=50, mc_calibration=200, mc_power=300, seed=3)
+        original = experiments._batch_loglik_ratio
+        threads = {}
+
+        def record(d0, df, batches, n, seed):
+            threads[batches] = threading.get_ident()
+            return original(d0, df, batches, n, seed)
+
+        monkeypatch.setattr(experiments, "_batch_loglik_ratio", record)
+        run_chi2_strategic(cfg)
+        assert threads[cfg.mc_power] == threading.get_ident()
+        assert threads[cfg.mc_calibration] != threading.get_ident()
+
+    def test_error_on_the_helper_thread_reaches_the_caller(self, monkeypatch):
+        cfg = Chi2Config(n_per_test=50, mc_calibration=200, mc_power=300, seed=3)
+        null_seed = spawn_seeds(cfg.seed, 2)[0]
+        original = experiments._batch_loglik_ratio
+
+        def fail_on_null(d0, df, batches, n, seed):
+            if seed == null_seed:
+                raise RuntimeError("null stream failed")
+            return original(d0, df, batches, n, seed)
+
+        before = threading.active_count()
+        monkeypatch.setattr(experiments, "_batch_loglik_ratio", fail_on_null)
+        with pytest.raises(RuntimeError, match="null stream failed"):
+            run_chi2_strategic(cfg)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("alpha", [-0.2, 1.5, float("nan")])
+    def test_level_outside_the_unit_interval_is_rejected_before_drawing(self, monkeypatch, alpha):
+        def fail(*args, **kwargs):
+            raise AssertionError("drew before checking alpha_grid")
+
+        monkeypatch.setattr(experiments, "_batch_loglik_ratio", fail)
+        with pytest.raises(ValueError, match="'alpha_grid'"):
+            run_chi2_strategic(Chi2Config(alpha_grid=(0.05, alpha)))
 
 
 class TestSpurious:
