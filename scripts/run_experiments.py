@@ -4,6 +4,11 @@
 Usage:
     python scripts/run_experiments.py [--outdir results] [--seed SEED]
     python scripts/run_experiments.py --scenario fairness --outdir results
+    python scripts/run_experiments.py --outdir new --check old
+
+With ``--check DIR`` each CSV is compared byte for byte with
+``DIR/<scenario>.csv`` after it is written; the script prints ``identical``
+or ``differs`` per scenario and exits 1 if any differs or is missing.
 """
 
 import argparse
@@ -19,11 +24,13 @@ def main() -> int:
     parser.add_argument("--outdir", default="results", help="output directory for CSVs")
     parser.add_argument("--scenario", choices=sorted(SCENARIOS), help="run a single scenario")
     parser.add_argument("--seed", type=int, help="seed override for every scenario")
+    parser.add_argument("--check", metavar="DIR", help="compare each CSV's bytes with DIR/<scenario>.csv")
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = [args.scenario] if args.scenario else sorted(SCENARIOS)
+    differs = False
     for name in names:
         cfg = load_config(name, seed=args.seed)
         t0 = time.perf_counter()
@@ -33,7 +40,12 @@ def main() -> int:
         print(f"{name}: wrote {path} in {time.perf_counter() - t0:.1f}s")
         for key in sorted(table.headline):
             print(f"  {key} = {table.headline[key]!r}")
-    return 0
+        if args.check:
+            reference = Path(args.check) / f"{name}.csv"
+            same = reference.is_file() and reference.read_bytes() == path.read_bytes()
+            print(f"  {'identical' if same else 'differs'}: {path} vs {reference}")
+            differs |= not same
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

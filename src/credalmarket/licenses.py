@@ -22,7 +22,7 @@ import numpy as np
 
 from ._linprog import solve_box_lp
 from .credal import CredalSet, upper_expectation
-from .evidence import Categorical, EvidenceSpace, log_ratio, ratio
+from .evidence import Categorical, EvidenceSpace, is_json_number, log_ratio, ratio
 
 __all__ = [
     "License",
@@ -94,11 +94,19 @@ class License:
     def from_json(payload: dict) -> tuple["License", MechanismParams]:
         try:
             space = EvidenceSpace(tuple(payload["space"]))
-            lic = License(space, payload["payout"])
+            payout = payload["payout"]
+            # "0.1" or true would pass through float() as a payout
+            if not isinstance(payout, list) or not all(map(is_json_number, payout)):
+                raise ValueError(f"license JSON payout must be a list of numbers, got {payout!r}")
+            lic = License(space, payout)
             params = MechanismParams(payload["params"]["C"], payload["params"]["R"])
         except KeyError as err:
             raise ValueError(f"license JSON is missing field {err.args[0]!r}") from err
         return lic, params
+
+    @staticmethod
+    def load(path: str | Path) -> tuple["License", MechanismParams]:
+        return License.from_json(json.loads(Path(path).read_text()))
 
     def save(self, path: str | Path, params: MechanismParams) -> None:
         Path(path).write_text(json.dumps(self.to_json(params), indent=2) + "\n")
@@ -213,13 +221,15 @@ def _kappa_raw(qp: np.ndarray, pp: np.ndarray, log_cap: float) -> float:
     return float(qs @ np.minimum(log_ratio(qs, pp[support]), log_cap))
 
 
-def _project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u + (1.0 - css) / np.arange(1, v.size + 1) > 0)[0][-1]
-    theta = (1.0 - css[rho]) / (rho + 1.0)
-    return np.clip(v + theta, 0.0, None)
+def _project_rows_to_simplex(X: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row onto the probability simplex (sort-based)."""
+    k = X.shape[1]
+    u = np.sort(X, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    positive = u + (1.0 - css) / np.arange(1, k + 1) > 0
+    rho = k - 1 - np.argmax(positive[:, ::-1], axis=1)  # last positive index
+    theta = (1.0 - css[np.arange(X.shape[0]), rho]) / (rho + 1.0)
+    return np.clip(X + theta[:, None], 0.0, None)
 
 
 def minimize_kappa(
@@ -239,61 +249,87 @@ def minimize_kappa(
     resolve to the lowest start index so results are deterministic.
     Returns (best weights, kappa value, converged flag); the flag is that of
     the returned start, False when it stopped at ``max_iter``.
+
+    All starts advance in lock-step as the rows of one weight matrix: one
+    batched gradient, projection and kappa evaluation per iteration, and a
+    backtracking line search over the rows still searching.  A row leaves
+    when it is stationary or when 40 halvings find no decrease.  Each row
+    takes exactly the steps, and gets exactly the bits, that the start
+    would get alone: P = wV is one gemv per row, and every dot product runs
+    over C-contiguous rows, because a fancy-indexed column subset comes back
+    F-ordered and BLAS sums a strided dot in another order.
     """
     V = credal.vertex_matrix
     k = V.shape[0]
     qp = q.probs
     support = qp > 0.0
+    qs = qp[support]
     log_cap = math.log(params.cap_ratio)
 
-    def kappa_of(w: np.ndarray) -> float:
-        return _kappa_raw(qp, w @ V, log_cap)
+    def probs_of(W: np.ndarray) -> np.ndarray:
+        return np.matmul(W[:, None, :], V)[:, 0, :]
 
-    def gradient(w: np.ndarray) -> np.ndarray:
-        p = w @ V
+    def kappa_of(P: np.ndarray) -> np.ndarray:
+        ps = np.ascontiguousarray(P[:, support])
+        return np.vecdot(np.minimum(log_ratio(qs, ps), log_cap), qs)
+
+    def gradients(P: np.ndarray) -> np.ndarray:
         # P = 0 < Q gives +inf, so the ratio test also drops vanishing P.
-        active = support & (log_ratio(qp, p) < log_cap)
-        if not np.any(active):
-            return np.zeros(k)
-        return -(V[:, active] @ (qp[active] / p[active]))
+        active = support & (log_ratio(qp, P) < log_cap)
+        G = np.zeros((P.shape[0], k))
+        masks, group = np.unique(active, axis=0, return_inverse=True)
+        for j, mask in enumerate(masks):
+            if not mask.any():
+                continue
+            rows = np.flatnonzero(group == j)
+            X = np.ascontiguousarray(qp[mask] / P[rows][:, mask])
+            G[rows] = -np.matmul(V[:, mask], X[:, :, None])[:, :, 0]
+        return G
 
     if k == 1:
-        return np.ones(1), kappa_of(np.ones(1)), True
+        return np.ones(1), float(kappa_of(V)[0]), True
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    starts = [np.eye(k)[i] for i in range(k)]
-    starts.append(np.full(k, 1.0 / k))
-    while len(starts) < max(n_starts, k + 1):
-        starts.append(rng.dirichlet(np.ones(k)))
+    W = np.empty((max(n_starts, k + 1), k))
+    W[:k] = np.eye(k)
+    W[k] = 1.0 / k
+    for i in range(k + 1, W.shape[0]):
+        W[i] = rng.dirichlet(np.ones(k))
 
-    best_w, best_val, best_idx, best_converged = None, np.inf, -1, False
-    for idx, w0 in enumerate(starts):
-        w = w0.copy()
-        val = kappa_of(w)
-        converged = False
-        for _ in range(max_iter):
-            g = gradient(w)
-            # Projected-gradient stationarity on the simplex.
-            step_dir = _project_to_simplex(w - g) - w
-            if np.linalg.norm(step_dir) <= grad_tol:
-                converged = True
+    P = probs_of(W)
+    vals = kappa_of(P)
+    converged = np.zeros(W.shape[0], dtype=bool)
+    live = np.arange(W.shape[0])
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        W_live, G = W[live], gradients(P[live])
+        # Projected-gradient stationarity on the simplex.
+        D = _project_rows_to_simplex(W_live - G) - W_live
+        stationary = np.sqrt(np.vecdot(D, D)) <= grad_tol
+        converged[live[stationary]] = True
+        live, G = live[~stationary], G[~stationary]
+        searching, eta = live, 1.0
+        for _ in range(40):
+            if searching.size == 0:
                 break
-            eta = 1.0
-            improved = False
-            for _ in range(40):
-                w_new = _project_to_simplex(w - eta * g)
-                val_new = kappa_of(w_new)
-                if val_new < val - 1e-14:
-                    w, val = w_new, val_new
-                    improved = True
-                    break
-                eta *= 0.5
-            if not improved:
-                converged = True
-                break
+            W_new = _project_rows_to_simplex(W[searching] - eta * G)
+            P_new = probs_of(W_new)
+            val_new = kappa_of(P_new)
+            better = val_new < vals[searching] - 1e-14
+            moved = searching[better]
+            W[moved], P[moved], vals[moved] = W_new[better], P_new[better], val_new[better]
+            searching, G = searching[~better], G[~better]
+            eta *= 0.5
+        # A row that no step improves is stationary to line-search precision.
+        converged[searching] = True
+        live = live[~np.isin(live, searching)]
+
+    best_idx, best_val = -1, np.inf
+    for idx, val in enumerate(vals.tolist()):
         if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15 and best_idx < 0):
-            best_w, best_val, best_idx, best_converged = w, val, idx, converged
-    return best_w, best_val, best_converged
+            best_idx, best_val = idx, val
+    return W[best_idx].copy(), best_val, bool(converged[best_idx])
 
 
 def _truncated_payout(lr: np.ndarray, gamma: float, R: float) -> np.ndarray:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,3 +328,34 @@ class TestConfigLoading:
     def test_result_table_shape_checked(self):
         with pytest.raises(ValueError):
             ResultTable("s", 0, "h", ("a", "b"), ((1,),))
+
+
+class TestRunExperimentsCheck:
+    """``scripts/run_experiments.py --check DIR`` compares each CSV's bytes with DIR's."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def run_script(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.ROOT / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, str(self.ROOT / "scripts" / "run_experiments.py"),
+             "--scenario", "synthetic_spurious", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_identical_rerun_exits_0_and_a_changed_byte_exits_1(self, tmp_path):
+        first = self.run_script("--outdir", str(tmp_path / "first"))
+        assert first.returncode == 0, first.stderr
+        rerun = self.run_script("--outdir", str(tmp_path / "rerun"), "--check", str(tmp_path / "first"))
+        assert rerun.returncode == 0, rerun.stderr
+        assert "identical" in rerun.stdout and "differs" not in rerun.stdout
+
+        changed = bytearray((tmp_path / "first" / "synthetic_spurious.csv").read_bytes())
+        changed[-2] ^= 1
+        (tmp_path / "changed").mkdir()
+        (tmp_path / "changed" / "synthetic_spurious.csv").write_bytes(bytes(changed))
+        against_changed = self.run_script(
+            "--outdir", str(tmp_path / "again"), "--check", str(tmp_path / "changed"))
+        assert against_changed.returncode == 1, against_changed.stderr
+        assert "differs" in against_changed.stdout

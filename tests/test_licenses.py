@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -10,10 +11,11 @@ from conftest import random_categorical, random_credal
 from credalmarket._linprog import PIVOT_TOL, solve_box_lp
 from credalmarket.credal import CredalSet, upper_expectation
 from credalmarket.evidence import Categorical, EvidenceSpace, kl_divergence
+from credalmarket.experiments import paired_fairness_distribution, parity_credal_set
 from credalmarket.licenses import (
     License,
     MechanismParams,
-    _project_to_simplex,
+    _project_rows_to_simplex,
     cumulative_license,
     improvement_incentive_check,
     is_obedient,
@@ -423,11 +425,19 @@ def test_license_json_round_trip(tmp_path, space2):
     lic = License(space2, [1.0, 1.0 / 3.0])
     path = tmp_path / "license.json"
     lic.save(path, params)
-    loaded, loaded_params = License.from_json(__import__("json").loads(path.read_text()))
-    assert np.allclose(loaded.payout, lic.payout)
+    loaded, loaded_params = License.load(path)
+    assert np.array_equal(loaded.payout, lic.payout)
+    assert loaded.space == lic.space
     assert loaded_params == params
     with pytest.raises(ValueError):
         License.from_json({"space": ["a", "b"], "payout": [0.1, 0.2]})
+
+
+@pytest.mark.parametrize("payout", [["0.1", 0.2], [0.1, True], [[0.1], 0.2], "0.1,0.2"])
+def test_license_json_rejects_payouts_that_are_not_numbers(payout):
+    payload = {"space": ["a", "b"], "payout": payout, "params": {"C": 0.5, "R": 1.0}}
+    with pytest.raises(ValueError, match="payout"):
+        License.from_json(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +474,17 @@ def inline_kappa_raw(qp, pp, log_cap):
     return float(qs @ np.minimum(log_ratio, log_cap))
 
 
+def looped_project_to_simplex(v):
+    """Reference: Euclidean projection of one vector onto the simplex (sort-based)."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u + (1.0 - css) / np.arange(1, v.size + 1) > 0)[0][-1]
+    theta = (1.0 - css[rho]) / (rho + 1.0)
+    return np.clip(v + theta, 0.0, None)
+
+
 def inline_minimize_kappa(qp, V, params, n_starts=8, max_iter=500, grad_tol=1e-8, seed=0):
-    """Multi-start projected gradient with the kappa gradient written out inline."""
+    """Reference: the starts one after another, with the kappa gradient written out inline."""
     k = V.shape[0]
     log_cap = math.log(params.cap_ratio)
 
@@ -498,14 +517,14 @@ def inline_minimize_kappa(qp, V, params, n_starts=8, max_iter=500, grad_tol=1e-8
         converged = False
         for _ in range(max_iter):
             g = gradient(w)
-            step_dir = _project_to_simplex(w - g) - w
+            step_dir = looped_project_to_simplex(w - g) - w
             if np.linalg.norm(step_dir) <= grad_tol:
                 converged = True
                 break
             eta = 1.0
             improved = False
             for _ in range(40):
-                w_new = _project_to_simplex(w - eta * g)
+                w_new = looped_project_to_simplex(w - eta * g)
                 val_new = kappa_of(w_new)
                 if val_new < val - 1e-14:
                     w, val = w_new, val_new
@@ -606,3 +625,100 @@ class TestLikelihoodRatioRule:
         assert np.array_equal(res.license.payout,
                               inline_risk_averse_payout(q.probs, w_ref @ V, V, params))
         assert cumulative_license(z, q, p, params) == inline_cumulative(z, q.probs, p.probs, params)
+
+
+# ---------------------------------------------------------------------------
+# Lock-step kappa starts against the per-start loop
+# ---------------------------------------------------------------------------
+
+
+def seeded_kappa_instance(seed, m, k, **kwargs):
+    """A type and k vertices over m outcomes, each with about a third of its mass points at 0."""
+    rng = np.random.default_rng(seed)
+    space = EvidenceSpace.of_size(m)
+
+    def sparse_vector():
+        w = rng.dirichlet(np.ones(m))
+        w[rng.random(m) < 0.3] = 0.0
+        if not np.any(w > 0):
+            w[rng.integers(m)] = 1.0
+        return w / w.sum()
+
+    q = Categorical(space, sparse_vector())
+    credal = CredalSet(space, tuple(Categorical(space, sparse_vector()) for _ in range(k)))
+    return q, credal, MechanismParams(C=2.0, R=60.0), kwargs
+
+
+@st.composite
+def kappa_instances(draw):
+    """A type and up to ten vertices over up to nine outcomes, zeros allowed anywhere."""
+    m, k = draw(st.integers(1, 9)), draw(st.integers(1, 10))
+
+    def sparse_vector():
+        mass = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+        w = np.array(draw(st.lists(mass, min_size=m, max_size=m)))
+        if not np.any(w > 0):
+            w[draw(st.integers(0, m - 1))] = 1.0
+        return w / w.sum()
+
+    space = EvidenceSpace.of_size(m)
+    q = Categorical(space, sparse_vector())
+    credal = CredalSet(space, tuple(Categorical(space, sparse_vector()) for _ in range(k)))
+    params = MechanismParams(C=draw(st.floats(0.5, 20.0)), R=draw(st.floats(25.0, 300.0)))
+    kwargs = {"max_iter": draw(st.sampled_from((1, 2, 500))),
+              "n_starts": draw(st.sampled_from((8, k + 4)))}
+    return q, credal, params, kwargs
+
+
+def assert_kappa_matches_the_loop(q, credal, params, **kwargs):
+    w, val, converged = minimize_kappa(q, credal, params, **kwargs)
+    w_ref, val_ref, converged_ref = inline_minimize_kappa(
+        q.probs, credal.vertex_matrix, params, **kwargs)
+    assert np.array_equal(w, w_ref)
+    assert val == val_ref
+    assert converged == converged_ref
+
+
+class TestLockStepKappa:
+    """Every start of minimize_kappa takes the steps and bits it takes alone."""
+
+    @pytest.mark.parametrize("gamma, burn_in", [(0.4, False), (0.6, False), (0.4, True)],
+                             ids=["gamma0.4", "gamma0.6", "burn_in_type"])
+    def test_fairness_parity_set_bitwise(self, gamma, burn_in):
+        q = paired_fairness_distribution(gamma)
+        if burn_in:  # pooled burn-in counts of 30 runs x 300 draws, add-one smoothed
+            counts = np.random.default_rng(11).multinomial(9000, q.probs) + 1.0
+            q = Categorical(q.space, counts / counts.sum())
+        assert_kappa_matches_the_loop(q, parity_credal_set(0.6, 10), MechanismParams(15.0, 250.0))
+
+    @given(kappa_instances())
+    @example(seeded_kappa_instance(1, m=3, k=1))
+    @example(seeded_kappa_instance(2, m=2, k=7))
+    @example(seeded_kappa_instance(3, m=8, k=5))
+    @example(seeded_kappa_instance(4, m=4, k=4, max_iter=1))
+    @example(seeded_kappa_instance(5, m=4, k=4, max_iter=2))
+    @example(seeded_kappa_instance(6, m=3, k=9, n_starts=14))
+    @settings(max_examples=100, deadline=None)
+    def test_random_instances_bitwise(self, instance):
+        q, credal, params, kwargs = instance
+        assert_kappa_matches_the_loop(q, credal, params, **kwargs)
+
+    def test_row_projection_matches_the_vector_one_on_any_layout(self):
+        rng = np.random.default_rng(3)
+        block = np.round(rng.normal(scale=2.0, size=(24, 21)), 1)  # rounding makes ties
+        for X in (block[:12, :7], np.asfortranarray(block[:12, :7]), block[::2, ::3]):
+            projected = _project_rows_to_simplex(X)
+            for row, out in zip(X, projected):
+                assert np.array_equal(out, looped_project_to_simplex(row))
+
+    def test_peak_memory_on_the_parity_set(self):
+        # One 126 x 125 weight matrix, not a 125 x 125 identity per start.
+        credal = parity_credal_set(0.6, 10)
+        q, params = paired_fairness_distribution(0.4), MechanismParams(15.0, 250.0)
+        tracemalloc.start()
+        try:
+            minimize_kappa(q, credal, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
