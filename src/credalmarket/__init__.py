@@ -8,7 +8,7 @@ runners), :mod:`cli` (command line).
 """
 
 from .betting import BettingScore, KellyConfig
-from .credal import ConstraintCredalSpec, CredalSet
+from .credal import CredalSet
 from .evidence import Categorical, EvidenceSpace, SampleStream
 from .licenses import License, MechanismParams, OptimalLicenseResult
 from .market import MarketReport, Provider, Requirement
@@ -16,7 +16,6 @@ from .market import MarketReport, Provider, Requirement
 __all__ = [
     "BettingScore",
     "Categorical",
-    "ConstraintCredalSpec",
     "CredalSet",
     "EvidenceSpace",
     "KellyConfig",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .betting import BettingScore, KellyConfig, write_trajectory_csv
 from .credal import CredalSet
-from .evidence import Categorical, EvidenceSpace, SampleStream, is_json_number
+from .evidence import Categorical, EvidenceSpace, SampleStream, is_json_number, json_object
 from .experiments import SCENARIOS, load_config, run_scenario
 from .licenses import (
     MechanismParams,
@@ -61,21 +61,6 @@ def _require(payload: dict, field: str, what: str):
     if field not in payload:
         raise ValueError(f"{what} is missing field {field!r}")
     return payload[field]
-
-
-def _fields(payload, allowed: tuple[str, ...], what: str) -> dict:
-    """``payload`` itself, once it is a JSON object with no field outside ``allowed``.
-
-    An unknown field is an error, not a default: a misspelled key would
-    otherwise run with the default it was meant to change.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    unknown = sorted(set(payload) - set(allowed))
-    if unknown:
-        raise ValueError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}; "
-                         f"allowed: {', '.join(allowed)}")
-    return payload
 
 
 def _integer(value, name: str, minimum: int) -> int:
@@ -115,20 +100,13 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _params_from(payload: dict, what: str) -> MechanismParams:
-    params = _fields(_require(payload, "params", what), ("C", "R"), f"{what} field 'params'")
-    try:
-        return MechanismParams(C=params["C"], R=params["R"])
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"{what} field 'params' needs numeric C and R: {err}")
-
-
 def cmd_license(args: argparse.Namespace) -> int:
     try:
         credal = CredalSet.from_json(_load_json(args.credal, "credal set"))
-        payload = _fields(_load_json(args.config, "license config"), ("provider", "params"),
-                          "license config")
-        params = _params_from(payload, "license config")
+        payload = json_object(_load_json(args.config, "license config"), ("provider", "params"),
+                              "license config")
+        params = MechanismParams.from_json(_require(payload, "params", "license config"),
+                                           "license config field 'params'")
         q = Categorical(credal.space, _numbers(payload, "provider", "license config"))
         if args.out:
             _check_out(args.out, args.force)
@@ -166,17 +144,18 @@ def cmd_license(args: argparse.Namespace) -> int:
 def cmd_market(args: argparse.Namespace) -> int:
     try:
         credal = CredalSet.from_json(_load_json(args.credal, "credal set"))
-        payload = _fields(_load_json(args.config, "market config"),
-                          ("params", "providers", "requirement", "mechanism", "seed", "n"),
-                          "market config")
-        params = _params_from(payload, "market config")
+        payload = json_object(_load_json(args.config, "market config"),
+                              ("params", "providers", "requirement", "mechanism", "seed", "n"),
+                              "market config")
+        params = MechanismParams.from_json(_require(payload, "params", "market config"),
+                                           "market config field 'params'")
         providers = []
         for row in _require(payload, "providers", "market config"):
-            _fields(row, ("id", "q"), "provider entry")
+            json_object(row, ("id", "q"), "provider entry")
             providers.append(Provider(id=str(_require(row, "id", "provider entry")),
                                       q=Categorical(credal.space, _numbers(row, "q", "provider entry"))))
-        req_payload = _fields(_require(payload, "requirement", "market config"),
-                              ("kind", "metric", "tau"), "requirement")
+        req_payload = json_object(_require(payload, "requirement", "market config"),
+                                  ("kind", "metric", "tau"), "requirement")
         kind = _require(req_payload, "kind", "requirement")
         if kind == "threshold":
             metric = np.asarray(_numbers(req_payload, "metric", "requirement"), dtype=float)
@@ -208,10 +187,11 @@ def cmd_market(args: argparse.Namespace) -> int:
 
 def cmd_betting(args: argparse.Namespace) -> int:
     try:
-        payload = _fields(_load_json(args.config, "betting config"),
-                          ("params", "labels", "source", "metric", "tau", "n", "seed"),
-                          "betting config")
-        params = _params_from(payload, "betting config")
+        payload = json_object(_load_json(args.config, "betting config"),
+                              ("params", "labels", "source", "metric", "tau", "n", "seed"),
+                              "betting config")
+        params = MechanismParams.from_json(_require(payload, "params", "betting config"),
+                                           "betting config field 'params'")
         labels = _require(payload, "labels", "betting config")
         space = EvidenceSpace(tuple(labels))
         source = Categorical(space, _numbers(payload, "source", "betting config"))

@@ -3,16 +3,16 @@
 A credal set is stored by its generating vertices; the represented set is
 their convex hull, which is closed and convex by construction.  Envelope
 queries reduce to finite maxima over vertices, hull membership to a small
-box linear program on the package's one simplex solver, and
-constraint-defined sets (like the demographic parity family) to grid
-enumeration.
+box linear program on the package's one simplex solver.  A threshold set
+{P : E_P[score] >= tau}, such as the fairness scenario's non-compliant set,
+is built from the probability grid points it contains.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -20,11 +20,17 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ._linprog import solve_box_lp
-from .evidence import Categorical, EvidenceSpace, is_json_number, kl_divergence, mixture
+from .evidence import (
+    Categorical,
+    EvidenceSpace,
+    is_json_number,
+    json_object,
+    kl_divergence,
+    mixture,
+)
 
 __all__ = [
     "CredalSet",
-    "ConstraintCredalSpec",
     "MembershipWitness",
     "GamingWitness",
     "upper_expectation",
@@ -58,10 +64,12 @@ class CredalSet:
             if v.space != self.space:
                 raise ValueError("all vertices must share the credal set's space")
 
-    @property
+    @cached_property
     def vertex_matrix(self) -> np.ndarray:
-        """Vertices stacked as a (k, m) array."""
-        return np.stack([v.probs for v in self.vertices])
+        """Vertices stacked as a read-only (k, m) array, built on first access."""
+        V = np.stack([v.probs for v in self.vertices])
+        V.flags.writeable = False
+        return V
 
     def mix(self, weights) -> Categorical:
         return mixture(list(self.vertices), weights)
@@ -81,6 +89,7 @@ class CredalSet:
 
     @staticmethod
     def from_json(payload: dict) -> "CredalSet":
+        json_object(payload, ("space", "vertices"), "credal JSON")
         try:
             space = EvidenceSpace(tuple(payload["space"]))
             rows = payload["vertices"]
@@ -140,45 +149,8 @@ def membership(q: Categorical, credal: CredalSet, tol: float = MEMBERSHIP_TOL) -
 
 
 # ---------------------------------------------------------------------------
-# Constraint-defined credal sets (grid inner approximation)
+# Threshold credal sets (grid inner approximation)
 # ---------------------------------------------------------------------------
-
-#: predicate names understood by :func:`approximate_constraint_set`
-PARITY_GAP_LT = "parity_gap_lt"
-PARITY_GAP_GE = "parity_gap_ge"
-MEAN_SCORE_GE = "mean_score_ge"
-
-
-@dataclass(frozen=True)
-class ConstraintCredalSpec:
-    """Grid specification of a predicate-defined set of joint distributions.
-
-    ``parity_gap_lt`` / ``parity_gap_ge`` apply to a 4-outcome Y x A space in
-    the order (Y=0,A=0), (Y=0,A=1), (Y=1,A=0), (Y=1,A=1) and compare the
-    demographic-parity gap |P(Y=1|A=0) - P(Y=1|A=1)| against ``tau``;
-    ``mean_score_ge`` keeps grid points with ``E[score] >= tau`` for a given
-    per-outcome score vector.
-    """
-
-    space: EvidenceSpace
-    predicate: str = PARITY_GAP_LT
-    tau: float = 0.6
-    grid_resolution: int = 10
-    score: Optional[tuple[float, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.predicate not in (PARITY_GAP_LT, PARITY_GAP_GE, MEAN_SCORE_GE):
-            raise ValueError(f"unknown predicate {self.predicate!r}")
-        if self.grid_resolution < 2:
-            raise ValueError("grid resolution must be at least 2")
-        if self.predicate in (PARITY_GAP_LT, PARITY_GAP_GE):
-            if self.space.size != 4:
-                raise ValueError("parity predicates need the 4-outcome Y x A space")
-            if not (0.0 < self.tau < 1.0):
-                raise ValueError("parity threshold must lie in (0, 1)")
-        if self.predicate == MEAN_SCORE_GE:
-            if self.score is None or len(self.score) != self.space.size:
-                raise ValueError("mean_score_ge needs one score per outcome")
 
 
 def _grid_compositions(total: int, parts: int):
@@ -191,48 +163,27 @@ def _grid_compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _parity_gap_exact(counts: tuple[int, ...]) -> Optional[Fraction]:
-    """Demographic-parity gap of a grid point, as an exact rational.
+def approximate_constraint_set(space: EvidenceSpace, score, tau: float,
+                               grid_resolution: int) -> CredalSet:
+    """Grid points of the threshold set {P : E_P[score] >= tau}, in grid order.
 
-    ``counts`` are grid multiplicities of (Y=0,A=0), (Y=0,A=1), (Y=1,A=0),
-    (Y=1,A=1).  Returns None when some group has zero mass (the conditional
-    rate is undefined there, so the point cannot certify the predicate).
+    The grid is every distribution whose probabilities are multiples of
+    1 / ``grid_resolution``.  The set is a closed convex polytope whose
+    extreme points lie on the simplex's edges, so the hull of the kept points
+    is an inner approximation, exact when those edge points are grid points
+    (for a 0/1 score: when tau is a multiple of 1 / ``grid_resolution``).
     """
-    k00, k01, k10, k11 = counts
-    g0, g1 = k00 + k10, k01 + k11
-    if g0 == 0 or g1 == 0:
-        return None
-    return abs(Fraction(k10, g0) - Fraction(k11, g1))
-
-
-def approximate_constraint_set(spec: ConstraintCredalSpec) -> CredalSet:
-    """Enumerate the probability grid and keep predicate-satisfying points.
-
-    The result is an inner approximation: the hull of the kept grid points may
-    differ from the true constraint set (which need not even be convex).
-    Predicates are evaluated in exact rational arithmetic on the grid.
-    """
-    g = spec.grid_resolution
-    m = spec.space.size
-    tau = Fraction(spec.tau).limit_denominator(10**9)
-    score = np.asarray(spec.score, dtype=float) if spec.score is not None else None
-    kept: list[Categorical] = []
-    for counts in _grid_compositions(g, m):
-        if spec.predicate in (PARITY_GAP_LT, PARITY_GAP_GE):
-            gap = _parity_gap_exact(counts)
-            if gap is None:
-                keep = False
-            elif spec.predicate == PARITY_GAP_LT:
-                keep = gap < tau
-            else:
-                keep = gap >= tau
-        else:
-            keep = float(np.array(counts) @ score) / g >= spec.tau - 1e-12
-        if keep:
-            kept.append(Categorical(spec.space, np.array(counts, dtype=float) / g))
-    if not kept:
-        raise ValueError("no grid point satisfies the predicate at this resolution")
-    return CredalSet(spec.space, tuple(kept))
+    g = grid_resolution
+    if g < 2:
+        raise ValueError("grid resolution must be at least 2")
+    h = np.asarray(score, dtype=float)
+    if h.shape != (space.size,):
+        raise ValueError("the threshold set needs one score per outcome")
+    counts = np.array(list(_grid_compositions(g, space.size)), dtype=float)
+    kept = counts[np.vecdot(counts, h) / g >= tau - 1e-12]
+    if kept.size == 0:
+        raise ValueError("no grid point reaches the threshold at this resolution")
+    return CredalSet(space, tuple(Categorical(space, row / g) for row in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +227,6 @@ def maximize_over_mixtures(
     points: list[Categorical],
     value_fn: Callable[[Categorical], float],
     grid_resolution: float = 0.02,
-    refine: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Grid-plus-local-refinement search of a value function over mixtures."""
     space = points[0].space
@@ -286,21 +236,21 @@ def maximize_over_mixtures(
         v = value_fn(mixture(points, w))
         if v > best_v:
             best_w, best_v = w, v
-    if refine:
-        # Nelder-Mead on softmax logits keeps iterates on the simplex.
-        def neg_value(logits: np.ndarray) -> float:
-            e = np.exp(logits - logits.max())
-            w = e / e.sum()
-            return -value_fn(Categorical(space, w @ np.stack([p.probs for p in points])))
 
-        start = np.log(np.clip(best_w, 1e-9, None))
-        res = minimize(neg_value, start, method="Nelder-Mead",
-                       options={"maxiter": 400, "xatol": 1e-8, "fatol": 1e-12})
-        e = np.exp(res.x - res.x.max())
-        w_ref = e / e.sum()
-        v_ref = value_fn(mixture(points, w_ref))
-        if v_ref > best_v:
-            best_w, best_v = w_ref, v_ref
+    # Nelder-Mead on softmax logits keeps iterates on the simplex.
+    def neg_value(logits: np.ndarray) -> float:
+        e = np.exp(logits - logits.max())
+        w = e / e.sum()
+        return -value_fn(Categorical(space, w @ np.stack([p.probs for p in points])))
+
+    start = np.log(np.clip(best_w, 1e-9, None))
+    res = minimize(neg_value, start, method="Nelder-Mead",
+                   options={"maxiter": 400, "xatol": 1e-8, "fatol": 1e-12})
+    e = np.exp(res.x - res.x.max())
+    w_ref = e / e.sum()
+    v_ref = value_fn(mixture(points, w_ref))
+    if v_ref > best_v:
+        best_w, best_v = w_ref, v_ref
     return np.asarray(best_w), float(best_v)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "empirical_distribution",
     "spawn_seeds",
     "is_json_number",
+    "json_object",
 ]
 
 #: tolerance on probability-vector normalization
@@ -66,6 +67,21 @@ class EvidenceSpace:
 def is_json_number(value) -> bool:
     """True for a number as JSON parsing gives one: an int or a float, not a bool or a string."""
     return type(value) in (int, float)
+
+
+def json_object(payload, allowed: tuple[str, ...], what: str) -> dict:
+    """``payload`` itself, once it is a JSON object with no field outside ``allowed``.
+
+    An unknown field is an error, not a default: a misspelled key would
+    otherwise run with the default it was meant to change.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {payload!r}")
+    unknown = sorted(set(payload) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}; "
+                         f"allowed: {', '.join(allowed)}")
+    return payload
 
 
 def _as_prob_vector(probs, m: int) -> np.ndarray:

@@ -34,17 +34,13 @@ from typing import ClassVar, Optional, get_args, get_type_hints
 import numpy as np
 
 from .betting import BettingScore, KellyConfig, plugin_paths
-from .credal import (
-    MEAN_SCORE_GE,
-    ConstraintCredalSpec,
-    CredalSet,
-    approximate_constraint_set,
-)
+from .credal import CredalSet, approximate_constraint_set
 from .evidence import (
     Categorical,
     EvidenceSpace,
     SampleStream,
     is_json_number,
+    json_object,
     log_ratio,
     sample,
     spawn_seeds,
@@ -249,14 +245,7 @@ def parity_credal_set(tau: float, grid_resolution: int) -> CredalSet:
     polytope on the paired space; with tau on the grid the approximation is
     exact.
     """
-    spec = ConstraintCredalSpec(
-        space=PAIRED_SPACE,
-        predicate=MEAN_SCORE_GE,
-        tau=tau,
-        grid_resolution=grid_resolution,
-        score=PAIRED_GAP_METRIC,
-    )
-    return approximate_constraint_set(spec)
+    return approximate_constraint_set(PAIRED_SPACE, PAIRED_GAP_METRIC, tau, grid_resolution)
 
 
 def _betting_trajectories(
@@ -536,13 +525,8 @@ def _config_value(what: str, hint, value):
     Every integer field is a count or a seed, so it must be non-negative.
     """
     if hint is MechanismParams:
-        if isinstance(value, dict) and set(value) == {"C", "R"}:
-            try:
-                return MechanismParams(**value)
-            except TypeError as err:
-                raise ValueError(f"{what}: {err}") from err
-        expected = "an object with the numbers C and R"
-    elif hint is bool:
+        return MechanismParams.from_json(value, what)
+    if hint is bool:
         if type(value) is bool:
             return value
         expected = "true or false"
@@ -575,16 +559,11 @@ def load_config(scenario: str, payload: Optional[dict] = None, seed: Optional[in
     cls, _ = SCENARIOS[scenario]
     if payload is None:
         payload = {}
-    if not isinstance(payload, dict):
-        raise ValueError(f"{scenario} config must be a JSON object, got {payload!r}")
-    payload = dict(payload)
+    payload = dict(json_object(payload, tuple(f.name for f in fields(cls)), f"{scenario} config"))
     payload.pop("scenario", None)
     if seed is not None:
         payload["seed"] = seed
     hints = get_type_hints(cls)
-    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"{scenario} config has unknown field(s) {', '.join(map(repr, unknown))}")
     for key, value in payload.items():
         payload[key] = _config_value(f"{scenario} config field {key!r}", hints[key], value)
         if key in cls.POSITIVE and payload[key] < 1:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._linprog import solve_box_lp
 from .credal import CredalSet, upper_expectation
-from .evidence import Categorical, EvidenceSpace, is_json_number, log_ratio, ratio
+from .evidence import Categorical, EvidenceSpace, is_json_number, json_object, log_ratio, ratio
 
 __all__ = [
     "License",
@@ -62,6 +62,17 @@ class MechanismParams:
     def cap_ratio(self) -> float:
         return self.R / self.C
 
+    @staticmethod
+    def from_json(payload, what: str) -> "MechanismParams":
+        """The ``params`` object of a config or license file: the numbers C and R, nothing else."""
+        json_object(payload, ("C", "R"), what)
+        try:
+            return MechanismParams(payload["C"], payload["R"])
+        except KeyError as err:
+            raise ValueError(f"{what} is missing field {err.args[0]!r}") from err
+        except TypeError as err:
+            raise ValueError(f"{what}: {err}") from err
+
 
 @dataclass(frozen=True, eq=False)
 class License:
@@ -92,6 +103,7 @@ class License:
 
     @staticmethod
     def from_json(payload: dict) -> tuple["License", MechanismParams]:
+        json_object(payload, ("space", "payout", "params"), "license JSON")
         try:
             space = EvidenceSpace(tuple(payload["space"]))
             payout = payload["payout"]
@@ -99,7 +111,7 @@ class License:
             if not isinstance(payout, list) or not all(map(is_json_number, payout)):
                 raise ValueError(f"license JSON payout must be a list of numbers, got {payout!r}")
             lic = License(space, payout)
-            params = MechanismParams(payload["params"]["C"], payload["params"]["R"])
+            params = MechanismParams.from_json(payload["params"], "license JSON field 'params'")
         except KeyError as err:
             raise ValueError(f"license JSON is missing field {err.args[0]!r}") from err
         return lic, params
@@ -114,18 +126,14 @@ class License:
 
 @dataclass(frozen=True, eq=False)
 class OptimalLicenseResult:
-    """An optimal license with its value and active-constraint diagnostics.
+    """An optimal license with its value and optimizer diagnostics.
 
-    ``tight_vertex_weights`` holds whatever the optimizer's active-constraint
-    analysis yields (normalized LP duals for the risk-neutral program, the
-    projection weights for the risk-averse one); no uniqueness is claimed.
     ``projection`` is the credal-set member P* for the risk-averse response
     and None for the risk-neutral one.
     """
 
     license: License
     value: float
-    tight_vertex_weights: np.ndarray
     projection: Optional[Categorical] = None
     converged: bool = True
     kappa_value: Optional[float] = None
@@ -164,14 +172,9 @@ def sup_value_over_obedient(q: Categorical, credal: CredalSet,
         b=np.full(k, params.C),
         upper=np.full(q.space.size, params.R),
     )
-    duals = sol.duals[:k]
-    total = duals.sum()
-    weights = duals / total if total > 0 else np.zeros(k)
     return OptimalLicenseResult(
         license=License(q.space, np.clip(sol.x, 0.0, params.R)),
         value=sol.value,
-        tight_vertex_weights=weights,
-        projection=None,
     )
 
 
@@ -367,13 +370,7 @@ def _budget_exact_scale(lr: np.ndarray, V: np.ndarray, params: MechanismParams) 
 
 
 def optimal_risk_averse_license(
-    q: Categorical,
-    credal: CredalSet,
-    params: MechanismParams,
-    n_starts: int = 8,
-    max_iter: int = 500,
-    grad_tol: float = 1e-8,
-    seed: int = 0,
+    q: Categorical, credal: CredalSet, params: MechanismParams
 ) -> OptimalLicenseResult:
     """Log-utility best response: truncated likelihood ratio against P*.
 
@@ -392,9 +389,7 @@ def optimal_risk_averse_license(
     """
     if q.space != credal.space:
         raise ValueError("type and credal set live on different spaces")
-    w, kappa_val, converged = minimize_kappa(
-        q, credal, params, n_starts=n_starts, max_iter=max_iter, grad_tol=grad_tol, seed=seed
-    )
+    w, kappa_val, converged = minimize_kappa(q, credal, params)
     p_star = w @ credal.vertex_matrix
     lr = ratio(q.probs, p_star)
     gamma = _budget_exact_scale(lr, credal.vertex_matrix, params)
@@ -405,7 +400,6 @@ def optimal_risk_averse_license(
     return OptimalLicenseResult(
         license=lic,
         value=lic.expected_under(q),
-        tight_vertex_weights=w,
         projection=Categorical(q.space, p_star),
         converged=converged and is_obedient(lic, credal, params),
         kappa_value=kappa_val,

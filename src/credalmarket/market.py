@@ -153,7 +153,6 @@ def simulate_market(
     n: int = 500,
     seed: int = 0,
     betting_replicates: int = 30,
-    kelly_cfg: Optional[KellyConfig] = None,
 ) -> MarketReport:
     """Evaluate each provider's best response, participation, and classification.
 
@@ -168,7 +167,6 @@ def simulate_market(
         raise ValueError("the betting mechanism needs a threshold requirement")
     if mechanism == "betting" and n < 1:
         raise ValueError("need at least one betting round")
-    cfg = kelly_cfg or KellyConfig()
     rows = []
     for provider in sorted(providers, key=lambda pr: pr.id):
         if mechanism == "optimal-LP":
@@ -176,9 +174,8 @@ def simulate_market(
         elif mechanism == "risk-averse":
             sup_value = optimal_risk_averse_license(provider.q, credal, params).value
         else:
-            sup_value = _betting_sup_value(
-                provider, req, params, n=n, seed=seed, replicates=betting_replicates, cfg=cfg
-            )
+            sup_value = _betting_sup_value(provider, req, params, n=n, seed=seed,
+                                           replicates=betting_replicates, cfg=KellyConfig())
         compliant = evaluate_requirement(req, provider.q)
         indeterminate = abs(sup_value - params.C) <= BOUNDARY_BAND
         # Within the band the definitions put the boundary in exclusion; the

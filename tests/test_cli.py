@@ -259,6 +259,20 @@ class TestInputValidation:
                                  "--config", str(cfg))
         assert code == 2 and "'seed'" in err and out == ""
 
+    @pytest.mark.parametrize("command", ["license", "market"])
+    def test_unknown_credal_key_exits_2(self, capsys, tmp_path, license_config, command):
+        credal = write_json(tmp_path / "credal.json", {
+            "space": ["z0", "z1"], "vertices": [[0.25, 0.75]], "extra_vertices": [[1.0, 0.0]],
+        })
+        if command == "license":
+            argv = ["license", "optimal", "--config", str(license_config)]
+        else:
+            market = {**MARKET_CONFIG, "providers": [{"id": "a", "q": [0.5, 0.5]}],
+                      "requirement": {"kind": "credal"}}
+            argv = ["market", "simulate", "--config", str(write_json(tmp_path / "m.json", market))]
+        code, out, err = run_cli(capsys, *argv, "--credal", str(credal))
+        assert code == 2 and "'extra_vertices'" in err and out == ""
+
     @pytest.mark.parametrize("n", [-1, 0, 2.7, True])
     def test_betting_without_rounds_exits_2(self, capsys, tmp_path, n):
         cfg = write_json(tmp_path / "bet.json", {**BETTING_CONFIG, "n": n})

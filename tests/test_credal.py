@@ -9,11 +9,8 @@ from scipy.optimize import linprog
 from conftest import random_credal
 from credalmarket.credal import (
     MEMBERSHIP_TOL,
-    MEAN_SCORE_GE,
-    PARITY_GAP_GE,
-    PARITY_GAP_LT,
-    ConstraintCredalSpec,
     CredalSet,
+    _grid_compositions,
     approximate_constraint_set,
     gaming_witness,
     lower_expectation,
@@ -21,6 +18,7 @@ from credalmarket.credal import (
     upper_expectation,
 )
 from credalmarket.evidence import Categorical, EvidenceSpace, mixture
+from credalmarket.experiments import parity_credal_set
 from credalmarket.licenses import MechanismParams
 
 
@@ -183,86 +181,78 @@ class TestHullInvariance:
             assert lhs <= rhs
 
 
+def per_point_threshold_set(space, score, tau, grid_resolution):
+    """The per-point grid loop that the vectorized threshold-set builder replaced."""
+    g = grid_resolution
+    score = np.asarray(score, dtype=float)
+    kept = []
+    for counts in _grid_compositions(g, space.size):
+        if float(np.array(counts) @ score) / g >= tau - 1e-12:
+            kept.append(Categorical(space, np.array(counts, dtype=float) / g))
+    if not kept:
+        raise ValueError("no grid point satisfies the predicate at this resolution")
+    return CredalSet(space, tuple(kept))
+
+
+@st.composite
+def threshold_instances(draw):
+    m = draw(st.integers(2, 6))
+    g = draw(st.integers(2, 12))
+    score = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+    kind = draw(st.sampled_from(("on-grid", "off-grid", "unreachable")))
+    if kind == "on-grid":  # tau equal to some grid point's mean score
+        cut = sorted(draw(st.lists(st.integers(0, g), min_size=m - 1, max_size=m - 1)))
+        counts = np.diff([0, *cut, g])
+        tau = float(counts @ score) / g
+    elif kind == "off-grid":
+        tau = draw(st.floats(float(score.min()), float(score.max())))
+    else:
+        tau = float(score.max()) + draw(st.floats(1e-9, 1.0))
+    return EvidenceSpace.of_size(m), score, tau, g
+
+
 class TestConstraintSets:
-    def test_parity_grid_points_satisfy_predicate(self):
-        space = EvidenceSpace(("y0a0", "y0a1", "y1a0", "y1a1"))
-        spec = ConstraintCredalSpec(space=space, predicate=PARITY_GAP_LT, tau=0.6, grid_resolution=10)
-        cs = approximate_constraint_set(spec)
-        assert len(cs.vertices) > 0
-        for v in cs.vertices:
-            t00, t01, t10, t11 = v.probs
-            g0, g1 = t00 + t10, t01 + t11
-            assert g0 > 0 and g1 > 0
-            gap = abs(t10 / g0 - t11 / g1)
-            assert gap < 0.6
+    @given(threshold_instances())
+    @settings(max_examples=200, deadline=None)
+    @example((EvidenceSpace.of_size(4), np.array([0.0, 1.0, 1.0, 0.0]), 0.6, 10))
+    @example((EvidenceSpace.of_size(3), np.array([0.1, 0.7, 0.3]), 0.3, 10))
+    def test_matches_the_per_point_loop(self, instance):
+        space, score, tau, g = instance
+        try:
+            want = per_point_threshold_set(space, score, tau, g)
+        except ValueError:
+            with pytest.raises(ValueError, match="no grid point"):
+                approximate_constraint_set(space, score, tau, g)
+            return
+        got = approximate_constraint_set(space, score, tau, g)
+        assert np.array_equal(got.vertex_matrix, want.vertex_matrix)
 
-    def test_vacuous_threshold_keeps_most_points(self):
-        space = EvidenceSpace(("y0a0", "y0a1", "y1a0", "y1a1"))
-        tight = approximate_constraint_set(
-            ConstraintCredalSpec(space=space, predicate=PARITY_GAP_LT, tau=0.6, grid_resolution=8)
-        )
-        loose = approximate_constraint_set(
-            ConstraintCredalSpec(space=space, predicate=PARITY_GAP_LT, tau=1.0 - 1e-9, grid_resolution=8)
-        )
-        # with a vacuous threshold every grid point with both groups present and
-        # a gap below one passes
-        passing = 0
-        for counts in itertools.product(range(9), repeat=3):
-            if sum(counts) > 8:
-                continue
-            k00, k01, k10 = counts
-            k11 = 8 - sum(counts)
-            g0, g1 = k00 + k10, k01 + k11
-            if g0 == 0 or g1 == 0:
-                continue
-            gap = abs(k10 / g0 - k11 / g1)
-            if gap < 1.0 - 1e-9:
-                passing += 1
-        assert len(loose.vertices) == passing
-        assert len(tight.vertices) < len(loose.vertices)
-
-    def test_hand_evaluated_point_excluded(self):
-        # theta = (0.45, 0.15, 0.05, 0.35): gap |0.1 - 0.7| = 0.6, excluded by strict <
-        space = EvidenceSpace(("y0a0", "y0a1", "y1a0", "y1a1"))
-        spec = ConstraintCredalSpec(space=space, predicate=PARITY_GAP_LT, tau=0.6, grid_resolution=20)
-        cs = approximate_constraint_set(spec)
-        target = np.array([0.45, 0.15, 0.05, 0.35])
-        assert not any(np.allclose(v.probs, target, atol=1e-12) for v in cs.vertices)
-        # ... and included by the complementary predicate
-        comp = approximate_constraint_set(
-            ConstraintCredalSpec(space=space, predicate=PARITY_GAP_GE, tau=0.6, grid_resolution=20)
-        )
-        assert any(np.allclose(v.probs, target, atol=1e-12) for v in comp.vertices)
+    @pytest.mark.parametrize("g, count", [(10, 125), (5, 28)])
+    def test_fairness_sets_are_pinned(self, g, count):
+        # A paired point is non-compliant when P(0,1) + P(1,0) >= 0.6, i.e. the
+        # grid counts k01 + k10 >= 0.6 g, taken in lexicographic grid order.
+        want = np.array([c for c in itertools.product(range(g + 1), repeat=4)
+                         if sum(c) == g and c[1] + c[2] >= round(0.6 * g)], dtype=float) / g
+        cs = parity_credal_set(0.6, g)
+        assert len(cs.vertices) == count
+        assert np.array_equal(cs.vertex_matrix, want)
 
     def test_mean_score_predicate(self):
-        space = EvidenceSpace.of_size(4)
-        spec = ConstraintCredalSpec(
-            space=space, predicate=MEAN_SCORE_GE, tau=0.6, grid_resolution=10,
-            score=(0.0, 1.0, 1.0, 0.0),
-        )
-        cs = approximate_constraint_set(spec)
         score = np.array([0.0, 1.0, 1.0, 0.0])
+        cs = approximate_constraint_set(EvidenceSpace.of_size(4), score, 0.6, 10)
         for v in cs.vertices:
             assert v.expectation(score) >= 0.6 - 1e-12
 
     def test_empty_feasible_set_rejected(self):
-        space = EvidenceSpace.of_size(4)
         with pytest.raises(ValueError):
-            approximate_constraint_set(
-                ConstraintCredalSpec(space=space, predicate=MEAN_SCORE_GE, tau=0.99,
-                                     grid_resolution=2, score=(0.0, 0.1, 0.1, 0.0))
-            )
+            approximate_constraint_set(EvidenceSpace.of_size(4), (0.0, 0.1, 0.1, 0.0), 0.99, 2)
 
     def test_spec_validation(self):
         space = EvidenceSpace.of_size(4)
-        with pytest.raises(ValueError):
-            ConstraintCredalSpec(space=space, predicate="nope")
-        with pytest.raises(ValueError):
-            ConstraintCredalSpec(space=space, predicate=PARITY_GAP_LT, tau=1.5)
-        with pytest.raises(ValueError):
-            ConstraintCredalSpec(space=space, predicate=PARITY_GAP_LT, grid_resolution=1)
-        with pytest.raises(ValueError):
-            ConstraintCredalSpec(space=EvidenceSpace.of_size(3), predicate=PARITY_GAP_LT)
+        with pytest.raises(ValueError, match="resolution"):
+            approximate_constraint_set(space, (0.0, 1.0, 1.0, 0.0), 0.6, 1)
+        with pytest.raises(ValueError, match="one score per outcome"):
+            approximate_constraint_set(space, (0.0, 1.0, 1.0), 0.6, 10)
 
 
 class TestGamingWitness:
@@ -288,3 +278,19 @@ def test_json_round_trip(tmp_path, simplex_hull):
     assert np.allclose(loaded.vertex_matrix, simplex_hull.vertex_matrix)
     with pytest.raises(ValueError):
         CredalSet.from_json({"space": ["a", "b"]})
+
+
+def test_json_unknown_field_rejected():
+    payload = {"space": ["a", "b"], "vertices": [[0.5, 0.5]], "extra_vertices": [[1.0, 0.0]]}
+    with pytest.raises(ValueError, match="'extra_vertices'"):
+        CredalSet.from_json(payload)
+    with pytest.raises(ValueError, match="JSON object"):
+        CredalSet.from_json([["a", "b"], [[0.5, 0.5]]])
+
+
+def test_vertex_matrix_is_built_once_and_read_only(simplex_hull):
+    V = simplex_hull.vertex_matrix
+    assert simplex_hull.vertex_matrix is V
+    assert not V.flags.writeable
+    with pytest.raises(ValueError):
+        V[0, 0] = 1.0

@@ -440,6 +440,19 @@ def test_license_json_rejects_payouts_that_are_not_numbers(payout):
         License.from_json(payload)
 
 
+@pytest.mark.parametrize("payload, key", [
+    ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": {"C": 0.5, "R": 1.0}, "seed": 3},
+     "'seed'"),
+    ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": {"C": 0.5, "R": 1.0, "fee": 0.1}},
+     "'fee'"),
+    ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": {"C": 0.5}}, "'R'"),
+    ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": {"C": "0.5", "R": 1.0}}, "'params'"),
+], ids=["top-level", "params", "params-missing", "params-string"])
+def test_license_json_names_the_bad_key(payload, key):
+    with pytest.raises(ValueError, match=key):
+        License.from_json(payload)
+
+
 # ---------------------------------------------------------------------------
 # The shared P = 0 / Q = 0 rule against the inline formulas it replaced
 # ---------------------------------------------------------------------------
