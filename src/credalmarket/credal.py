@@ -6,6 +6,11 @@ queries reduce to finite maxima over vertices, hull membership to a small
 box linear program on the package's one simplex solver.  A threshold set
 {P : E_P[score] >= tau}, such as the fairness scenario's non-compliant set,
 is built from the probability grid points it contains.
+
+scipy is a runtime dependency of :func:`maximize_over_mixtures` only: its
+Nelder-Mead polish imports ``scipy.optimize`` on the first call.  Importing
+the package, the CLI or a scenario runner loads numpy and the standard
+library alone, which keeps each command's start-up short.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._linprog import solve_box_lp
 from .evidence import (
@@ -27,6 +31,7 @@ from .evidence import (
     json_object,
     kl_divergence,
     mixture,
+    require_same_space,
 )
 
 __all__ = [
@@ -228,27 +233,35 @@ def maximize_over_mixtures(
     value_fn: Callable[[Categorical], float],
     grid_resolution: float = 0.02,
 ) -> tuple[np.ndarray, float]:
-    """Grid-plus-local-refinement search of a value function over mixtures."""
-    space = points[0].space
+    """Grid-plus-local-refinement search of a value function over mixtures.
+
+    The points are stacked once; each candidate mixture is ``w @ P``, the
+    product :func:`evidence.mixture` forms, so the bits are the same.
+    """
+    from scipy.optimize import minimize  # here, so importing the package loads no scipy
+
+    space = require_same_space(*points)
+    P = np.stack([p.probs for p in points])
     grid = _weight_grid(len(points), grid_resolution)
     best_w, best_v = None, -np.inf
     for w in grid:
-        v = value_fn(mixture(points, w))
+        v = value_fn(Categorical(space, w @ P))
         if v > best_v:
             best_w, best_v = w, v
 
+    def softmax(logits: np.ndarray) -> np.ndarray:
+        e = np.exp(logits - logits.max())
+        return e / e.sum()
+
     # Nelder-Mead on softmax logits keeps iterates on the simplex.
     def neg_value(logits: np.ndarray) -> float:
-        e = np.exp(logits - logits.max())
-        w = e / e.sum()
-        return -value_fn(Categorical(space, w @ np.stack([p.probs for p in points])))
+        return -value_fn(Categorical(space, softmax(logits) @ P))
 
     start = np.log(np.clip(best_w, 1e-9, None))
     res = minimize(neg_value, start, method="Nelder-Mead",
                    options={"maxiter": 400, "xatol": 1e-8, "fatol": 1e-12})
-    e = np.exp(res.x - res.x.max())
-    w_ref = e / e.sum()
-    v_ref = value_fn(mixture(points, w_ref))
+    w_ref = softmax(res.x)
+    v_ref = value_fn(Categorical(space, w_ref @ P))
     if v_ref > best_v:
         best_w, best_v = w_ref, v_ref
     return np.asarray(best_w), float(best_v)

@@ -270,7 +270,8 @@ def _cumulative_trajectories(
 def run_fairness(cfg: FairnessConfig) -> ResultTable:
     """Mean license trajectories per fairness gap, betting and explicit routes.
 
-    Both routes see the same paired sample paths.  The explicit route uses the
+    Both routes see the same paired sample paths; every gamma's betting paths
+    run as rows of one batched call.  The explicit route uses the
     provider's exact type when burn_in = 0; with a positive burn-in the type
     is re-estimated from the burn-in prefix (add-one smoothed) before the
     cumulative license starts accumulating.
@@ -282,14 +283,15 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
     score = parity_betting_score(cfg.tau)
     credal = parity_credal_set(cfg.tau, cfg.grid_resolution)
     kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
+    paths = [_draw_outcomes(q, cfg.runs, cfg.n, cfg.seed + g_idx) for g_idx, q in enumerate(types)]
+    if cfg.bet_zero_control or not paths:
+        bettings = [np.full(z.shape, cfg.params.C) for z in paths]
+    else:  # rows are solved independently, so every gamma's paths share one call
+        stacked = _betting_trajectories(np.vstack(paths), score, kelly_cfg, cfg.params)
+        bettings = np.split(stacked, len(paths))
     rows = []
     headline: dict[str, float] = {}
-    for g_idx, (gamma, q) in enumerate(zip(cfg.gammas, types)):
-        z = _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed + g_idx)
-        if cfg.bet_zero_control:
-            betting = np.full(z.shape, cfg.params.C)
-        else:
-            betting = _betting_trajectories(z, score, kelly_cfg, cfg.params)
+    for gamma, q, z, betting in zip(cfg.gammas, types, paths, bettings):
         if cfg.burn_in == 0:
             q_used = q
         else:
@@ -550,9 +552,10 @@ def _config_value(what: str, hint, value):
 def load_config(scenario: str, payload: Optional[dict] = None, seed: Optional[int] = None):
     """Build a scenario config from a JSON payload, applying defaults.
 
-    A key the config does not have, a value of the wrong JSON type (a float
-    for a count, a number for a list) and a count below the config's
-    ``POSITIVE`` minimum of 1 are errors.
+    A key the config does not have, a ``scenario`` key naming another
+    scenario, a value of the wrong JSON type (a float for a count, a number
+    for a list) and a count below the config's ``POSITIVE`` minimum of 1 are
+    errors.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
@@ -560,7 +563,9 @@ def load_config(scenario: str, payload: Optional[dict] = None, seed: Optional[in
     if payload is None:
         payload = {}
     payload = dict(json_object(payload, tuple(f.name for f in fields(cls)), f"{scenario} config"))
-    payload.pop("scenario", None)
+    named = payload.pop("scenario", scenario)
+    if named != scenario:
+        raise ValueError(f"{scenario} config field 'scenario' must be {scenario!r}, got {named!r}")
     if seed is not None:
         payload["seed"] = seed
     hints = get_type_hints(cls)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .betting import BettingScore, KellyConfig, plugin_paths
 from .credal import CredalSet, maximize_over_mixtures, membership, sequential_glr_value
-from .evidence import Categorical, SampleStream, sample, spawn_seeds
+from .evidence import Categorical, SampleStream, require_same_space, sample, spawn_seeds
 from .licenses import (
     MechanismParams,
     optimal_risk_averse_license,
@@ -130,18 +130,26 @@ def _classify(compliant: bool, participated: bool) -> Classification:
     return "false-out" if compliant else "true-out"
 
 
-def _betting_sup_value(
-    provider: Provider,
+def _betting_sup_values(
+    providers: list[Provider],
     req: Requirement,
     params: MechanismParams,
     n: int,
     seed: int,
     replicates: int,
     cfg: KellyConfig,
-) -> float:
-    score = BettingScore.from_metric(provider.q.space, req.metric, req.tau)
-    z = np.stack([sample(SampleStream(provider.q, seed=s), n) for s in spawn_seeds(seed, replicates)])
-    return float(np.mean(plugin_paths(z, score, cfg, params)[2][:, -1]))
+) -> list[float]:
+    """Mean final betting license of each provider over its seeded replicates.
+
+    Rows are solved independently, so every provider's replicates run as the
+    rows of one :func:`plugin_paths` call.
+    """
+    space = require_same_space(*(pr.q for pr in providers))
+    score = BettingScore.from_metric(space, req.metric, req.tau)
+    z = np.stack([sample(SampleStream(pr.q, seed=s), n)
+                  for pr in providers for s in spawn_seeds(seed, replicates)])
+    finals = plugin_paths(z, score, cfg, params)[2][:, -1]
+    return [float(np.mean(row)) for row in finals.reshape(len(providers), replicates)]
 
 
 def simulate_market(
@@ -167,15 +175,18 @@ def simulate_market(
         raise ValueError("the betting mechanism needs a threshold requirement")
     if mechanism == "betting" and n < 1:
         raise ValueError("need at least one betting round")
+    ordered = sorted(providers, key=lambda pr: pr.id)
+    if mechanism == "optimal-LP":
+        sup_values = [sup_value_over_obedient(pr.q, credal, params).value for pr in ordered]
+    elif mechanism == "risk-averse":
+        sup_values = [optimal_risk_averse_license(pr.q, credal, params).value for pr in ordered]
+    elif ordered:
+        sup_values = _betting_sup_values(ordered, req, params, n=n, seed=seed,
+                                         replicates=betting_replicates, cfg=KellyConfig())
+    else:
+        sup_values = []
     rows = []
-    for provider in sorted(providers, key=lambda pr: pr.id):
-        if mechanism == "optimal-LP":
-            sup_value = sup_value_over_obedient(provider.q, credal, params).value
-        elif mechanism == "risk-averse":
-            sup_value = optimal_risk_averse_license(provider.q, credal, params).value
-        else:
-            sup_value = _betting_sup_value(provider, req, params, n=n, seed=seed,
-                                           replicates=betting_replicates, cfg=KellyConfig())
+    for provider, sup_value in zip(ordered, sup_values):
         compliant = evaluate_requirement(req, provider.q)
         indeterminate = abs(sup_value - params.C) <= BOUNDARY_BAND
         # Within the band the definitions put the boundary in exclusion; the

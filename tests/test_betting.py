@@ -20,11 +20,13 @@ from credalmarket.experiments import (
     FairnessConfig,
     _betting_trajectories,
     _draw_outcomes,
+    _mean_se,
     paired_fairness_distribution,
     parity_betting_score,
+    run_fairness,
 )
 from credalmarket.licenses import MechanismParams
-from credalmarket.market import Provider, Requirement, _betting_sup_value
+from credalmarket.market import Provider, Requirement, _betting_sup_values
 
 PARAMS = MechanismParams(C=15.0, R=250.0)
 
@@ -227,15 +229,38 @@ class TestBatchedPaths:
         assert np.array_equal(got, want)
 
     def test_market_sup_value_matches_per_replicate_loop(self):
+        # every provider's replicates are rows of one call; each provider's
+        # value must still be its own replicates' mean, in the given order
         space = EvidenceSpace.of_size(3)
         req = Requirement(kind="threshold", metric=np.array([1.0, 0.4, 0.0]), tau=0.5)
-        provider = Provider(id="p", q=Categorical(space, [0.5, 0.3, 0.2]))
+        providers = [Provider(id=f"p{i}", q=Categorical(space, q))
+                     for i, q in enumerate([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.7, 0.2, 0.1]])]
         cfg = KellyConfig()
-        got = _betting_sup_value(provider, req, PARAMS, n=200, seed=9, replicates=7, cfg=cfg)
+        got = _betting_sup_values(providers, req, PARAMS, n=200, seed=9, replicates=7, cfg=cfg)
         score = BettingScore.from_metric(space, req.metric, req.tau)
-        finals = [run_sequential_license(SampleStream(provider.q, seed=s), score, cfg, PARAMS, 200)[-1]
-                  for s in spawn_seeds(9, 7)]
-        assert got == float(np.mean(finals))
+        for provider, value in zip(providers, got):
+            finals = [run_sequential_license(SampleStream(provider.q, seed=s), score, cfg, PARAMS, 200)[-1]
+                      for s in spawn_seeds(9, 7)]
+            assert value == float(np.mean(finals))
+
+    def test_market_providers_must_share_a_space(self):
+        req = Requirement(kind="threshold", metric=np.array([1.0, 0.0]), tau=0.5)
+        providers = [Provider(id="a", q=Categorical(EvidenceSpace(("x", "y")), [0.5, 0.5])),
+                     Provider(id="b", q=Categorical(EvidenceSpace(("u", "v")), [0.5, 0.5]))]
+        with pytest.raises(ValueError, match="different evidence spaces"):
+            _betting_sup_values(providers, req, PARAMS, n=10, seed=0, replicates=2, cfg=KellyConfig())
+
+    def test_fairness_stacks_gammas_as_the_per_gamma_loop(self):
+        cfg = FairnessConfig(runs=3, n=150, gammas=(0.4, 0.5, 0.6), grid_resolution=5)
+        table = run_fairness(cfg)
+        score = parity_betting_score(cfg.tau)
+        kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
+        for g_idx, gamma in enumerate(cfg.gammas):
+            z = _draw_outcomes(paired_fairness_distribution(gamma), cfg.runs, cfg.n, cfg.seed + g_idx)
+            mean, se = _mean_se(_betting_trajectories(z, score, kelly_cfg, cfg.params))
+            rows = table.column("gamma") == gamma
+            assert np.array_equal(table.column("betting_mean")[rows], mean)
+            assert np.array_equal(table.column("betting_se")[rows], se)
 
 
 class TestAdaptiveBet:

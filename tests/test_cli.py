@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,15 @@ class TestExperimentCommand:
             capsys, "experiment", "fairness", "--config", str(cfg), "--out", str(tmp_path / "x.csv")
         )
         assert code == 2
+
+    def test_config_for_another_scenario_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "chi2_strategic", "runs": 2}))
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "experiment", "fairness", "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "'scenario'" in err and "chi2_strategic" in err
+        assert not out.exists()
 
 
 class TestMarketCommand:
@@ -452,3 +465,47 @@ class TestScenarioRangesCheckedFirst:
                                  "--out", str(out_path))
         assert code == 2 and out == "" and repr(field) in err
         assert not out_path.exists()
+
+
+class TestScipyIsLoadedLazily:
+    """Only the Nelder-Mead polish of ``maximize_over_mixtures`` loads scipy."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def run_python(self, code: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    def test_package_cli_and_a_scenario_load_no_scipy(self, tmp_path):
+        out = tmp_path / "spurious.csv"
+        proc = self.run_python(
+            "import sys\n"
+            "import credalmarket, credalmarket.cli, credalmarket.experiments\n"
+            "import credalmarket.market, credalmarket.betting\n"
+            f"code = credalmarket.cli.main(['experiment', 'synthetic_spurious', '--out', {str(out)!r},"
+            " '--force'])\n"
+            "print('exit', code)\n"
+            "print('scipy', sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "exit 0" in proc.stdout
+        assert "scipy []" in proc.stdout
+        assert out.exists()
+
+    def test_mixture_search_loads_scipy_optimize(self):
+        proc = self.run_python(
+            "import sys\n"
+            "from credalmarket.credal import maximize_over_mixtures\n"
+            "from credalmarket.experiments import SIMPLEX_POINTS\n"
+            "from credalmarket.evidence import Categorical, EvidenceSpace\n"
+            "space = EvidenceSpace.of_size(3)\n"
+            "points = [Categorical(space, p) for p in SIMPLEX_POINTS]\n"
+            "print('before', 'scipy.optimize' in sys.modules)\n"
+            "maximize_over_mixtures(points, lambda q: float(q.probs[0]), grid_resolution=0.25)\n"
+            "print('after', 'scipy.optimize' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "before False" in proc.stdout
+        assert "after True" in proc.stdout

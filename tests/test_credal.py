@@ -11,9 +11,11 @@ from credalmarket.credal import (
     MEMBERSHIP_TOL,
     CredalSet,
     _grid_compositions,
+    _weight_grid,
     approximate_constraint_set,
     gaming_witness,
     lower_expectation,
+    maximize_over_mixtures,
     membership,
     upper_expectation,
 )
@@ -268,6 +270,37 @@ class TestGamingWitness:
 
     def test_identical_points_have_no_witness(self, uniform3):
         assert gaming_witness([uniform3, uniform3], MechanismParams(1.0, 2.0)) is None
+
+
+class TestMixtureSearch:
+    """The search stacks its points once and mixes them with ``w @ P``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(2, 4), m=st.integers(2, 6), resolution=st.sampled_from([0.5, 0.2, 0.1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_mixtures_match_mixture_bitwise(self, k, m, resolution, seed):
+        rng = np.random.default_rng(seed)
+        space = EvidenceSpace.of_size(m)
+        points = [Categorical(space, rng.dirichlet(np.ones(m))) for _ in range(k)]
+        h = rng.normal(size=m)
+        seen = []
+
+        def value(q):
+            seen.append(q.probs)
+            return float(q.probs @ h)
+
+        w, v = maximize_over_mixtures(points, value, grid_resolution=resolution)
+        grid = _weight_grid(k, resolution)
+        assert len(seen) > len(grid)  # the grid, then the Nelder-Mead evaluations
+        for got, wg in zip(seen, grid):
+            assert np.array_equal(got, mixture(points, wg).probs)
+        # the returned weights reproduce the returned value, grid point or refined
+        assert float(mixture(points, w).probs @ h) == v
+
+    def test_points_on_different_spaces_rejected(self, simplex_points):
+        other = Categorical(EvidenceSpace(("a", "b", "c")), [0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match="different evidence spaces"):
+            maximize_over_mixtures([simplex_points[0], other], lambda q: 0.0)
 
 
 def test_json_round_trip(tmp_path, simplex_hull):

@@ -325,6 +325,13 @@ class TestConfigLoading:
         with pytest.raises(ValueError):
             load_config("fairness", {"bogus": 1})
 
+    def test_scenario_key_must_name_the_scenario_loaded(self):
+        with pytest.raises(ValueError, match="'scenario'"):
+            load_config("fairness", {"scenario": "chi2_strategic", "runs": 2})
+        with pytest.raises(ValueError, match="'scenario'"):
+            load_config("fairness", {"scenario": None})
+        assert load_config("fairness", {"scenario": "fairness", "runs": 2}) == FairnessConfig(runs=2)
+
     def test_result_table_shape_checked(self):
         with pytest.raises(ValueError):
             ResultTable("s", 0, "h", ("a", "b"), ((1,),))
