@@ -8,7 +8,9 @@ Usage:
 
 With ``--check DIR`` each CSV is compared byte for byte with
 ``DIR/<scenario>.csv`` after it is written; the script prints ``identical``
-or ``differs`` per scenario and exits 1 if any differs or is missing.
+or ``differs`` per scenario and exits 1 if any differs or is missing.  An
+invalid option value, such as a negative seed, prints ``error: ...`` and
+exits 2 before any scenario runs.
 """
 
 import argparse
@@ -27,12 +29,16 @@ def main() -> int:
     parser.add_argument("--check", metavar="DIR", help="compare each CSV's bytes with DIR/<scenario>.csv")
     args = parser.parse_args()
 
+    names = [args.scenario] if args.scenario else sorted(SCENARIOS)
+    try:
+        configs = {name: load_config(name, seed=args.seed) for name in names}
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = [args.scenario] if args.scenario else sorted(SCENARIOS)
     differs = False
-    for name in names:
-        cfg = load_config(name, seed=args.seed)
+    for name, cfg in configs.items():
         t0 = time.perf_counter()
         table = run_scenario(cfg)
         path = outdir / f"{name}.csv"

@@ -13,6 +13,11 @@ Commands
 Exit codes: 0 success, 1 optimizer non-convergence or a risk-averse license
 that is not obedient (best-found still written), 2 config or input errors.
 stdout carries summary lines only; diagnostics go to stderr.
+
+JSON inputs are read by the ``json_*`` rules of :mod:`credalmarket.evidence`.
+Commands raise ``ValueError`` for every input error, before any work, and
+:func:`main` alone prints ``error: ...`` and returns 2; any other exception
+is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -22,11 +27,20 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .betting import BettingScore, KellyConfig, write_trajectory_csv
 from .credal import CredalSet
-from .evidence import Categorical, EvidenceSpace, SampleStream, is_json_number, json_object
+from .evidence import (
+    Categorical,
+    EvidenceSpace,
+    SampleStream,
+    json_integer,
+    json_labels,
+    json_list,
+    json_number,
+    json_numbers,
+    json_object,
+    json_string,
+)
 from .experiments import SCENARIOS, load_config, run_scenario
 from .licenses import (
     MechanismParams,
@@ -43,51 +57,19 @@ EXIT_NONCONVERGED = 1
 EXIT_CONFIG = 2
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
-
-
-def _load_json(path: str, what: str) -> dict:
+def _load_json(path: str, what: str):
     try:
         return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ValueError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as err:
+    except OSError as err:  # missing, a directory, unreadable
+        raise ValueError(f"cannot read {what} file {path}: {err.strerror or err}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ValueError(f"{what} file {path} is not valid JSON: {err}")
-
-
-def _require(payload: dict, field: str, what: str):
-    if field not in payload:
-        raise ValueError(f"{what} is missing field {field!r}")
-    return payload[field]
-
-
-def _integer(value, name: str, minimum: int) -> int:
-    """``value`` itself, once it is a JSON integer (not a float or a bool) >= ``minimum``."""
-    if type(value) is not int or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _number(payload: dict, field: str, what: str) -> float:
-    """``payload[field]`` as a float, once it is a JSON number (float() would take "0.5" or true)."""
-    value = _require(payload, field, what)
-    if not is_json_number(value):
-        raise ValueError(f"{what} field {field!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _numbers(payload: dict, field: str, what: str) -> list:
-    """``payload[field]`` itself, once it is a JSON list of numbers."""
-    value = _require(payload, field, what)
-    if not isinstance(value, list) or not all(map(is_json_number, value)):
-        raise ValueError(f"{what} field {field!r} must be a list of numbers, got {value!r}")
-    return value
 
 
 def _check_out(path: str, force: bool) -> None:
     target = Path(path)
+    if target.is_dir():
+        raise ValueError(f"output {path} is a directory")
     if target.exists() and not force:
         raise ValueError(f"output {path} exists; pass --force to overwrite")
     parent = target.parent
@@ -101,17 +83,15 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def cmd_license(args: argparse.Namespace) -> int:
-    try:
-        credal = CredalSet.from_json(_load_json(args.credal, "credal set"))
-        payload = json_object(_load_json(args.config, "license config"), ("provider", "params"),
-                              "license config")
-        params = MechanismParams.from_json(_require(payload, "params", "license config"),
-                                           "license config field 'params'")
-        q = Categorical(credal.space, _numbers(payload, "provider", "license config"))
-        if args.out:
-            _check_out(args.out, args.force)
-    except (ValueError, TypeError) as err:
-        return _fail(str(err))
+    credal = CredalSet.from_json(_load_json(args.credal, "credal set"))
+    fields = ("provider", "params")
+    payload = json_object(_load_json(args.config, "license config"), fields, "license config",
+                          required=fields)
+    params = MechanismParams.from_json(payload["params"], "license config field 'params'")
+    q = Categorical(credal.space,
+                    json_numbers(payload["provider"], "license config field 'provider'"))
+    if args.out:
+        _check_out(args.out, args.force)
 
     _note(args, f"credal set: {len(credal.vertices)} vertices over {credal.space.size} outcomes")
     neutral = sup_value_over_obedient(q, credal, params)
@@ -142,38 +122,32 @@ def cmd_license(args: argparse.Namespace) -> int:
 
 
 def cmd_market(args: argparse.Namespace) -> int:
-    try:
-        credal = CredalSet.from_json(_load_json(args.credal, "credal set"))
-        payload = json_object(_load_json(args.config, "market config"),
-                              ("params", "providers", "requirement", "mechanism", "seed", "n"),
-                              "market config")
-        params = MechanismParams.from_json(_require(payload, "params", "market config"),
-                                           "market config field 'params'")
-        providers = []
-        for row in _require(payload, "providers", "market config"):
-            json_object(row, ("id", "q"), "provider entry")
-            providers.append(Provider(id=str(_require(row, "id", "provider entry")),
-                                      q=Categorical(credal.space, _numbers(row, "q", "provider entry"))))
-        req_payload = json_object(_require(payload, "requirement", "market config"),
-                                  ("kind", "metric", "tau"), "requirement")
-        kind = _require(req_payload, "kind", "requirement")
-        if kind == "threshold":
-            metric = np.asarray(_numbers(req_payload, "metric", "requirement"), dtype=float)
-            req = Requirement(kind=kind, metric=metric, tau=_number(req_payload, "tau", "requirement"))
-        else:  # Requirement rejects unknown kinds, and a metric or tau on a credal one
-            req = Requirement(kind=kind, credal=credal,
-                              metric=req_payload.get("metric"), tau=req_payload.get("tau"))
-        mechanism = payload.get("mechanism", "optimal-LP")
-        seed = _integer(args.seed if args.seed is not None else payload.get("seed", 0), "seed", 0)
-        n = _integer(payload.get("n", 500), "market config field 'n'", 0)
-        if args.out:
-            _check_out(args.out, args.force)
-    except (ValueError, TypeError) as err:  # TypeError: a field of the wrong JSON type
-        return _fail(str(err))
-    try:
-        report = simulate_market(providers, req, credal, params, mechanism=mechanism, n=n, seed=seed)
-    except ValueError as err:  # unknown mechanism, or betting without a threshold or rounds
-        return _fail(str(err))
+    credal = CredalSet.from_json(_load_json(args.credal, "credal set"))
+    payload = json_object(_load_json(args.config, "market config"),
+                          ("params", "providers", "requirement", "mechanism", "seed", "n"),
+                          "market config", required=("params", "providers", "requirement"))
+    params = MechanismParams.from_json(payload["params"], "market config field 'params'")
+    providers = []
+    for row in json_list(payload["providers"], "market config field 'providers'"):
+        json_object(row, ("id", "q"), "provider entry", required=("id", "q"))
+        q = Categorical(credal.space, json_numbers(row["q"], "provider entry field 'q'"))
+        providers.append(Provider(id=json_string(row["id"], "provider entry field 'id'"), q=q))
+    req = json_object(payload["requirement"], ("kind", "metric", "tau"), "requirement",
+                      required=("kind",))
+    if req["kind"] == "threshold":
+        # a missing metric or tau reads as null, which the rules name and reject
+        metric = json_numbers(req.get("metric"), "requirement field 'metric'")
+        tau = json_number(req.get("tau"), "requirement field 'tau'")
+        requirement = Requirement(kind="threshold", metric=metric, tau=tau)
+    else:  # Requirement rejects unknown kinds, and a metric or tau on a credal one
+        requirement = Requirement(kind=req["kind"], credal=credal,
+                                  metric=req.get("metric"), tau=req.get("tau"))
+    n = json_integer(payload.get("n", 500), "market config field 'n'", 0)
+    seed = json_integer(args.seed if args.seed is not None else payload.get("seed", 0), "seed", 0)
+    if args.out:
+        _check_out(args.out, args.force)
+    report = simulate_market(providers, requirement, credal, params,
+                             mechanism=payload.get("mechanism", "optimal-LP"), n=n, seed=seed)
 
     if args.out:
         report.to_csv(args.out)
@@ -186,24 +160,21 @@ def cmd_market(args: argparse.Namespace) -> int:
 
 
 def cmd_betting(args: argparse.Namespace) -> int:
-    try:
-        payload = json_object(_load_json(args.config, "betting config"),
-                              ("params", "labels", "source", "metric", "tau", "n", "seed"),
-                              "betting config")
-        params = MechanismParams.from_json(_require(payload, "params", "betting config"),
-                                           "betting config field 'params'")
-        labels = _require(payload, "labels", "betting config")
-        space = EvidenceSpace(tuple(labels))
-        source = Categorical(space, _numbers(payload, "source", "betting config"))
-        score = BettingScore.from_metric(space, _numbers(payload, "metric", "betting config"),
-                                         _number(payload, "tau", "betting config"))
-        n = _integer(payload.get("n", 500), "betting config field 'n'", 1)
-        seed = _integer(args.seed if args.seed is not None else payload.get("seed", 0), "seed", 0)
-        if not args.out:
-            raise ValueError("betting run needs --out for the trajectory CSV")
-        _check_out(args.out, args.force)
-    except (ValueError, TypeError) as err:
-        return _fail(str(err))
+    payload = json_object(_load_json(args.config, "betting config"),
+                          ("params", "labels", "source", "metric", "tau", "n", "seed"),
+                          "betting config",
+                          required=("params", "labels", "source", "metric", "tau"))
+    params = MechanismParams.from_json(payload["params"], "betting config field 'params'")
+    space = EvidenceSpace(json_labels(payload["labels"], "betting config field 'labels'"))
+    source = Categorical(space, json_numbers(payload["source"], "betting config field 'source'"))
+    metric = json_numbers(payload["metric"], "betting config field 'metric'")
+    score = BettingScore.from_metric(space, metric,
+                                     json_number(payload["tau"], "betting config field 'tau'"))
+    n = json_integer(payload.get("n", 500), "betting config field 'n'", 1)
+    seed = json_integer(args.seed if args.seed is not None else payload.get("seed", 0), "seed", 0)
+    if not args.out:
+        raise ValueError("betting run needs --out for the trajectory CSV")
+    _check_out(args.out, args.force)
     stream = SampleStream(source, seed=seed)
     write_trajectory_csv(
         args.out, score, KellyConfig(), params, stream, n,
@@ -214,22 +185,13 @@ def cmd_betting(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        payload = _load_json(args.config, "experiment config") if args.config else {}
-        cfg = load_config(args.scenario, payload, seed=args.seed)
-        out = args.out or f"{args.scenario}.csv"
-        _check_out(out, args.force)
-    except ValueError as err:
-        return _fail(str(err))
+    payload = _load_json(args.config, "experiment config") if args.config else {}
+    cfg = load_config(args.scenario, payload, seed=args.seed)
+    out = args.out or f"{args.scenario}.csv"
+    _check_out(out, args.force)
     _note(args, f"running {cfg!r}")
-    try:
-        table = run_scenario(cfg)
-    except ValueError as err:  # a value out of its range, e.g. gamma + 0.1 > 1 or a bad provider_q
-        return _fail(str(err))
-    try:
-        table.to_csv(out)
-    except OSError as err:
-        return _fail(f"cannot write {out}: {err}")
+    table = run_scenario(cfg)  # raises on a value out of its range before the first draw
+    table.to_csv(out)
     print(f"wrote={out}")
     print(f"config_hash={table.config_hash}")
     for key in sorted(table.headline):
@@ -285,8 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Every input error is a ValueError, reported here with exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -27,7 +27,9 @@ from ._linprog import solve_box_lp
 from .evidence import (
     Categorical,
     EvidenceSpace,
-    is_json_number,
+    json_labels,
+    json_list,
+    json_numbers,
     json_object,
     kl_divergence,
     mixture,
@@ -94,16 +96,11 @@ class CredalSet:
 
     @staticmethod
     def from_json(payload: dict) -> "CredalSet":
-        json_object(payload, ("space", "vertices"), "credal JSON")
-        try:
-            space = EvidenceSpace(tuple(payload["space"]))
-            rows = payload["vertices"]
-        except KeyError as err:
-            raise ValueError(f"credal JSON is missing field {err.args[0]!r}") from err
-        for row in rows:  # "0.5" or true would pass through float() as a probability
-            if not isinstance(row, list) or not all(map(is_json_number, row)):
-                raise ValueError(f"credal JSON vertex must be a list of numbers, got {row!r}")
-        return CredalSet(space, tuple(Categorical(space, row) for row in rows))
+        json_object(payload, ("space", "vertices"), "credal JSON", required=("space", "vertices"))
+        space = EvidenceSpace(json_labels(payload["space"], "credal JSON field 'space'"))
+        rows = json_list(payload["vertices"], "credal JSON field 'vertices'")
+        return CredalSet(space, tuple(Categorical(space, json_numbers(row, "credal JSON vertex"))
+                                      for row in rows))
 
     @staticmethod
     def load(path: str | Path) -> "CredalSet":

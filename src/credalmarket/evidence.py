@@ -31,6 +31,12 @@ __all__ = [
     "empirical_distribution",
     "spawn_seeds",
     "is_json_number",
+    "json_number",
+    "json_integer",
+    "json_string",
+    "json_list",
+    "json_numbers",
+    "json_labels",
     "json_object",
 ]
 
@@ -64,13 +70,53 @@ class EvidenceSpace:
         return EvidenceSpace(tuple(f"{prefix}{i}" for i in range(m)))
 
 
+# JSON input rules: each returns ``value`` itself once it has the JSON type it
+# names, and raises a ValueError naming the field otherwise.
+
+
 def is_json_number(value) -> bool:
-    """True for a number as JSON parsing gives one: an int or a float, not a bool or a string."""
-    return type(value) in (int, float)
+    """A finite int or float, not a bool; JSON's ``NaN``, ``Infinity`` and 1e400 parse as floats."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
-def json_object(payload, allowed: tuple[str, ...], what: str) -> dict:
-    """``payload`` itself, once it is a JSON object with no field outside ``allowed``.
+def _checked(ok: bool, value, name: str, expected: str):
+    if not ok:
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
+def json_number(value, name: str):
+    return _checked(is_json_number(value), value, name, "a finite number")
+
+
+def json_integer(value, name: str, minimum: int) -> int:
+    """An int (not a float or a bool) >= ``minimum``."""
+    return _checked(type(value) is int and value >= minimum, value, name,
+                    f"an integer >= {minimum}")
+
+
+def json_string(value, name: str) -> str:
+    return _checked(type(value) is str, value, name, "a string")
+
+
+def json_list(value, name: str) -> list:
+    return _checked(isinstance(value, list), value, name, "a list")
+
+
+def json_numbers(value, name: str) -> list:
+    return _checked(isinstance(value, list) and all(map(is_json_number, value)),
+                    value, name, "a list of finite numbers")
+
+
+def json_labels(value, name: str) -> list:
+    """A list of strings; a bare string such as "ab" is not two labels."""
+    return _checked(isinstance(value, list) and all(type(v) is str for v in value),
+                    value, name, "a list of strings")
+
+
+def json_object(payload, allowed: tuple[str, ...], what: str,
+                required: tuple[str, ...] = ()) -> dict:
+    """``payload`` itself, once it is a JSON object with the ``required`` fields and no others.
 
     An unknown field is an error, not a default: a misspelled key would
     otherwise run with the default it was meant to change.
@@ -81,6 +127,9 @@ def json_object(payload, allowed: tuple[str, ...], what: str) -> dict:
     if unknown:
         raise ValueError(f"{what} has unknown field(s) {', '.join(map(repr, unknown))}; "
                          f"allowed: {', '.join(allowed)}")
+    for field_name in required:
+        if field_name not in payload:
+            raise ValueError(f"{what} is missing field {field_name!r}")
     return payload
 
 
@@ -88,9 +137,10 @@ def _as_prob_vector(probs, m: int) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.shape != (m,):
         raise ValueError(f"expected {m} probabilities, got shape {p.shape}")
-    if np.any(p < 0):
-        raise ValueError("probabilities must be non-negative")
-    if abs(float(p.sum()) - 1.0) > PROB_ATOL:
+    # Both tests are written to fail on NaN, which compares False either way.
+    if not np.all(p >= 0):
+        raise ValueError("probabilities must be non-negative and not NaN")
+    if not abs(float(p.sum()) - 1.0) <= PROB_ATOL:
         raise ValueError(f"probabilities must sum to 1 (got {p.sum()!r})")
     p = p.copy()
     p.flags.writeable = False

@@ -39,7 +39,9 @@ from .evidence import (
     Categorical,
     EvidenceSpace,
     SampleStream,
-    is_json_number,
+    json_integer,
+    json_number,
+    json_numbers,
     json_object,
     log_ratio,
     sample,
@@ -521,41 +523,12 @@ SCENARIOS = {
 }
 
 
-def _config_value(what: str, hint, value):
-    """``value`` as a config field of type ``hint`` stores it, once it is JSON of that type.
-
-    Every integer field is a count or a seed, so it must be non-negative.
-    """
-    if hint is MechanismParams:
-        return MechanismParams.from_json(value, what)
-    if hint is bool:
-        if type(value) is bool:
-            return value
-        expected = "true or false"
-    elif hint is int:
-        if type(value) is int and value >= 0:
-            return value
-        expected = "a non-negative integer"
-    elif hint is float:
-        if is_json_number(value):
-            return value
-        expected = "a number"
-    else:  # tuple[float, ...], or Optional of it
-        if value is None and type(None) in get_args(hint):
-            return None
-        if isinstance(value, (list, tuple)) and all(map(is_json_number, value)):
-            return tuple(value)
-        expected = "a list of numbers"
-    raise ValueError(f"{what} must be {expected}, got {value!r}")
-
-
 def load_config(scenario: str, payload: Optional[dict] = None, seed: Optional[int] = None):
     """Build a scenario config from a JSON payload, applying defaults.
 
     A key the config does not have, a ``scenario`` key naming another
-    scenario, a value of the wrong JSON type (a float for a count, a number
-    for a list) and a count below the config's ``POSITIVE`` minimum of 1 are
-    errors.
+    scenario, a value of the wrong JSON type (a float for a count, NaN) and a
+    count below 0, or below 1 for the config's ``POSITIVE`` counts, are errors.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
@@ -570,9 +543,18 @@ def load_config(scenario: str, payload: Optional[dict] = None, seed: Optional[in
         payload["seed"] = seed
     hints = get_type_hints(cls)
     for key, value in payload.items():
-        payload[key] = _config_value(f"{scenario} config field {key!r}", hints[key], value)
-        if key in cls.POSITIVE and payload[key] < 1:
-            raise ValueError(f"{scenario} config field {key!r} must be at least 1, got {value!r}")
+        name, hint = f"{scenario} config field {key!r}", hints[key]
+        if hint is MechanismParams:
+            payload[key] = MechanismParams.from_json(value, name)
+        elif hint is int:
+            json_integer(value, name, 1 if key in cls.POSITIVE else 0)
+        elif hint is float:
+            json_number(value, name)
+        elif hint is bool:
+            if type(value) is not bool:
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+        elif value is not None or type(None) not in get_args(hint):  # tuple[float, ...]
+            payload[key] = tuple(json_numbers(value, name))
     return cls(**payload)
 
 

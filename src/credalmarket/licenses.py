@@ -22,7 +22,16 @@ import numpy as np
 
 from ._linprog import solve_box_lp
 from .credal import CredalSet, upper_expectation
-from .evidence import Categorical, EvidenceSpace, is_json_number, json_object, log_ratio, ratio
+from .evidence import (
+    Categorical,
+    EvidenceSpace,
+    json_labels,
+    json_number,
+    json_numbers,
+    json_object,
+    log_ratio,
+    ratio,
+)
 
 __all__ = [
     "License",
@@ -42,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MechanismParams:
-    """Market entry fee C and market cap R, with 0 < C < R."""
+    """Market entry fee C and market cap R, with 0 < C < R and R finite."""
 
     C: float
     R: float
@@ -55,8 +64,8 @@ class MechanismParams:
         # Floats, so integer values from a JSON config never give integer arrays.
         object.__setattr__(self, "C", float(self.C))
         object.__setattr__(self, "R", float(self.R))
-        if not (0.0 < self.C < self.R):
-            raise ValueError("mechanism parameters need 0 < C < R")
+        if not (0.0 < self.C < self.R < math.inf):
+            raise ValueError("mechanism parameters need 0 < C < R < inf")
 
     @property
     def cap_ratio(self) -> float:
@@ -65,13 +74,9 @@ class MechanismParams:
     @staticmethod
     def from_json(payload, what: str) -> "MechanismParams":
         """The ``params`` object of a config or license file: the numbers C and R, nothing else."""
-        json_object(payload, ("C", "R"), what)
-        try:
-            return MechanismParams(payload["C"], payload["R"])
-        except KeyError as err:
-            raise ValueError(f"{what} is missing field {err.args[0]!r}") from err
-        except TypeError as err:
-            raise ValueError(f"{what}: {err}") from err
+        json_object(payload, ("C", "R"), what, required=("C", "R"))
+        return MechanismParams(json_number(payload["C"], f"{what} field 'C'"),
+                               json_number(payload["R"], f"{what} field 'R'"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,18 +108,11 @@ class License:
 
     @staticmethod
     def from_json(payload: dict) -> tuple["License", MechanismParams]:
-        json_object(payload, ("space", "payout", "params"), "license JSON")
-        try:
-            space = EvidenceSpace(tuple(payload["space"]))
-            payout = payload["payout"]
-            # "0.1" or true would pass through float() as a payout
-            if not isinstance(payout, list) or not all(map(is_json_number, payout)):
-                raise ValueError(f"license JSON payout must be a list of numbers, got {payout!r}")
-            lic = License(space, payout)
-            params = MechanismParams.from_json(payload["params"], "license JSON field 'params'")
-        except KeyError as err:
-            raise ValueError(f"license JSON is missing field {err.args[0]!r}") from err
-        return lic, params
+        fields = ("space", "payout", "params")
+        json_object(payload, fields, "license JSON", required=fields)
+        space = EvidenceSpace(json_labels(payload["space"], "license JSON field 'space'"))
+        lic = License(space, json_numbers(payload["payout"], "license JSON field 'payout'"))
+        return lic, MechanismParams.from_json(payload["params"], "license JSON field 'params'")
 
     @staticmethod
     def load(path: str | Path) -> tuple["License", MechanismParams]:

@@ -57,8 +57,8 @@ class Requirement:
             if self.metric is None or self.tau is None or self.credal is not None:
                 raise ValueError("threshold requirement needs metric and tau only")
             m = np.asarray(self.metric, dtype=float)
-            if not np.all(np.isfinite(m)):
-                raise ValueError("threshold metric must be finite")
+            if not (np.all(np.isfinite(m)) and np.isfinite(self.tau)):
+                raise ValueError("threshold metric and tau must be finite")
             object.__setattr__(self, "metric", m)
         elif self.kind == "credal":
             if self.credal is None or self.metric is not None or self.tau is not None:
@@ -176,6 +176,9 @@ def simulate_market(
     if mechanism == "betting" and n < 1:
         raise ValueError("need at least one betting round")
     ordered = sorted(providers, key=lambda pr: pr.id)
+    for first, second in zip(ordered, ordered[1:]):
+        if first.id == second.id:
+            raise ValueError(f"provider id {first.id!r} is not unique")
     if mechanism == "optimal-LP":
         sup_values = [sup_value_over_obedient(pr.q, credal, params).value for pr in ordered]
     elif mechanism == "risk-averse":

@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 
 from credalmarket.cli import main
+from credalmarket.experiments import SCENARIOS
+from credalmarket.licenses import MechanismParams
 
 
 @pytest.fixture
@@ -509,3 +513,179 @@ class TestScipyIsLoadedLazily:
         assert proc.returncode == 0, proc.stderr
         assert "before False" in proc.stdout
         assert "after True" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Every field of every JSON input, given a value of a JSON type it does not take
+# ---------------------------------------------------------------------------
+
+#: one value of each JSON type; Python's JSON reader gives NaN and Infinity as
+#: floats, so every field is also tried with both
+JSON_VALUES = {
+    "null": None, "bool": True, "int": 3, "float": 0.5, "string": "ab", "list": [0.5],
+    "object": {"a": 1}, "nan": float("nan"), "inf": float("inf"),
+}
+#: the JSON types each kind of field takes
+TAKES = {
+    "number": {"int", "float"}, "integer": {"int"}, "string": {"string"}, "bool": {"bool"},
+    "object": {"object"}, "list": {"list"}, "numbers": {"list"},
+    "labels": set(),  # JSON_VALUES["list"] holds a number, not a string
+    "optional numbers": {"null", "list"},
+}
+LICENSE_CONFIG = {"provider": [0.6, 0.4], "params": {"C": 0.5, "R": 1.0}}
+SINGLETON_CREDAL = {"space": ["z0", "z1"], "vertices": [[0.25, 0.75]]}
+HULL_CREDAL = {
+    "space": ["z0", "z1", "z2"],
+    "vertices": [[0.35, 0.35, 0.30], [0.35, 0.30, 0.35], [0.30, 0.35, 0.35]],
+}
+PARAMS_FIELDS = [(("params",), "object"), (("params", "C"), "number"), (("params", "R"), "number")]
+#: (input, base payload, [(path, kind)]): every field of the credal-set, license, market
+#: and betting inputs
+CLI_INPUTS = [
+    ("credal", SINGLETON_CREDAL, [(("space",), "labels"), (("vertices",), "list"),
+                                  (("vertices", 0), "numbers")]),
+    ("license", LICENSE_CONFIG, [(("provider",), "numbers")] + PARAMS_FIELDS),
+    ("market", MARKET_CONFIG, PARAMS_FIELDS + [
+        (("providers",), "list"), (("providers", 0), "object"), (("providers", 0, "id"), "string"),
+        (("providers", 0, "q"), "numbers"), (("requirement",), "object"),
+        (("requirement", "kind"), "string"), (("requirement", "metric"), "numbers"),
+        (("requirement", "tau"), "number"), (("mechanism",), "string"), (("seed",), "integer"),
+        (("n",), "integer"),
+    ]),
+    ("betting", BETTING_CONFIG, PARAMS_FIELDS + [
+        (("labels",), "labels"), (("source",), "numbers"), (("metric",), "numbers"),
+        (("tau",), "number"), (("n",), "integer"), (("seed",), "integer"),
+    ]),
+]
+
+
+def _experiment_inputs():
+    """Every field of every scenario config, read from the config's dataclass."""
+    kinds = {MechanismParams: "object", int: "integer", float: "number", bool: "bool",
+             str: "string"}
+    for scenario, (cls, _) in sorted(SCENARIOS.items()):
+        base = {"params": {"C": 15.0, "R": 250.0}}
+        paths = list(PARAMS_FIELDS[1:])
+        for f in fields(cls):
+            hint = get_type_hints(cls)[f.name]
+            if hint in kinds:
+                kind = kinds[hint]
+            else:  # tuple[float, ...], or Optional of it
+                kind = "optional numbers" if type(None) in get_args(hint) else "numbers"
+                base[f.name] = list(getattr(cls(), f.name) or (0.4, 0.3, 0.3))
+            paths.append(((f.name,), kind))
+        yield f"experiment-{scenario}", base, paths
+
+
+def _wrong_values(kind: str, base, path):
+    """(id, value) for each JSON type ``kind`` does not take; for a list of
+    numbers also the valid list with its first entry NaN, Infinity, a string or a bool."""
+    for name, value in JSON_VALUES.items():
+        if name not in TAKES[kind]:
+            yield name, value
+    if kind in ("numbers", "optional numbers"):
+        valid = base
+        for key in path:
+            valid = valid[key]
+        for name, entry in (("nan", float("nan")), ("inf", float("inf")), ("string", "0.5"),
+                            ("bool", True)):
+            yield f"{name}-entry", [entry] + list(valid[1:])
+
+
+def _wrong_type_cases():
+    for what, base, paths in CLI_INPUTS + list(_experiment_inputs()):
+        for path, kind in paths:
+            for name, value in _wrong_values(kind, base, path):
+                yield pytest.param(what, base, path, value,
+                                   id=f"{what}-{'.'.join(map(str, path))}-{name}")
+
+
+def _with_value(payload, path, value):
+    payload = json.loads(json.dumps(payload))
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return payload
+
+
+@pytest.mark.parametrize("what, base, path, value", list(_wrong_type_cases()))
+def test_field_of_a_wrong_json_type_exits_2(capsys, tmp_path, monkeypatch, what, base, path,
+                                           value):
+    def fail(*args, **kwargs):
+        raise AssertionError("the scenario ran on an invalid config")
+
+    monkeypatch.setattr("credalmarket.cli.run_scenario", fail)
+    bad = str(write_json(tmp_path / "input.json", _with_value(base, path, value)))
+    license_config = str(write_json(tmp_path / "license.json", LICENSE_CONFIG))
+    singleton = str(write_json(tmp_path / "singleton.json", SINGLETON_CREDAL))
+    hull = str(write_json(tmp_path / "hull.json", HULL_CREDAL))
+    out_path = tmp_path / "out.csv"
+    argv = {
+        "credal": ["license", "optimal", "--credal", bad, "--config", license_config],
+        "license": ["license", "optimal", "--config", bad, "--credal", singleton],
+        "market": ["market", "simulate", "--config", bad, "--credal", hull],
+        "betting": ["betting", "run", "--config", bad],
+    }.get(what, ["experiment", what.removeprefix("experiment-"), "--config", bad])
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not out_path.exists() and not out_path.with_suffix(".summary.json").exists()
+    # the message names the field, or for a list entry the kind of entry
+    *_, parent, key = ("",) + path
+    named = key if isinstance(key, str) else {"vertices": "vertex", "providers": "provider"}[parent]
+    assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["license", "optimal", "--config", "{dir}", "--credal", "{dir}"],
+    ["market", "simulate", "--config", "{dir}", "--credal", "{dir}"],
+    ["betting", "run", "--config", "{dir}", "--out", "{dir}/bet.csv"],
+    ["experiment", "fairness", "--config", "{dir}", "--out", "{dir}/x.csv"],
+], ids=["license", "market", "betting", "experiment"])
+def test_input_that_is_a_directory_exits_2(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *(a.replace("{dir}", str(tmp_path)) for a in argv))
+    assert code == 2 and out == "" and "cannot read" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["license", "market", "betting", "experiment"])
+def test_output_that_is_a_directory_exits_2(capsys, tmp_path, command):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    path = {name: str(write_json(tmp_path / f"{name}.json", payload)) for name, payload in [
+        ("license", LICENSE_CONFIG), ("singleton", SINGLETON_CREDAL), ("market", MARKET_CONFIG),
+        ("hull", HULL_CREDAL), ("betting", BETTING_CONFIG)]}
+    argv = {
+        "license": ["license", "optimal", "--config", path["license"],
+                    "--credal", path["singleton"]],
+        "market": ["market", "simulate", "--config", path["market"], "--credal", path["hull"]],
+        "betting": ["betting", "run", "--config", path["betting"]],
+        "experiment": ["experiment", "synthetic_spurious"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir), "--force")
+    assert code == 2 and out == "" and "is a directory" in err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_duplicate_provider_ids_exit_2(capsys, tmp_path, hull_credal):
+    providers = [{"id": "p", "q": [0.9, 0.05, 0.05]}, {"id": "p", "q": [0.05, 0.9, 0.05]}]
+    cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, "providers": providers})
+    out_path = tmp_path / "report.csv"
+    code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                             "--config", str(cfg), "--out", str(out_path))
+    assert code == 2 and out == "" and "'p'" in err
+    assert not out_path.exists()
+
+
+def test_run_experiments_script_rejects_a_negative_seed(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "run_experiments.py"), "--seed", "-1",
+         "--outdir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "'seed'" in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "out").exists()

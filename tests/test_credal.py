@@ -321,6 +321,18 @@ def test_json_unknown_field_rejected():
         CredalSet.from_json([["a", "b"], [[0.5, 0.5]]])
 
 
+@pytest.mark.parametrize("payload", [
+    {"space": "ab", "vertices": [[0.5, 0.5]]},
+    {"space": ["a", 2], "vertices": [[0.5, 0.5]]},
+    {"space": ["a", "b"], "vertices": 0.5},
+    {"space": ["a", "b"], "vertices": [[float("nan"), float("nan")]]},
+    {"space": ["a", "b"], "vertices": [[float("inf"), 0.0]]},
+])
+def test_json_wrong_type_is_a_value_error(payload):
+    with pytest.raises(ValueError, match="credal JSON"):
+        CredalSet.from_json(payload)
+
+
 def test_vertex_matrix_is_built_once_and_read_only(simplex_hull):
     V = simplex_hull.vertex_matrix
     assert simplex_hull.vertex_matrix is V

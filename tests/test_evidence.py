@@ -10,6 +10,11 @@ from credalmarket.evidence import (
     EvidenceSpace,
     SampleStream,
     empirical_distribution,
+    json_integer,
+    json_labels,
+    json_number,
+    json_numbers,
+    json_object,
     kl_divergence,
     log_ratio,
     mixture,
@@ -36,6 +41,50 @@ def test_categorical_validation(space2):
         Categorical(space2, [1.0])
     c = Categorical(space2, [0.25, 0.75])
     assert c.expectation([1.0, 0.0]) == 0.25
+
+
+@pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0],
+                                   [math.inf, -math.inf]])
+def test_categorical_rejects_nan_and_inf(space2, probs):
+    with pytest.raises(ValueError):
+        Categorical(space2, probs)
+
+
+class TestJsonRules:
+    @pytest.mark.parametrize("value", [None, True, "0.5", [0.5], math.nan, math.inf, -math.inf])
+    def test_number(self, value):
+        with pytest.raises(ValueError, match="'tau' must be a finite number"):
+            json_number(value, "config field 'tau'")
+
+    def test_valid_values_are_returned_unchanged(self):
+        assert type(json_number(3, "x")) is int and json_number(0.5, "x") == 0.5
+        numbers = [1, 0.5]
+        assert json_numbers(numbers, "x") is numbers
+        assert json_labels(["a", "b"], "x") == ["a", "b"]
+        assert json_integer(0, "x", 0) == 0
+
+    @pytest.mark.parametrize("value", [[math.nan], [1.0, math.inf], [True], ["1"], 1.0, None])
+    def test_numbers(self, value):
+        with pytest.raises(ValueError, match="list of finite numbers"):
+            json_numbers(value, "x")
+
+    @pytest.mark.parametrize("value", ["ab", [1], ["a", None], None, {"a": "b"}])
+    def test_labels(self, value):
+        with pytest.raises(ValueError, match="list of strings"):
+            json_labels(value, "x")
+
+    @pytest.mark.parametrize("value, minimum", [(2.0, 0), (True, 0), (-1, 0), (0, 1), (None, 0)])
+    def test_integer(self, value, minimum):
+        with pytest.raises(ValueError, match=f"integer >= {minimum}"):
+            json_integer(value, "x", minimum)
+
+    def test_object_required_and_allowed_fields(self):
+        payload = {"a": 1}
+        assert json_object(payload, ("a", "b"), "cfg", required=("a",)) is payload
+        with pytest.raises(ValueError, match="cfg is missing field 'b'"):
+            json_object(payload, ("a", "b"), "cfg", required=("a", "b"))
+        with pytest.raises(ValueError, match="'a'"):
+            json_object(payload, ("b",), "cfg")
 
 
 class TestMixture:

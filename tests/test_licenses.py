@@ -433,11 +433,20 @@ def test_license_json_round_trip(tmp_path, space2):
         License.from_json({"space": ["a", "b"], "payout": [0.1, 0.2]})
 
 
-@pytest.mark.parametrize("payout", [["0.1", 0.2], [0.1, True], [[0.1], 0.2], "0.1,0.2"])
+@pytest.mark.parametrize("payout", [["0.1", 0.2], [0.1, True], [[0.1], 0.2], "0.1,0.2",
+                                    [math.nan, 0.2], [0.1, math.inf], 0.1])
 def test_license_json_rejects_payouts_that_are_not_numbers(payout):
     payload = {"space": ["a", "b"], "payout": payout, "params": {"C": 0.5, "R": 1.0}}
     with pytest.raises(ValueError, match="payout"):
         License.from_json(payload)
+
+
+@pytest.mark.parametrize("C, R", [(0.5, math.inf), (math.nan, 1.0), (0.5, math.nan)])
+def test_mechanism_params_must_be_finite(C, R):
+    with pytest.raises(ValueError):
+        MechanismParams(C, R)
+    with pytest.raises(ValueError, match="finite number"):
+        MechanismParams.from_json({"C": C, "R": R}, "params")
 
 
 @pytest.mark.parametrize("payload, key", [
@@ -447,7 +456,11 @@ def test_license_json_rejects_payouts_that_are_not_numbers(payout):
      "'fee'"),
     ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": {"C": 0.5}}, "'R'"),
     ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": {"C": "0.5", "R": 1.0}}, "'params'"),
-], ids=["top-level", "params", "params-missing", "params-string"])
+    ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": [0.5, 1.0]}, "'params'"),
+    ({"space": "ab", "payout": [0.1, 0.2], "params": {"C": 0.5, "R": 1.0}}, "'space'"),
+    ({"space": ["a", 1], "payout": [0.1, 0.2], "params": {"C": 0.5, "R": 1.0}}, "'space'"),
+], ids=["top-level", "params", "params-missing", "params-string", "params-list", "space-string",
+        "space-number"])
 def test_license_json_names_the_bad_key(payload, key):
     with pytest.raises(ValueError, match=key):
         License.from_json(payload)

@@ -28,6 +28,11 @@ class TestRequirement:
         with pytest.raises(ValueError):
             Requirement(kind="other")
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_threshold_tau_must_be_finite(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            Requirement(kind="threshold", metric=[1.0, 0.0], tau=tau)
+
     def test_threshold_evaluation(self, space2):
         req = Requirement(kind="threshold", metric=np.array([1.0, 0.0]), tau=0.5)
         assert evaluate_requirement(req, Categorical(space2, [0.7, 0.3]))
@@ -62,6 +67,13 @@ class TestSimulateMarket:
         assert row.sup_value > PARAMS.C
         assert row.classification == "true-in"
         assert report.perfect
+
+    def test_duplicate_provider_ids_rejected(self, simplex_hull, simplex_points, uniform3):
+        providers = [Provider(id="p", q=simplex_points[0]), Provider(id="q", q=uniform3),
+                     Provider(id="p", q=simplex_points[1])]
+        req = Requirement(kind="credal", credal=simplex_hull)
+        with pytest.raises(ValueError, match="'p' is not unique"):
+            simulate_market(providers, req, simplex_hull, PARAMS)
 
     def test_empty_market_is_vacuously_perfect(self, simplex_hull):
         req = Requirement(kind="credal", credal=simplex_hull)
