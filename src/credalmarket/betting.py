@@ -233,7 +233,20 @@ def verify_supermartingale(
     rule depends on history only through outcome counts, each round solves
     the distinct count rows once, in one :func:`kelly_bets` call, and shares
     the bets across trajectories.
+
+    The distinct rows live in a small state table, sorted by count vector,
+    and each run holds an index into it.  After a round's draw, run r moves
+    to child key ``state[r] * m + z[r]``: its row plus one count at z.  Only
+    the keys some run reached are built, two parents reaching the same row
+    are merged by one sort of those few children, and each run's index is
+    remapped through its key.  The table, the draws and the order of the
+    log-wealth sums are those of a per-run count matrix, so the result is
+    the same to the bit.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     if null_dist.space != b.space:
         raise ValueError("distribution and score live on different spaces")
     edge = float(null_dist.probs @ b.score)
@@ -242,20 +255,28 @@ def verify_supermartingale(
     params = params or MechanismParams(C=15.0, R=250.0)
     m = b.space.size
     stream = SampleStream(null_dist, seed=seed)
-    counts = np.zeros((runs, m), dtype=np.int64)
+    states = np.zeros((1, m), dtype=np.int64)  # distinct count rows, sorted
+    state = np.zeros(runs, dtype=np.intp)  # each run's row in ``states``
     log_wealth = np.full(runs, math.log(params.C))
     for t in range(n):
         z = sample(stream, runs)
         if t > 0:
-            order = np.lexsort(counts.T[::-1])  # rows sorted by count vector
-            ordered = counts[order]
-            first = np.ones(runs, dtype=bool)
-            first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-            inverse = np.empty(runs, dtype=np.intp)
-            inverse[order] = np.cumsum(first) - 1
-            lams = kelly_bets(_smoothed(ordered[first], t, m), b, cfg)
-            log_wealth += np.log1p(lams[inverse] * b.score[z])
-        counts[np.arange(runs), z] += 1
+            lams = kelly_bets(_smoothed(states, t, m), b, cfg)
+            log_wealth += np.log1p(lams[state] * b.score[z])
+        key = state * m + z
+        reached = np.flatnonzero(np.bincount(key))
+        children = states[reached // m]
+        children[np.arange(reached.size), reached % m] += 1
+        order = np.lexsort(children.T[::-1])  # children sorted by count vector
+        ordered = children[order]
+        first = np.ones(reached.size, dtype=bool)
+        first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        merged = np.empty(reached.size, dtype=np.intp)
+        merged[order] = np.cumsum(first) - 1
+        remap = np.empty(states.shape[0] * m, dtype=np.intp)
+        remap[reached] = merged
+        states = ordered[first]
+        state = remap[key]
     wealth = np.exp(log_wealth)
     mean = float(wealth.mean())
     se = float(wealth.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0

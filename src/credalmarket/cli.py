@@ -40,6 +40,7 @@ from .evidence import (
     json_numbers,
     json_object,
     json_string,
+    load_json,
 )
 from .experiments import SCENARIOS, load_config, run_scenario
 from .licenses import (
@@ -55,15 +56,6 @@ from .market import Provider, Requirement, simulate_market
 EXIT_OK = 0
 EXIT_NONCONVERGED = 1
 EXIT_CONFIG = 2
-
-
-def _load_json(path: str, what: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as err:  # missing, a directory, unreadable
-        raise ValueError(f"cannot read {what} file {path}: {err.strerror or err}")
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise ValueError(f"{what} file {path} is not valid JSON: {err}")
 
 
 def _check_out(path: str, force: bool) -> None:
@@ -83,9 +75,9 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def cmd_license(args: argparse.Namespace) -> int:
-    credal = CredalSet.from_json(_load_json(args.credal, "credal set"))
+    credal = CredalSet.from_json(load_json(args.credal, "credal set"))
     fields = ("provider", "params")
-    payload = json_object(_load_json(args.config, "license config"), fields, "license config",
+    payload = json_object(load_json(args.config, "license config"), fields, "license config",
                           required=fields)
     params = MechanismParams.from_json(payload["params"], "license config field 'params'")
     q = Categorical(credal.space,
@@ -122,8 +114,8 @@ def cmd_license(args: argparse.Namespace) -> int:
 
 
 def cmd_market(args: argparse.Namespace) -> int:
-    credal = CredalSet.from_json(_load_json(args.credal, "credal set"))
-    payload = json_object(_load_json(args.config, "market config"),
+    credal = CredalSet.from_json(load_json(args.credal, "credal set"))
+    payload = json_object(load_json(args.config, "market config"),
                           ("params", "providers", "requirement", "mechanism", "seed", "n"),
                           "market config", required=("params", "providers", "requirement"))
     params = MechanismParams.from_json(payload["params"], "market config field 'params'")
@@ -160,7 +152,7 @@ def cmd_market(args: argparse.Namespace) -> int:
 
 
 def cmd_betting(args: argparse.Namespace) -> int:
-    payload = json_object(_load_json(args.config, "betting config"),
+    payload = json_object(load_json(args.config, "betting config"),
                           ("params", "labels", "source", "metric", "tau", "n", "seed"),
                           "betting config",
                           required=("params", "labels", "source", "metric", "tau"))
@@ -185,7 +177,7 @@ def cmd_betting(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    payload = _load_json(args.config, "experiment config") if args.config else {}
+    payload = load_json(args.config, "experiment config") if args.config else {}
     cfg = load_config(args.scenario, payload, seed=args.seed)
     out = args.out or f"{args.scenario}.csv"
     _check_out(out, args.force)

@@ -32,6 +32,7 @@ from .evidence import (
     json_numbers,
     json_object,
     kl_divergence,
+    load_json,
     mixture,
     require_same_space,
 )
@@ -104,7 +105,7 @@ class CredalSet:
 
     @staticmethod
     def load(path: str | Path) -> "CredalSet":
-        return CredalSet.from_json(json.loads(Path(path).read_text()))
+        return CredalSet.from_json(load_json(path, "credal set"))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")

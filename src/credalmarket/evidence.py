@@ -14,8 +14,10 @@ All types are immutable after construction except the position counter of
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
     "sample",
     "empirical_distribution",
     "spawn_seeds",
+    "load_json",
     "is_json_number",
     "json_number",
     "json_integer",
@@ -72,6 +75,16 @@ class EvidenceSpace:
 
 # JSON input rules: each returns ``value`` itself once it has the JSON type it
 # names, and raises a ValueError naming the field otherwise.
+
+
+def load_json(path: str | Path, what: str):
+    """The parsed JSON of file ``path``; any read or parse failure is a ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as err:  # missing, a directory, unreadable
+        raise ValueError(f"cannot read {what} file {path}: {err.strerror or err}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ValueError(f"{what} file {path} is not valid JSON: {err}")
 
 
 def is_json_number(value) -> bool:

@@ -29,6 +29,7 @@ from .evidence import (
     json_number,
     json_numbers,
     json_object,
+    load_json,
     log_ratio,
     ratio,
 )
@@ -116,7 +117,7 @@ class License:
 
     @staticmethod
     def load(path: str | Path) -> tuple["License", MechanismParams]:
-        return License.from_json(json.loads(Path(path).read_text()))
+        return License.from_json(load_json(path, "license"))
 
     def save(self, path: str | Path, params: MechanismParams) -> None:
         Path(path).write_text(json.dumps(self.to_json(params), indent=2) + "\n")

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from credalmarket import betting
 from credalmarket.betting import (
     BettingScore,
     KellyConfig,
+    _smoothed,
     adaptive_bet,
     kelly_bets,
     kelly_optimal_bet,
@@ -81,6 +83,30 @@ def scalar_license_path(z, score, cfg, params, warm_start=False):
         counts[zt] += 1
         out[t] = params.R if log_wealth >= log_cap else math.exp(log_wealth)
     return out
+
+
+def lexsort_supermartingale(null_dist, b, cfg, runs, n, seed, params=PARAMS, solve=kelly_bets):
+    """The (runs, m) count-matrix audit loop: re-sorts every run's count row each round."""
+    m = b.space.size
+    stream = SampleStream(null_dist, seed=seed)
+    counts = np.zeros((runs, m), dtype=np.int64)
+    log_wealth = np.full(runs, math.log(params.C))
+    for t in range(n):
+        z = sample(stream, runs)
+        if t > 0:
+            order = np.lexsort(counts.T[::-1])  # rows sorted by count vector
+            ordered = counts[order]
+            first = np.ones(runs, dtype=bool)
+            first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+            inverse = np.empty(runs, dtype=np.intp)
+            inverse[order] = np.cumsum(first) - 1
+            lams = solve(_smoothed(ordered[first], t, m), b, cfg)
+            log_wealth += np.log1p(lams[inverse] * b.score[z])
+        counts[np.arange(runs), z] += 1
+    wealth = np.exp(log_wealth)
+    mean = float(wealth.mean())
+    se = float(wealth.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
+    return mean, se
 
 
 def binary_score(space):
@@ -335,6 +361,79 @@ class TestSupermartingale:
             runs=2000, n=200, seed=15,
         )
         assert mean < PARAMS.C
+
+    @pytest.mark.parametrize("runs, n, name", [(0, 5, "runs"), (-2, 5, "runs"), (10, -3, "n")])
+    def test_meaningless_run_counts_rejected(self, bspace, runs, n, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            verify_supermartingale(
+                binary_dist(bspace, 0.5), binary_score(bspace), KellyConfig(), runs=runs, n=n, seed=0
+            )
+
+    def test_no_rounds_keeps_the_fee(self, bspace):
+        mean, se = verify_supermartingale(
+            binary_dist(bspace, 0.5), binary_score(bspace), KellyConfig(), runs=7, n=0, seed=0
+        )
+        assert mean == PARAMS.C and se == 0.0
+
+    def test_audit_shape_is_pinned(self, bspace):
+        mean, se = verify_supermartingale(
+            binary_dist(bspace, 0.5), binary_score(bspace), KellyConfig(),
+            runs=10_000, n=500, seed=404,
+        )
+        assert (mean, se) == (8.09726079414165, 1.3186792426797682)
+
+
+@st.composite
+def audit_problems(draw):
+    """A null, some of whose outcomes may have probability 0, and a score with E[b] <= 0 under it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 5))
+    probs = rng.dirichlet(np.full(m, draw(st.sampled_from([0.3, 1.0, 5.0]))))
+    probs[:draw(st.integers(0, m - 1))] = 0.0  # outcomes the null never draws
+    probs /= probs.sum()
+    score = rng.uniform(-2.0, 2.0, size=m)
+    if draw(st.booleans()):
+        # No losing outcome: the default ceiling applies, and there is no edge under the null.
+        score = np.where(probs > 0.0, 0.0, np.abs(score))
+    else:
+        score -= float(probs @ score) + draw(st.sampled_from([1e-12, 0.05]))
+    space = EvidenceSpace.of_size(m)
+    return (Categorical(space, probs), BettingScore(space, score), draw(st.integers(1, 300)),
+            draw(st.integers(0, 60)), draw(st.integers(0, 2**16)))
+
+
+def recording(solved):
+    """kelly_bets that also appends each call's probability rows to ``solved``."""
+    def solve(probs, b, cfg):
+        solved.append(probs)
+        return kelly_bets(probs, b, cfg)
+    return solve
+
+
+class TestSupermartingaleStateTable:
+    """The state table against the count-matrix loop it replaced."""
+
+    @staticmethod
+    def check(null, b, runs, n, seed):
+        cfg, got_rows, want_rows = KellyConfig(), [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(betting, "kelly_bets", recording(got_rows))
+            got = verify_supermartingale(null, b, cfg, runs=runs, n=n, seed=seed)
+        assert got == lexsort_supermartingale(null, b, cfg, runs, n, seed,
+                                              solve=recording(want_rows))
+        # Each round solves the distinct count rows once, in the same sorted order.
+        assert len(got_rows) == len(want_rows)
+        for got_probs, want_probs in zip(got_rows, want_rows):
+            assert np.array_equal(got_probs, want_probs)
+
+    @given(audit_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_count_matrix_loop_bitwise(self, problem):
+        self.check(*problem)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_the_count_matrix_loop_at_zero_drift(self, bspace, seed):
+        self.check(binary_dist(bspace, 0.5), binary_score(bspace), 3000, 120, seed)
 
 
 def test_trajectory_csv(tmp_path, bspace):

@@ -333,6 +333,21 @@ def test_json_wrong_type_is_a_value_error(payload):
         CredalSet.from_json(payload)
 
 
+@pytest.mark.parametrize("name, content, message", [
+    (".", None, "cannot read credal set file"),
+    ("missing.json", None, "cannot read credal set file"),
+    ("bad.json", b"{\"space\": [", "not valid JSON"),
+    ("latin1.json", b"\xff\xfe{", "not valid JSON"),
+], ids=["directory", "missing", "invalid-json", "not-utf8"])
+def test_load_errors_are_value_errors_naming_the_file(tmp_path, name, content, message):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ValueError, match=message) as err:
+        CredalSet.load(path)
+    assert str(path) in str(err.value)
+
+
 def test_vertex_matrix_is_built_once_and_read_only(simplex_hull):
     V = simplex_hull.vertex_matrix
     assert simplex_hull.vertex_matrix is V

@@ -433,6 +433,20 @@ def test_license_json_round_trip(tmp_path, space2):
         License.from_json({"space": ["a", "b"], "payout": [0.1, 0.2]})
 
 
+@pytest.mark.parametrize("name, content, message", [
+    (".", None, "cannot read license file"),
+    ("missing.json", None, "cannot read license file"),
+    ("bad.json", "{\"payout\": [0.1,", "not valid JSON"),
+], ids=["directory", "missing", "invalid-json"])
+def test_license_load_errors_are_value_errors_naming_the_file(tmp_path, name, content, message):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ValueError, match=message) as err:
+        License.load(path)
+    assert str(path) in str(err.value)
+
+
 @pytest.mark.parametrize("payout", [["0.1", 0.2], [0.1, True], [[0.1], 0.2], "0.1,0.2",
                                     [math.nan, 0.2], [0.1, math.inf], 0.1])
 def test_license_json_rejects_payouts_that_are_not_numbers(payout):
