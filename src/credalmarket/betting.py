@@ -28,7 +28,6 @@ __all__ = [
     "KellyConfig",
     "kelly_bets",
     "kelly_optimal_bet",
-    "adaptive_bet",
     "plugin_paths",
     "run_sequential_license",
     "verify_supermartingale",
@@ -160,15 +159,6 @@ def _smoothed(counts, total: int, m: int) -> np.ndarray:
     return (np.atleast_2d(counts) + 1.0) / (total + m)
 
 
-def adaptive_bet(history, b: BettingScore, cfg: KellyConfig) -> float:
-    """Plug-in Kelly bet from the add-one-smoothed empirical distribution."""
-    hist = np.asarray(history, dtype=np.int64)
-    if hist.size == 0:
-        return 0.0
-    counts = np.bincount(hist, minlength=b.space.size)
-    return float(kelly_bets(_smoothed(counts, hist.size, b.space.size), b, cfg)[0])
-
-
 def plugin_paths(
     z: np.ndarray, b: BettingScore, cfg: KellyConfig, params: MechanismParams,
     warm_start: bool = False,
@@ -229,7 +219,7 @@ def verify_supermartingale(
     this diagnostic watches raw wealth) and returns the mean and standard
     error of the final wealth.  Obedience holds when mean <= C + 3 * SE.
 
-    Bets are the same plug-in Kelly rule as :func:`adaptive_bet`; since the
+    Bets are the same plug-in Kelly rule as :func:`plugin_paths`; since the
     rule depends on history only through outcome counts, each round solves
     the distinct count rows once, in one :func:`kelly_bets` call, and shares
     the bets across trajectories.

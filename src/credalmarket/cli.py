@@ -75,7 +75,7 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def cmd_license(args: argparse.Namespace) -> int:
-    credal = CredalSet.from_json(load_json(args.credal, "credal set"))
+    credal = CredalSet.load(args.credal)
     fields = ("provider", "params")
     payload = json_object(load_json(args.config, "license config"), fields, "license config",
                           required=fields)
@@ -114,7 +114,7 @@ def cmd_license(args: argparse.Namespace) -> int:
 
 
 def cmd_market(args: argparse.Namespace) -> int:
-    credal = CredalSet.from_json(load_json(args.credal, "credal set"))
+    credal = CredalSet.load(args.credal)
     payload = json_object(load_json(args.config, "market config"),
                           ("params", "providers", "requirement", "mechanism", "seed", "n"),
                           "market config", required=("params", "providers", "requirement"))

@@ -33,7 +33,6 @@ from .evidence import (
     json_object,
     kl_divergence,
     load_json,
-    mixture,
     require_same_space,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "MembershipWitness",
     "GamingWitness",
     "upper_expectation",
-    "lower_expectation",
     "membership",
     "gaming_witness",
     "approximate_constraint_set",
@@ -79,12 +77,6 @@ class CredalSet:
         V.flags.writeable = False
         return V
 
-    def mix(self, weights) -> Categorical:
-        return mixture(list(self.vertices), weights)
-
-    def with_extra_vertices(self, extra: list[Categorical]) -> "CredalSet":
-        return CredalSet(self.space, self.vertices + tuple(extra))
-
     @staticmethod
     def singleton(p: Categorical) -> "CredalSet":
         return CredalSet(p.space, (p,))
@@ -117,11 +109,6 @@ def upper_expectation(credal: CredalSet, payoff) -> float:
     if g.shape != (credal.space.size,):
         raise ValueError("payoff length does not match the credal set's space")
     return float(np.max(credal.vertex_matrix @ g))
-
-
-def lower_expectation(credal: CredalSet, payoff) -> float:
-    """inf_{P in set} E_P[payoff], the conjugate of the upper envelope."""
-    return -upper_expectation(credal, -np.asarray(payoff, dtype=float))
 
 
 class MembershipWitness(NamedTuple):

@@ -30,7 +30,6 @@ __all__ = [
     "ratio",
     "log_ratio",
     "sample",
-    "empirical_distribution",
     "spawn_seeds",
     "load_json",
     "is_json_number",
@@ -63,9 +62,6 @@ class EvidenceSpace:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
 
     @staticmethod
     def of_size(m: int, prefix: str = "z") -> "EvidenceSpace":
@@ -277,17 +273,6 @@ def sample(stream: SampleStream, n: int) -> np.ndarray:
     outcomes = np.searchsorted(stream._cdf, u, side="right")
     stream.position += n
     return outcomes.astype(np.int64)
-
-
-def empirical_distribution(samples, space: EvidenceSpace) -> Categorical:
-    """Normalized outcome counts of a non-empty sample list."""
-    z = np.asarray(samples, dtype=np.int64)
-    if z.size == 0:
-        raise ValueError("cannot build an empirical distribution from no samples")
-    if np.any(z < 0) or np.any(z >= space.size):
-        raise ValueError("sample contains outcomes outside the evidence space")
-    counts = np.bincount(z, minlength=space.size).astype(float)
-    return Categorical(space, counts / counts.sum())
 
 
 def spawn_seeds(seed: int, n: int) -> list[int]:

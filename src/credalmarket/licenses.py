@@ -45,8 +45,6 @@ __all__ = [
     "kappa",
     "minimize_kappa",
     "optimal_risk_averse_license",
-    "cumulative_license",
-    "improvement_incentive_check",
 ]
 
 
@@ -96,9 +94,6 @@ class License:
         pay = pay.copy()
         pay.flags.writeable = False
         object.__setattr__(self, "payout", pay)
-
-    def expected_under(self, dist: Categorical) -> float:
-        return dist.expectation(self.payout)
 
     def to_json(self, params: MechanismParams) -> dict:
         return {
@@ -214,13 +209,9 @@ def kappa(q: Categorical, p: Categorical, params: MechanismParams) -> float:
     """
     if q.space != p.space:
         raise ValueError("distributions live on different spaces")
-    return _kappa_raw(q.probs, p.probs, math.log(params.cap_ratio))
-
-
-def _kappa_raw(qp: np.ndarray, pp: np.ndarray, log_cap: float) -> float:
-    support = qp > 0.0
-    qs = qp[support]
-    return float(qs @ np.minimum(log_ratio(qs, pp[support]), log_cap))
+    support = q.probs > 0.0
+    qs = q.probs[support]
+    return float(qs @ np.minimum(log_ratio(qs, p.probs[support]), math.log(params.cap_ratio)))
 
 
 def _project_rows_to_simplex(X: np.ndarray) -> np.ndarray:
@@ -234,14 +225,18 @@ def _project_rows_to_simplex(X: np.ndarray) -> np.ndarray:
     return np.clip(X + theta[:, None], 0.0, None)
 
 
+#: seed of :func:`minimize_kappa`'s random Dirichlet starts
+KAPPA_SEED = 0
+#: projected-gradient step length at which a :func:`minimize_kappa` start is stationary
+KAPPA_GRAD_TOL = 1e-8
+
+
 def minimize_kappa(
     q: Categorical,
     credal: CredalSet,
     params: MechanismParams,
     n_starts: int = 8,
     max_iter: int = 500,
-    grad_tol: float = 1e-8,
-    seed: int = 0,
 ) -> tuple[np.ndarray, float, bool]:
     """Minimize kappa_Q over the credal set via multi-start projected gradient.
 
@@ -291,7 +286,7 @@ def minimize_kappa(
     if k == 1:
         return np.ones(1), float(kappa_of(V)[0]), True
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(KAPPA_SEED)))
     W = np.empty((max(n_starts, k + 1), k))
     W[:k] = np.eye(k)
     W[k] = 1.0 / k
@@ -308,7 +303,7 @@ def minimize_kappa(
         W_live, G = W[live], gradients(P[live])
         # Projected-gradient stationarity on the simplex.
         D = _project_rows_to_simplex(W_live - G) - W_live
-        stationary = np.sqrt(np.vecdot(D, D)) <= grad_tol
+        stationary = np.sqrt(np.vecdot(D, D)) <= KAPPA_GRAD_TOL
         converged[live[stationary]] = True
         live, G = live[~stationary], G[~stationary]
         searching, eta = live, 1.0
@@ -398,40 +393,8 @@ def optimal_risk_averse_license(
     p_star = p_star / p_star.sum()
     return OptimalLicenseResult(
         license=lic,
-        value=lic.expected_under(q),
+        value=q.expectation(lic.payout),
         projection=Categorical(q.space, p_star),
         converged=converged and is_obedient(lic, credal, params),
         kappa_value=kappa_val,
     )
-
-
-def cumulative_license(z_seq, q: Categorical, p_star: Categorical,
-                       params: MechanismParams) -> float:
-    """Sequential license min{C * prod_i Q(z_i)/P*(z_i), R}, in log space.
-
-    An observation with P*(z) = 0 < Q(z) caps the product at R immediately;
-    an observation with Q(z) = 0 sends the license to zero.
-    """
-    if q.space != p_star.space:
-        raise ValueError("distributions live on different spaces")
-    z = np.asarray(z_seq, dtype=np.int64)
-    if z.size == 0:
-        return params.C
-    steps = log_ratio(q.probs[z], p_star.probs[z])
-    if np.any(steps == np.inf):
-        return params.R
-    if np.any(steps == -np.inf):
-        return 0.0
-    log_value = math.log(params.C) + float(np.sum(steps))
-    if log_value >= math.log(params.R):
-        return params.R
-    return math.exp(log_value)
-
-
-def improvement_incentive_check(license: License, order) -> bool:
-    """True iff the payout is weakly decreasing along a best-to-worst order."""
-    idx = np.asarray(order, dtype=np.int64)
-    if sorted(idx.tolist()) != list(range(license.space.size)):
-        raise ValueError("order must be a permutation of the outcomes")
-    along = license.payout[idx]
-    return bool(np.all(np.diff(along) <= 1e-12))

@@ -20,7 +20,7 @@ from credalmarket.betting import (
     verify_supermartingale,
 )
 from credalmarket.credal import CredalSet, upper_expectation
-from credalmarket.evidence import Categorical, EvidenceSpace, SampleStream, sample
+from credalmarket.evidence import Categorical, EvidenceSpace, SampleStream, mixture, sample
 from credalmarket.experiments import (
     Chi2Config,
     FairnessConfig,
@@ -299,8 +299,9 @@ def test_criterion_8_property_suites(tmp_path):
     for _ in range(1000):
         space = EvidenceSpace.of_size(int(rng.integers(2, 6)))
         credal = random_credal(rng, space, int(rng.integers(1, 4)))
-        extra = [credal.mix(rng.dirichlet(np.ones(len(credal.vertices)))) for _ in range(2)]
-        enlarged = credal.with_extra_vertices(extra)
+        extra = [mixture(list(credal.vertices), rng.dirichlet(np.ones(len(credal.vertices))))
+                 for _ in range(2)]
+        enlarged = CredalSet(credal.space, credal.vertices + tuple(extra))
         payoff = rng.uniform(0.0, 2.0, size=space.size)
         if abs(upper_expectation(credal, payoff) - upper_expectation(enlarged, payoff)) > 1e-12:
             ok = False

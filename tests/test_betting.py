@@ -10,9 +10,9 @@ from credalmarket.betting import (
     BettingScore,
     KellyConfig,
     _smoothed,
-    adaptive_bet,
     kelly_bets,
     kelly_optimal_bet,
+    plugin_paths,
     run_sequential_license,
     verify_supermartingale,
     write_trajectory_csv,
@@ -289,27 +289,19 @@ class TestBatchedPaths:
             assert np.array_equal(table.column("betting_se")[rows], se)
 
 
-class TestAdaptiveBet:
-    def test_empty_history_bets_nothing(self, bspace):
-        assert adaptive_bet([], binary_score(bspace), KellyConfig()) == 0.0
+class TestPluginBet:
+    def test_round_zero_bets_nothing(self, bspace):
+        z = np.zeros((3, 5), dtype=np.int64)
+        lams = plugin_paths(z, binary_score(bspace), KellyConfig(), PARAMS)[0]
+        assert np.all(lams[:, 0] == 0.0)
 
     def test_all_wins_stays_under_ceiling(self, bspace):
         cfg = KellyConfig()
-        lam = adaptive_bet([0] * 20, binary_score(bspace), cfg)
-        # smoothed estimate (21/22) keeps the plug-in bet off the ceiling
-        expected = 2 * (21 / 22) - 1
-        assert lam == pytest.approx(expected, abs=1e-9)
+        z = np.zeros((1, 21), dtype=np.int64)
+        lam = plugin_paths(z, binary_score(bspace), cfg, PARAMS)[0][0, 20]
+        # smoothed estimate (21/22) after 20 wins keeps the plug-in bet off the ceiling
+        assert lam == pytest.approx(2 * (21 / 22) - 1, abs=1e-9)
         assert lam < cfg.ceiling(binary_score(bspace).score)
-
-    def test_consistency_at_large_samples(self, bspace):
-        cfg = KellyConfig()
-        true = binary_dist(bspace, 0.75)
-        stream = SampleStream(true, seed=4)
-        from credalmarket.evidence import sample
-
-        history = sample(stream, 10_000)
-        lam = adaptive_bet(history, binary_score(bspace), cfg)
-        assert abs(lam - 0.5) <= 0.02
 
 
 class TestSequentialLicense:

@@ -9,7 +9,6 @@ from credalmarket.evidence import (
     Categorical,
     EvidenceSpace,
     SampleStream,
-    empirical_distribution,
     json_integer,
     json_labels,
     json_number,
@@ -197,6 +196,22 @@ class TestSampling:
         assert spawn_seeds(5, 4) == spawn_seeds(5, 4)
         assert len(set(spawn_seeds(5, 4))) == 4
 
+    def test_seeded_regression(self, space2):
+        src = Categorical(space2, [0.7, 0.3])
+        freqs = np.bincount(sample(SampleStream(src, seed=42), 10000), minlength=2) / 10000
+        assert freqs.tolist() == [0.7058, 0.2942]
+        assert np.max(np.abs(freqs - src.probs)) < 0.02
+
+    def test_deviation_shrinks_with_sample_size(self, space2):
+        # fixed seed family: deviations decrease monotonically over n x10 steps
+        src = Categorical(space2, [0.7, 0.3])
+        seeds = spawn_seeds(3, 4)
+        devs = []
+        for child, n in zip(seeds, (100, 1000, 10000, 100000)):
+            freqs = np.bincount(sample(SampleStream(src, seed=child), n), minlength=2) / n
+            devs.append(float(np.max(np.abs(freqs - src.probs))))
+        assert all(devs[i + 1] < devs[i] for i in range(3))
+
 
 class TestLikelihoodRatioRule:
     def test_ratio_conventions(self):
@@ -206,33 +221,3 @@ class TestLikelihoodRatioRule:
         assert log_ratio(q, p).tolist() == [
             np.inf, math.log(0.25) - math.log(0.5), -np.inf, -np.inf, np.inf
         ]
-
-
-class TestEmpiricalDistribution:
-    def test_two_outcomes(self, space2):
-        emp = empirical_distribution([0, 0, 1, 1], space2)
-        assert np.allclose(emp.probs, [0.5, 0.5])
-
-    def test_point_mass(self, space3):
-        emp = empirical_distribution([2, 2, 2], space3)
-        assert np.allclose(emp.probs, [0, 0, 1])
-
-    def test_empty_rejected(self, space2):
-        with pytest.raises(ValueError):
-            empirical_distribution([], space2)
-
-    def test_seeded_regression(self, space2):
-        src = Categorical(space2, [0.7, 0.3])
-        emp = empirical_distribution(sample(SampleStream(src, seed=42), 10000), space2)
-        assert emp.probs.tolist() == [0.7058, 0.2942]
-        assert np.max(np.abs(emp.probs - src.probs)) < 0.02
-
-    def test_deviation_shrinks_with_sample_size(self, space2):
-        # fixed seed family: deviations decrease monotonically over n x10 steps
-        src = Categorical(space2, [0.7, 0.3])
-        seeds = spawn_seeds(3, 4)
-        devs = []
-        for child, n in zip(seeds, (100, 1000, 10000, 100000)):
-            emp = empirical_distribution(sample(SampleStream(src, seed=child), n), space2)
-            devs.append(float(np.max(np.abs(emp.probs - src.probs))))
-        assert all(devs[i + 1] < devs[i] for i in range(3))

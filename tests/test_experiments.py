@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from credalmarket import experiments
-from credalmarket.evidence import spawn_seeds
+from credalmarket.evidence import Categorical, EvidenceSpace, spawn_seeds
 from credalmarket.experiments import (
     Chi2Config,
     FairnessConfig,
     ResultTable,
     SimplexGamingConfig,
     SpuriousConfig,
+    _cumulative_trajectories,
     load_config,
     paired_fairness_distribution,
     parity_betting_score,
@@ -275,6 +276,42 @@ class TestChi2Streams:
         monkeypatch.setattr(experiments, "_batch_loglik_ratio", fail)
         with pytest.raises(ValueError, match="'alpha_grid'"):
             run_chi2_strategic(Chi2Config(alpha_grid=(0.05, alpha)))
+
+
+class TestCumulativeTrajectories:
+    """The cumulative likelihood-ratio license min{C * prod Q(z)/P*(z), R} of every scenario."""
+
+    SPACE = EvidenceSpace.of_size(2)
+    PARAMS = MechanismParams(C=15.0, R=250.0)
+
+    def paths(self, z, q, p_star, burn_in=0):
+        q = Categorical(self.SPACE, q)
+        return _cumulative_trajectories(np.array(z), q, np.array(p_star), self.PARAMS, burn_in)
+
+    def test_outcome_outside_q_support_sends_the_license_to_zero(self):
+        got = self.paths([[0, 1, 0]], [1.0, 0.0], [0.5, 0.5])
+        assert got[0, 0] == pytest.approx(2 * self.PARAMS.C)
+        assert got[0, 1:].tolist() == [0.0, 0.0]
+
+    def test_outcome_outside_p_star_support_caps_the_license(self):
+        got = self.paths([[0, 1, 0]], [0.5, 0.5], [0.0, 1.0])
+        # the cap is issued as exp(ln R), one ulp below R = 250
+        assert got.tolist() == [[249.9999999999999] * 3]
+
+    def test_winning_streak_reaches_the_same_cap(self):
+        got = self.paths([[0] * 20], [0.9, 0.1], [0.5, 0.5])
+        assert got[0, 4] < 250.0 and np.all(got[0, 5:] == 249.9999999999999)
+
+    def test_q_equal_to_p_star_stays_at_the_fee(self):
+        got = self.paths([[0, 1, 0, 1], [1, 1, 0, 0]], [0.7, 0.3], [0.7, 0.3])
+        assert np.all(got == self.PARAMS.C)
+
+    def test_burn_in_prefix_is_held_at_the_fee(self):
+        z = np.zeros((2, 6), dtype=np.int64)
+        got = self.paths(z, [0.9, 0.1], [0.5, 0.5], burn_in=3)
+        assert np.all(got[:, :3] == self.PARAMS.C)
+        assert np.allclose(got[:, 3:], self.PARAMS.C * 1.8 ** np.arange(1, 4), rtol=1e-14, atol=0.0)
+        assert np.all(self.paths(z, [0.9, 0.1], [0.5, 0.5], burn_in=6) == self.PARAMS.C)
 
 
 class TestSpurious:

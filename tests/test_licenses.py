@@ -16,8 +16,6 @@ from credalmarket.licenses import (
     License,
     MechanismParams,
     _project_rows_to_simplex,
-    cumulative_license,
-    improvement_incentive_check,
     is_obedient,
     kappa,
     minimize_kappa,
@@ -360,66 +358,6 @@ class TestRiskAverseResponse:
         assert np.allclose(res.license.payout, params_small.C, atol=1e-9)
 
 
-class TestCumulativeLicense:
-    def test_empty_sequence_pays_the_fee(self, space2, params_small):
-        q = Categorical(space2, [0.9, 0.1])
-        assert cumulative_license([], q, q, params_small) == params_small.C
-
-    def test_identical_distributions_stay_at_fee(self, space2, params_small):
-        q = Categorical(space2, [0.7, 0.3])
-        assert cumulative_license([0, 1, 1, 0, 0], q, q, params_small) == pytest.approx(
-            params_small.C
-        )
-
-    def test_winning_streak_hits_the_cap(self, space2):
-        params = MechanismParams(C=15.0, R=250.0)
-        q = Categorical(space2, [0.9, 0.1])
-        p = Categorical(space2, [0.5, 0.5])
-        assert cumulative_license([0] * 20, q, p, params) == 250.0
-
-    def test_null_support_conventions(self, space2, params_small):
-        q = Categorical(space2, [1.0, 0.0])
-        p = Categorical(space2, [0.5, 0.5])
-        # observing an outcome with Q mass zero kills the license
-        assert cumulative_license([1], q, p, params_small) == 0.0
-        # P* mass zero under an observed Q-supported outcome caps immediately
-        p0 = Categorical(space2, [0.0, 1.0])
-        assert cumulative_license([0], q, p0, params_small) == params_small.R
-
-
-class TestImprovementIncentive:
-    def test_monotone_examples(self, space3):
-        lic = License(space3, [3.0, 2.0, 1.0])
-        assert improvement_incentive_check(lic, [0, 1, 2])
-        assert not improvement_incentive_check(License(space3, [1.0, 2.0, 3.0]), [0, 1, 2])
-        assert improvement_incentive_check(License(space3, [2.0, 2.0, 2.0]), [0, 1, 2])
-
-    def test_order_must_be_permutation(self, space3):
-        with pytest.raises(ValueError):
-            improvement_incentive_check(License(space3, [1.0, 1.0, 1.0]), [0, 0, 1])
-
-    def test_fosd_monotone_licenses(self):
-        # mass pushed toward worse outcomes never raises a monotone license's value
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            m = int(rng.integers(2, 7))
-            space = EvidenceSpace.of_size(m)
-            payout = np.sort(rng.uniform(0.0, 1.0, size=m))[::-1]
-            lic = License(space, payout)
-            assert improvement_incentive_check(lic, list(range(m)))
-            p1 = rng.dirichlet(np.ones(m))
-            worse = p1.copy()
-            for _ in range(int(rng.integers(1, 4))):
-                i = int(rng.integers(0, m - 1))
-                move = worse[i] * rng.uniform(0.0, 1.0)
-                worse[i] -= move
-                worse[i + 1] += move
-            d1 = Categorical(space, p1)
-            d2 = Categorical(space, worse)
-            assert np.all(np.cumsum(d2.probs) <= np.cumsum(d1.probs) + 1e-12)
-            assert d1.expectation(payout) >= d2.expectation(payout) - 1e-12
-
-
 def test_license_json_round_trip(tmp_path, space2):
     params = MechanismParams(0.5, 1.0)
     lic = License(space2, [1.0, 1.0 / 3.0])
@@ -523,7 +461,7 @@ def looped_project_to_simplex(v):
     return np.clip(v + theta, 0.0, None)
 
 
-def inline_minimize_kappa(qp, V, params, n_starts=8, max_iter=500, grad_tol=1e-8, seed=0):
+def inline_minimize_kappa(qp, V, params, n_starts=8, max_iter=500):
     """Reference: the starts one after another, with the kappa gradient written out inline."""
     k = V.shape[0]
     log_cap = math.log(params.cap_ratio)
@@ -545,7 +483,7 @@ def inline_minimize_kappa(qp, V, params, n_starts=8, max_iter=500, grad_tol=1e-8
 
     if k == 1:
         return np.ones(1), kappa_of(np.ones(1)), True
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
     starts = [np.eye(k)[i] for i in range(k)]
     starts.append(np.full(k, 1.0 / k))
     while len(starts) < max(n_starts, k + 1):
@@ -558,7 +496,7 @@ def inline_minimize_kappa(qp, V, params, n_starts=8, max_iter=500, grad_tol=1e-8
         for _ in range(max_iter):
             g = gradient(w)
             step_dir = looped_project_to_simplex(w - g) - w
-            if np.linalg.norm(step_dir) <= grad_tol:
+            if np.linalg.norm(step_dir) <= 1e-8:
                 converged = True
                 break
             eta = 1.0
@@ -611,21 +549,6 @@ def inline_risk_averse_payout(qp, p_star, V, params):
     return np.where(support & ~finite, params.R, payout)
 
 
-def inline_cumulative(z, qp, pp, params):
-    z = np.asarray(z, dtype=np.int64)
-    if z.size == 0:
-        return params.C
-    qz, pz = qp[z], pp[z]
-    if np.any((pz == 0.0) & (qz > 0.0)):
-        return params.R
-    if np.any(qz == 0.0):
-        return 0.0
-    log_value = math.log(params.C) + float(np.sum(np.log(qz) - np.log(pz)))
-    if log_value >= math.log(params.R):
-        return params.R
-    return math.exp(log_value)
-
-
 @st.composite
 def sparse_instances(draw):
     """A type Q and one to three credal vertices with zeros in Q, in P, or in both."""
@@ -642,15 +565,14 @@ def sparse_instances(draw):
     q = Categorical(space, sparse_vector())
     vertices = tuple(Categorical(space, sparse_vector()) for _ in range(draw(st.integers(1, 3))))
     params = MechanismParams(C=draw(st.floats(0.5, 20.0)), R=draw(st.floats(25.0, 300.0)))
-    z = draw(st.lists(st.integers(0, m - 1), max_size=12))
-    return q, CredalSet(space, vertices), params, z
+    return q, CredalSet(space, vertices), params
 
 
 class TestLikelihoodRatioRule:
     @given(sparse_instances())
     @settings(max_examples=150, deadline=None)
     def test_sites_match_the_inline_formulas_bitwise(self, instance):
-        q, credal, params, z = instance
+        q, credal, params = instance
         V = credal.vertex_matrix
         p = credal.vertices[0]
         np_payout = neyman_pearson_license(q, p, params).payout
@@ -664,7 +586,6 @@ class TestLikelihoodRatioRule:
         res = optimal_risk_averse_license(q, credal, params)
         assert np.array_equal(res.license.payout,
                               inline_risk_averse_payout(q.probs, w_ref @ V, V, params))
-        assert cumulative_license(z, q, p, params) == inline_cumulative(z, q.probs, p.probs, params)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ class TestSimulateMarket:
             space = EvidenceSpace.of_size(int(rng.integers(2, 5)))
             credal = random_credal(rng, space, int(rng.integers(1, 4)))
             extra = [random_categorical(rng, space) for _ in range(2)]
-            bigger = credal.with_extra_vertices(extra)
+            bigger = CredalSet(space, credal.vertices + tuple(extra))
             q = random_categorical(rng, space)
             v_small = sup_value_over_obedient(q, credal, PARAMS).value
             v_big = sup_value_over_obedient(q, bigger, PARAMS).value
