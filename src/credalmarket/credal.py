@@ -48,7 +48,7 @@ __all__ = [
     "maximize_over_mixtures",
 ]
 
-#: default bound on the uncovered mass 1 - sum w of a hull member (LP round-off).
+#: bound on the uncovered mass 1 - sum w of a hull member (LP round-off).
 #: A member's witness reproduces q to 2 * tol in L1, and so in the
 #: infinity norm; a q farther than 2 * tol from the hull in the infinity norm
 #: leaves more than tol uncovered and is rejected.
@@ -117,22 +117,21 @@ class MembershipWitness(NamedTuple):
     uncovered: float
 
 
-def membership(q: Categorical, credal: CredalSet, tol: float = MEMBERSHIP_TOL) -> MembershipWitness:
+def membership(q: Categorical, credal: CredalSet) -> MembershipWitness:
     """Test whether q lies in the convex hull of the vertices.
 
     Solves the box LP  max sum w  s.t.  V^T w <= q,  0 <= w <= 1.  V^T w has
     mass sum w and q has mass 1, so the uncovered mass 1 - sum w is the L1
     distance from q to the best sub-mixture below it; it is 0 exactly when q
     is a mixture of the vertices.  q is a member when the uncovered mass is at
-    most ``tol``, with witness weights w / sum w.
+    most ``MEMBERSHIP_TOL``, with witness weights w / sum w.
     """
-    if q.space != credal.space:
-        raise ValueError("distribution and credal set live on different spaces")
+    require_same_space(q, credal)
     V = credal.vertex_matrix  # (k, m)
     k = V.shape[0]
     sol = solve_box_lp(c=np.ones(k), A=V.T, b=q.probs, upper=np.ones(k))
     uncovered = 1.0 - sol.value
-    if uncovered <= tol:
+    if uncovered <= MEMBERSHIP_TOL:
         w = np.clip(sol.x, 0.0, None)  # the ratio-test tie tolerance can leave w_i slightly < 0
         return MembershipWitness(True, w / w.sum(), uncovered)
     return MembershipWitness(False, None, uncovered)
@@ -179,6 +178,10 @@ def approximate_constraint_set(space: EvidenceSpace, score, tau: float,
 # ---------------------------------------------------------------------------
 # Gaming witness: mixtures that escape a non-convex regulator
 # ---------------------------------------------------------------------------
+
+
+#: rounds n of the naive regulator's value min{C * exp(n * min_i KL(Q||P_i)), R}
+GAMING_HORIZON = 500
 
 
 class GamingWitness(NamedTuple):
@@ -256,7 +259,6 @@ def gaming_witness(
     points: list[Categorical],
     params,
     naive_license_builder: Optional[Callable[..., Callable[[Categorical], float]]] = None,
-    horizon: int = 500,
     grid_resolution: float = 0.02,
 ) -> Optional[GamingWitness]:
     """Search for a mixture of the points that beats a naive per-point regulator.
@@ -264,11 +266,12 @@ def gaming_witness(
     Returns the best weights and the payoff excess over the entry fee when a
     profitable mixture exists, otherwise None (absence is a valid answer: for
     a single point, or coincident points, the hull adds nothing to game with).
+    The builder takes the arguments of :func:`sequential_glr_value`.
     """
     if len(points) < 2:
         return None
     builder = naive_license_builder or sequential_glr_value
-    value_fn = builder(points, params.C, params.R, horizon)
+    value_fn = builder(points, params.C, params.R, GAMING_HORIZON)
     w, v = maximize_over_mixtures(points, value_fn, grid_resolution=grid_resolution)
     if v > params.C + 1e-9 * (1.0 + params.C):  # strict gain, above float residue
         return GamingWitness(weights=w, payoff_gap=v - params.C)

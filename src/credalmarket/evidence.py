@@ -8,8 +8,8 @@ Randomness: all sampling uses numpy's PCG64 generator seeded through
 sequences are reproducible bit-for-bit at a fixed seed.  Replicate seeds are
 derived with :func:`spawn_seeds`.
 
-All types are immutable after construction except the position counter of
-:class:`SampleStream`; pure operations are safe to share across threads.
+All types are immutable after construction except :class:`SampleStream`,
+which each draw advances; pure operations are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "ratio",
     "log_ratio",
     "sample",
+    "draw_outcomes",
     "spawn_seeds",
     "load_json",
     "is_json_number",
@@ -184,11 +185,12 @@ class Categorical:
         return Categorical(space, np.full(m, 1.0 / m))
 
 
-def require_same_space(*dists: Categorical) -> EvidenceSpace:
-    space = dists[0].space
-    for d in dists[1:]:
-        if d.space != space:
-            raise ValueError("distributions are defined on different evidence spaces")
+def require_same_space(*items) -> EvidenceSpace:
+    """The one space of ``items`` (anything with a ``.space``: distributions, scores, sets, licenses)."""
+    space = items[0].space
+    for item in items[1:]:
+        if item.space != space:
+            raise ValueError("inputs are defined on different evidence spaces")
     return space
 
 
@@ -246,12 +248,11 @@ class SampleStream:
     """A deterministic i.i.d. outcome stream from a categorical source.
 
     Identical ``(source, seed)`` pairs reproduce identical sequences.  A
-    stream is single-owner sequential state: only ``position`` mutates.
+    stream is single-owner sequential state: each draw advances it.
     """
 
     source: Categorical
     seed: int
-    position: int = 0
     _gen: np.random.Generator = field(init=False, repr=False)
     _cdf: np.ndarray = field(init=False, repr=False)
 
@@ -260,19 +261,21 @@ class SampleStream:
         cdf = np.cumsum(self.source.probs)
         cdf[-1] = 1.0  # guard the last bin against rounding
         self._cdf = cdf
-        # One uniform draw consumes one PCG64 output, so a restored stream
-        # skips ``position`` outputs without drawing them.
-        self._gen.bit_generator.advance(self.position)
 
 
 def sample(stream: SampleStream, n: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. outcome indices and advance the stream position."""
+    """Draw ``n`` i.i.d. outcome indices, advancing the stream."""
     if n < 0:
         raise ValueError("sample count must be non-negative")
     u = stream._gen.random(n)
     outcomes = np.searchsorted(stream._cdf, u, side="right")
-    stream.position += n
     return outcomes.astype(np.int64)
+
+
+def draw_outcomes(dist: Categorical, runs: int, n: int, seed: int) -> np.ndarray:
+    """(runs, n) int64 outcome matrix, row r from the r-th :func:`spawn_seeds` child of ``seed``."""
+    return np.array([sample(SampleStream(dist, seed=s), n) for s in spawn_seeds(seed, runs)],
+                    dtype=np.int64).reshape(runs, n)
 
 
 def spawn_seeds(seed: int, n: int) -> list[int]:

@@ -38,15 +38,14 @@ from .credal import CredalSet, approximate_constraint_set
 from .evidence import (
     Categorical,
     EvidenceSpace,
-    SampleStream,
     json_integer,
     json_number,
     json_numbers,
     json_object,
     log_ratio,
-    sample,
     spawn_seeds,
 )
+from .evidence import draw_outcomes as _draw_outcomes  # the name perfbench traces, tests patch
 from .licenses import MechanismParams, minimize_kappa
 
 __all__ = [
@@ -106,12 +105,6 @@ def _mean_se(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     else:
         se = np.zeros_like(mean)
     return mean, se
-
-
-def _draw_outcomes(dist: Categorical, runs: int, n: int, seed: int) -> np.ndarray:
-    """(runs, n) outcome matrix, one spawned PCG64 stream per replicate."""
-    return np.array([sample(SampleStream(dist, seed=s), n) for s in spawn_seeds(seed, runs)],
-                    dtype=np.int64).reshape(runs, n)
 
 
 def _capped_exp(log_values: np.ndarray, cap: float) -> np.ndarray:
@@ -237,7 +230,7 @@ class FairnessConfig:
 
 def parity_betting_score(tau: float) -> BettingScore:
     """Score tau - |Y0 - Y1| on paired draws; drift <= 0 for gap >= tau."""
-    return BettingScore(PAIRED_SPACE, tau - np.asarray(PAIRED_GAP_METRIC), tau=tau)
+    return BettingScore(PAIRED_SPACE, tau - np.asarray(PAIRED_GAP_METRIC))
 
 
 def parity_credal_set(tau: float, grid_resolution: int) -> CredalSet:

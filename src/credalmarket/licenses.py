@@ -32,6 +32,7 @@ from .evidence import (
     load_json,
     log_ratio,
     ratio,
+    require_same_space,
 )
 
 __all__ = [
@@ -136,8 +137,7 @@ class OptimalLicenseResult:
 def is_obedient(license: License, credal: CredalSet, params: MechanismParams,
                 tol: float = 1e-9) -> bool:
     """True iff no distribution in the set earns more than C from the license."""
-    if license.space != credal.space:
-        raise ValueError("license and credal set live on different spaces")
+    require_same_space(license, credal)
     return upper_expectation(credal, license.payout) <= params.C + tol
 
 
@@ -156,8 +156,7 @@ def sup_value_over_obedient(q: Categorical, credal: CredalSet,
     The feasible region {0 <= pi <= R, E_P[pi] <= C for each vertex P} always
     contains pi = 0, and the optimizer sits at a vertex of the polytope.
     """
-    if q.space != credal.space:
-        raise ValueError("type and credal set live on different spaces")
+    require_same_space(q, credal)
     V = credal.vertex_matrix
     k = V.shape[0]
     sol = solve_box_lp(
@@ -181,8 +180,7 @@ def neyman_pearson_license(q: Categorical, p: Categorical,
     spent; the boundary outcome gets the fractional payout that makes
     E_P[pi] = C exactly.
     """
-    if q.space != p.space:
-        raise ValueError("distributions live on different spaces")
+    require_same_space(q, p)
     pp = p.probs
     order = np.lexsort((np.arange(q.space.size), -ratio(q.probs, pp)))
     payout = np.zeros(q.space.size)
@@ -207,8 +205,7 @@ def kappa(q: Categorical, p: Categorical, params: MechanismParams) -> float:
     where the likelihood ratio exceeds R/C, but stays finite even when P
     vanishes on Q's support.
     """
-    if q.space != p.space:
-        raise ValueError("distributions live on different spaces")
+    require_same_space(q, p)
     support = q.probs > 0.0
     qs = q.probs[support]
     return float(qs @ np.minimum(log_ratio(qs, p.probs[support]), math.log(params.cap_ratio)))
@@ -229,6 +226,8 @@ def _project_rows_to_simplex(X: np.ndarray) -> np.ndarray:
 KAPPA_SEED = 0
 #: projected-gradient step length at which a :func:`minimize_kappa` start is stationary
 KAPPA_GRAD_TOL = 1e-8
+#: projected-gradient iterations per :func:`minimize_kappa` start
+KAPPA_MAX_ITER = 500
 
 
 def minimize_kappa(
@@ -236,7 +235,6 @@ def minimize_kappa(
     credal: CredalSet,
     params: MechanismParams,
     n_starts: int = 8,
-    max_iter: int = 500,
 ) -> tuple[np.ndarray, float, bool]:
     """Minimize kappa_Q over the credal set via multi-start projected gradient.
 
@@ -245,7 +243,7 @@ def minimize_kappa(
     vertex, the barycenter, and seeded random points; ties in the final value
     resolve to the lowest start index so results are deterministic.
     Returns (best weights, kappa value, converged flag); the flag is that of
-    the returned start, False when it stopped at ``max_iter``.
+    the returned start, False when it stopped at ``KAPPA_MAX_ITER``.
 
     All starts advance in lock-step as the rows of one weight matrix: one
     batched gradient, projection and kappa evaluation per iteration, and a
@@ -297,7 +295,7 @@ def minimize_kappa(
     vals = kappa_of(P)
     converged = np.zeros(W.shape[0], dtype=bool)
     live = np.arange(W.shape[0])
-    for _ in range(max_iter):
+    for _ in range(KAPPA_MAX_ITER):
         if live.size == 0:
             break
         W_live, G = W[live], gradients(P[live])
@@ -381,8 +379,7 @@ def optimal_risk_averse_license(
     no mass on a Q-supported outcome that another vertex charges pays R there
     for every gamma.
     """
-    if q.space != credal.space:
-        raise ValueError("type and credal set live on different spaces")
+    require_same_space(q, credal)
     w, kappa_val, converged = minimize_kappa(q, credal, params)
     p_star = w @ credal.vertex_matrix
     lr = ratio(q.probs, p_star)

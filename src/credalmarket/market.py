@@ -18,8 +18,14 @@ from typing import Callable, Literal, Optional
 import numpy as np
 
 from .betting import BettingScore, KellyConfig, plugin_paths
-from .credal import CredalSet, maximize_over_mixtures, membership, sequential_glr_value
-from .evidence import Categorical, SampleStream, require_same_space, sample, spawn_seeds
+from .credal import (
+    GAMING_HORIZON,
+    CredalSet,
+    maximize_over_mixtures,
+    membership,
+    sequential_glr_value,
+)
+from .evidence import Categorical, draw_outcomes, require_same_space
 from .licenses import (
     MechanismParams,
     optimal_risk_averse_license,
@@ -39,6 +45,8 @@ __all__ = [
 
 #: |sup_value - C| band treated as numerically indeterminate
 BOUNDARY_BAND = 1e-9
+#: seeded replicates behind each provider's betting-mechanism value
+BETTING_REPLICATES = 30
 
 Classification = Literal["true-in", "true-out", "false-in", "false-out"]
 
@@ -146,8 +154,7 @@ def _betting_sup_values(
     """
     space = require_same_space(*(pr.q for pr in providers))
     score = BettingScore.from_metric(space, req.metric, req.tau)
-    z = np.stack([sample(SampleStream(pr.q, seed=s), n)
-                  for pr in providers for s in spawn_seeds(seed, replicates)])
+    z = np.vstack([draw_outcomes(pr.q, replicates, n, seed) for pr in providers])
     finals = plugin_paths(z, score, cfg, params)[2][:, -1]
     return [float(np.mean(row)) for row in finals.reshape(len(providers), replicates)]
 
@@ -160,14 +167,13 @@ def simulate_market(
     mechanism: str = "optimal-LP",
     n: int = 500,
     seed: int = 0,
-    betting_replicates: int = 30,
 ) -> MarketReport:
     """Evaluate each provider's best response, participation, and classification.
 
     ``mechanism`` is one of "optimal-LP", "risk-averse", or "betting"; the
     betting mechanism needs a threshold requirement (its score must be a
     per-outcome statistic) and decides participation ex ante via the Monte
-    Carlo mean final license over seeded replicates.
+    Carlo mean final license over ``BETTING_REPLICATES`` seeded replicates.
     """
     if mechanism not in ("optimal-LP", "risk-averse", "betting"):
         raise ValueError(f"unknown mechanism {mechanism!r}")
@@ -185,7 +191,7 @@ def simulate_market(
         sup_values = [optimal_risk_averse_license(pr.q, credal, params).value for pr in ordered]
     elif ordered:
         sup_values = _betting_sup_values(ordered, req, params, n=n, seed=seed,
-                                         replicates=betting_replicates, cfg=KellyConfig())
+                                         replicates=BETTING_REPLICATES, cfg=KellyConfig())
     else:
         sup_values = []
     rows = []
@@ -213,7 +219,6 @@ def strategic_mixture_best_response(
     base_models: list[Categorical],
     params: MechanismParams,
     value_fn: Optional[Callable[[Categorical], float]] = None,
-    horizon: int = 500,
     grid_resolution: float = 0.02,
 ) -> tuple[np.ndarray, float]:
     """Best mixture of base models against a mechanism's value function.
@@ -225,5 +230,5 @@ def strategic_mixture_best_response(
     """
     if len(base_models) < 2:
         raise ValueError("strategic mixing needs at least two base models")
-    fn = value_fn or sequential_glr_value(base_models, params.C, params.R, horizon)
+    fn = value_fn or sequential_glr_value(base_models, params.C, params.R, GAMING_HORIZON)
     return maximize_over_mixtures(base_models, fn, grid_resolution=grid_resolution)

@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -49,9 +50,9 @@ def scalar_kelly(probs, score, cfg, init=None):
     lam = min(edge / float(probs @ score**2), ceiling)
     if init is not None and 0.0 < init < ceiling:
         lam = init
-    for _ in range(cfg.max_iter):
+    for _ in range(betting.KELLY_MAX_ITER):
         d1 = fprime(lam)
-        if abs(d1) <= cfg.newton_tol:
+        if abs(d1) <= betting.NEWTON_TOL:
             return lam
         if d1 > 0:
             lo = lam
@@ -61,10 +62,10 @@ def scalar_kelly(probs, score, cfg, init=None):
         lam_next = lam - d1 / d2
         if not (lo < lam_next < hi):
             lam_next = 0.5 * (lo + hi)
-        if abs(lam_next - lam) <= cfg.newton_tol * max(1.0, lam):
+        if abs(lam_next - lam) <= betting.NEWTON_TOL * max(1.0, lam):
             return lam_next
         lam = lam_next
-    grid = np.linspace(0.0, ceiling, cfg.grid_fallback)
+    grid = np.linspace(0.0, ceiling, betting.GRID_FALLBACK)
     values = np.log1p(np.outer(grid, score)) @ probs
     return float(grid[int(np.argmax(values))])
 
@@ -139,14 +140,14 @@ class TestKellyBet:
         score = BettingScore(bspace, [0.4, 0.4])
         cfg = KellyConfig()
         lam = kelly_optimal_bet(binary_dist(bspace, 0.5), score, cfg)
-        assert lam == cfg.lambda_default_max
+        assert lam == betting.LAMBDA_DEFAULT_MAX
 
     def test_warm_start_does_not_change_answer(self, bspace):
         cfg = KellyConfig()
-        dist = binary_dist(bspace, 0.7)
-        base = kelly_optimal_bet(dist, binary_score(bspace), cfg)
+        probs = binary_dist(bspace, 0.7).probs[None, :]
+        base = kelly_bets(probs, binary_score(bspace), cfg)
         for init in (0.01, 0.3, 0.9):
-            assert kelly_optimal_bet(dist, binary_score(bspace), cfg, init=init) == pytest.approx(
+            assert kelly_bets(probs, binary_score(bspace), cfg, init=[init]) == pytest.approx(
                 base, abs=1e-9
             )
 
@@ -168,7 +169,7 @@ class TestKellyBet:
 
 @st.composite
 def kelly_problems(draw):
-    """Shapes and solver settings from hypothesis, values from a drawn seed."""
+    """Shapes and Newton iteration budgets from hypothesis, values from a drawn seed."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(2, 6))
     rows = draw(st.integers(1, 12))
@@ -176,21 +177,23 @@ def kelly_problems(draw):
     if draw(st.booleans()):
         score = np.abs(score)  # no losing outcome: the default ceiling applies
     probs = rng.dirichlet(np.full(m, draw(st.sampled_from([0.3, 1.0, 5.0]))), size=rows)
-    cfg = KellyConfig(max_iter=draw(st.sampled_from([1, 2, 200])))
+    max_iter = draw(st.sampled_from([1, 2, 200]))
+    cfg = KellyConfig()
     init = None
     if draw(st.booleans()):
         init = rng.uniform(-0.5, 1.5, size=rows) * cfg.ceiling(score)  # some outside (0, B)
-    return BettingScore(EvidenceSpace.of_size(m), score), probs, cfg, init
+    return BettingScore(EvidenceSpace.of_size(m), score), probs, cfg, init, max_iter
 
 
 class TestKellyBets:
     @given(kelly_problems())
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_newton_bitwise(self, problem):
-        b, probs, cfg, init = problem
-        got = kelly_bets(probs, b, cfg, init=init)
-        want = [scalar_kelly(probs[i], b.score, cfg, None if init is None else float(init[i]))
-                for i in range(len(probs))]
+        b, probs, cfg, init, max_iter = problem
+        with patch.object(betting, "KELLY_MAX_ITER", max_iter):
+            got = kelly_bets(probs, b, cfg, init=init)
+            want = [scalar_kelly(probs[i], b.score, cfg, None if init is None else float(init[i]))
+                    for i in range(len(probs))]
         assert np.array_equal(got, want)
 
     def test_edge_cases_in_one_batch(self, bspace):
@@ -201,7 +204,7 @@ class TestKellyBets:
         assert got[2] == pytest.approx(0.4, abs=1e-9)
         assert got[3] == pytest.approx(0.5, abs=1e-9)
         sure_win = kelly_bets(probs, BettingScore(bspace, [0.4, 0.4]), cfg)
-        assert np.array_equal(sure_win, np.full(4, cfg.lambda_default_max))
+        assert np.array_equal(sure_win, np.full(4, betting.LAMBDA_DEFAULT_MAX))
 
     def test_guesses_at_the_bracket_ends_are_ignored(self):
         cfg = KellyConfig()
@@ -213,14 +216,16 @@ class TestKellyBets:
 
     def test_grid_fallback_after_one_iteration(self, bspace):
         # An uneven score leaves Newton short after one step, so the grid decides.
-        cfg = KellyConfig(max_iter=1, grid_fallback=1001)
+        cfg = KellyConfig()
         score = BettingScore(bspace, [1.0, -0.5])
         probs = np.array([[0.5, 0.5], [0.6, 0.4]])
-        got = kelly_bets(probs, score, cfg)
-        grid = np.linspace(0.0, cfg.ceiling(score.score), cfg.grid_fallback)
+        with patch.object(betting, "KELLY_MAX_ITER", 1), patch.object(betting, "GRID_FALLBACK", 1001):
+            got = kelly_bets(probs, score, cfg)
+            want = [scalar_kelly(p, score.score, cfg) for p in probs]
+        grid = np.linspace(0.0, cfg.ceiling(score.score), 1001)
         assert np.all(np.isin(got, grid))
         assert got == pytest.approx([0.5, 0.8], abs=2e-3)
-        assert np.array_equal(got, [scalar_kelly(p, score.score, cfg) for p in probs])
+        assert np.array_equal(got, want)
 
 
 class TestBatchedPaths:

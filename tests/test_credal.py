@@ -256,7 +256,7 @@ class TestConstraintSets:
 class TestGamingWitness:
     def test_gaming_instance_has_uniform_witness(self, simplex_points):
         params = MechanismParams(C=15.0, R=250.0)
-        witness = gaming_witness(simplex_points, params, horizon=500)
+        witness = gaming_witness(simplex_points, params)
         assert witness is not None
         assert witness.payoff_gap > 0.0
         assert np.max(np.abs(witness.weights - 1 / 3)) <= 0.05

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import random_categorical, random_credal
+from credalmarket import licenses
 from credalmarket._linprog import PIVOT_TOL, solve_box_lp
 from credalmarket.credal import CredalSet, upper_expectation
 from credalmarket.evidence import Categorical, EvidenceSpace, kl_divergence
 from credalmarket.experiments import paired_fairness_distribution, parity_credal_set
 from credalmarket.licenses import (
+    KAPPA_MAX_ITER,
     License,
     MechanismParams,
     _project_rows_to_simplex,
@@ -260,7 +263,8 @@ class TestKappa:
                                     Categorical(space2, [0.12, 0.88])))
         q = Categorical(space2, [0.31, 0.69])
         params = MechanismParams(15.0, 250.0)
-        _, val_short, converged_short = minimize_kappa(q, credal, params, max_iter=1)
+        with patch.object(licenses, "KAPPA_MAX_ITER", 1):
+            _, val_short, converged_short = minimize_kappa(q, credal, params)
         _, val_full, converged_full = minimize_kappa(q, credal, params)
         assert converged_full
         assert val_full < val_short - 1e-6
@@ -626,15 +630,16 @@ def kappa_instances(draw):
     q = Categorical(space, sparse_vector())
     credal = CredalSet(space, tuple(Categorical(space, sparse_vector()) for _ in range(k)))
     params = MechanismParams(C=draw(st.floats(0.5, 20.0)), R=draw(st.floats(25.0, 300.0)))
-    kwargs = {"max_iter": draw(st.sampled_from((1, 2, 500))),
+    kwargs = {"max_iter": draw(st.sampled_from((1, 2, 500))),  # patched in as KAPPA_MAX_ITER
               "n_starts": draw(st.sampled_from((8, k + 4)))}
     return q, credal, params, kwargs
 
 
-def assert_kappa_matches_the_loop(q, credal, params, **kwargs):
-    w, val, converged = minimize_kappa(q, credal, params, **kwargs)
+def assert_kappa_matches_the_loop(q, credal, params, max_iter=KAPPA_MAX_ITER, **kwargs):
+    with patch.object(licenses, "KAPPA_MAX_ITER", max_iter):
+        w, val, converged = minimize_kappa(q, credal, params, **kwargs)
     w_ref, val_ref, converged_ref = inline_minimize_kappa(
-        q.probs, credal.vertex_matrix, params, **kwargs)
+        q.probs, credal.vertex_matrix, params, max_iter=max_iter, **kwargs)
     assert np.array_equal(w, w_ref)
     assert val == val_ref
     assert converged == converged_ref

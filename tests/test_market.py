@@ -102,7 +102,7 @@ class TestSimulateMarket:
         noncompliant = Provider(id="lose", q=Categorical(space2, [0.45, 0.55]))
         report = simulate_market(
             [compliant, noncompliant], req, credal, PARAMS,
-            mechanism="betting", n=400, seed=5, betting_replicates=10,
+            mechanism="betting", n=400, seed=5,
         )
         by_id = {r.provider_id: r for r in report.rows}
         assert by_id["win"].participated and by_id["win"].compliant
@@ -164,7 +164,7 @@ class TestSimulateMarket:
 
 class TestStrategicBestResponse:
     def test_beats_naive_regulator_near_uniform(self, simplex_points):
-        w, payoff = strategic_mixture_best_response(simplex_points, PARAMS, horizon=500)
+        w, payoff = strategic_mixture_best_response(simplex_points, PARAMS)
         assert payoff > PARAMS.C
         assert np.max(np.abs(w - 1 / 3)) <= 0.05
 
