@@ -5,8 +5,10 @@ the shape of every linear program here: the optimal-license programs and the
 hull-membership test.  The origin is always feasible, so no phase-1 step is
 needed.  Bland's pivoting rule (R. G. Bland, "New finite pivoting rules for
 the simplex method", Math. Oper. Res. 2(2), 1977) keeps the method finite and
-deterministic.  Problem sizes are tiny (tens of variables), so each pivot is
-a few array operations on one dense tableau.
+deterministic.  Problem sizes are tiny (tens of variables), so the cost of a
+solve is numpy call overhead, not arithmetic: the tableau is written in place
+into one zeroed array, and each pivot is a few array operations on it plus a
+row-by-row ratio scan.  The scan and the row update fix the result's bits.
 """
 
 from __future__ import annotations
@@ -38,29 +40,32 @@ def solve_box_lp(c, A, b, upper) -> LpSolution:
     n = c.size
     if A.shape[1] != n or b.shape != (A.shape[0],) or u.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
-    if np.any(b < 0) or np.any(u < 0):
+    if (b < 0).any() or (u < 0).any():
         raise ValueError("right-hand sides must be non-negative")
 
-    # Fold the upper bounds in as ordinary rows; slacks form the initial basis.
-    A_full = np.vstack([A, np.eye(n)])
-    b_full = np.concatenate([b, u])
-    m_rows = A_full.shape[0]
-
-    # Tableau columns: n structural vars, m_rows slacks, rhs.
-    T = np.zeros((m_rows + 1, n + m_rows + 1))
-    T[:m_rows, :n] = A_full
-    T[:m_rows, n : n + m_rows] = np.eye(m_rows)
-    T[:m_rows, -1] = b_full
+    # Fold the upper bounds in as rows x_j + s = u_j; slacks form the initial
+    # basis.  Tableau columns: n structural vars, m_rows slacks, rhs.  Both
+    # identity blocks are diagonals of the flat tableau with stride width + 1.
+    k = A.shape[0]
+    m_rows = k + n
+    width = n + m_rows + 1
+    T = np.zeros((m_rows + 1, width))
+    flat = T.reshape(-1)
+    T[:k, :n] = A
+    flat[k * width : m_rows * width : width + 1] = 1.0  # upper-bound rows
+    flat[n : m_rows * width : width + 1] = 1.0  # slack columns
+    T[:k, -1] = b
+    T[k:m_rows, -1] = u
     T[-1, :n] = -c  # objective row holds reduced costs of a max problem
     basis = list(range(n, n + m_rows))
 
     iterations = 0
     max_iter = 200 * (n + m_rows)
-    while True:
-        improving = np.flatnonzero(T[-1, :-1] < -PIVOT_TOL)
-        if improving.size == 0:
+    while n > 0:  # with no variables the slack basis is optimal
+        improving = T[-1, :-1] < -PIVOT_TOL
+        entering = int(improving.argmax())  # Bland: lowest improving index
+        if not improving[entering]:
             break
-        entering = int(improving[0])  # Bland: lowest improving index
         col = T[:m_rows, entering].tolist()
         rhs = T[:m_rows, -1].tolist()
         # Bland's ratio test scans rows in order against the running best:

@@ -16,7 +16,6 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -40,6 +39,8 @@ LAMBDA_DEFAULT_MAX = 10.0
 NEWTON_TOL = 1e-12
 KELLY_MAX_ITER = 200
 GRID_FALLBACK = 20001
+#: entry fee C, the starting wealth of every :func:`verify_supermartingale` run
+AUDIT_ENTRY_FEE = 15.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +99,8 @@ def kelly_bets(probs, b: BettingScore, cfg: KellyConfig, init=None) -> np.ndarra
     """
     # Row dots use np.vecdot on contiguous rows: it rounds like the 1-D
     # ``probs @ x`` of a single solve, where einsum or sum(axis=1) do not.
+    # The ``P[rows]`` row subsets below stay C-ordered; a column subset must
+    # go through ``licenses._column_subset`` to keep these bits.
     P = np.ascontiguousarray(probs, dtype=float)
     score = b.score
     out = np.zeros(P.shape[0])
@@ -210,13 +213,13 @@ def verify_supermartingale(
     runs: int,
     n: int,
     seed: int,
-    params: Optional[MechanismParams] = None,
 ) -> tuple[float, float]:
     """Monte Carlo check of E_P[final wealth] <= C under a null with E[b] <= 0.
 
-    Simulates ``runs`` independent adaptive-bet trajectories (no cap applied:
-    this diagnostic watches raw wealth) and returns the mean and standard
-    error of the final wealth.  Obedience holds when mean <= C + 3 * SE.
+    Simulates ``runs`` independent adaptive-bet trajectories from wealth
+    C = ``AUDIT_ENTRY_FEE`` (no cap applied: this diagnostic watches raw
+    wealth) and returns the mean and standard error of the final wealth.
+    Obedience holds when mean <= C + 3 * SE.
 
     Bets are the same plug-in Kelly rule as :func:`plugin_paths`; since the
     rule depends on history only through outcome counts, each round solves
@@ -240,12 +243,11 @@ def verify_supermartingale(
     edge = float(null_dist.probs @ b.score)
     if edge > 0.0:
         raise ValueError("verify_supermartingale needs a null with E[b] <= 0")
-    params = params or MechanismParams(C=15.0, R=250.0)
     m = b.space.size
     stream = SampleStream(null_dist, seed=seed)
     states = np.zeros((1, m), dtype=np.int64)  # distinct count rows, sorted
     state = np.zeros(runs, dtype=np.intp)  # each run's row in ``states``
-    log_wealth = np.full(runs, math.log(params.C))
+    log_wealth = np.full(runs, math.log(AUDIT_ENTRY_FEE))
     for t in range(n):
         z = sample(stream, runs)
         if t > 0:

@@ -13,7 +13,11 @@ from credalmarket import licenses
 from credalmarket._linprog import PIVOT_TOL, solve_box_lp
 from credalmarket.credal import CredalSet, upper_expectation
 from credalmarket.evidence import Categorical, EvidenceSpace, kl_divergence
-from credalmarket.experiments import paired_fairness_distribution, parity_credal_set
+from credalmarket.experiments import (
+    SIMPLEX_POINTS,
+    paired_fairness_distribution,
+    parity_credal_set,
+)
 from credalmarket.licenses import (
     KAPPA_MAX_ITER,
     License,
@@ -83,22 +87,43 @@ def looped_box_lp(c, A, b, u):
     return x, float(c @ x), duals, iterations
 
 
+def market_vertices():
+    """The benchmark market's credal set: 12 Dirichlet(3) vertices over 6 outcomes."""
+    return np.random.default_rng(0).dirichlet(np.full(6, 3.0), size=12)
+
+
+def fixed_box_lps():
+    """The LPs the market and the audit solve: license (12 x 6), membership (6 x 12), 3 x 3."""
+    V = market_vertices()
+    gaming, outsider = np.random.default_rng(1).dirichlet(np.ones(12)) @ V, np.full(6, 1 / 6)
+    points = np.array(SIMPLEX_POINTS)
+    lps = []
+    for q in (gaming, outsider):
+        lps.append((q, V, np.full(12, 15.0), np.full(6, 250.0)))
+        lps.append((np.ones(12), V.T, q, np.ones(12)))
+    for q in (points.mean(axis=0), points[0]):
+        lps.append((q, points, np.full(3, 15.0), np.full(3, 250.0)))
+    return lps
+
+
 class TestSimplexSolver:
     def test_bitwise_equal_to_the_looped_tableau(self):
         # license-shaped (sparse objective), membership-shaped and generic box LPs
         rng = np.random.default_rng(6)
+        lps = []
         for trial in range(300):
             m, k = int(rng.integers(2, 8)), int(rng.integers(1, 13))
             V = rng.dirichlet(np.ones(m), size=k)
             if trial % 3 == 0:
                 q = rng.dirichlet(np.ones(m)) * (rng.random(m) > 0.3)
-                lp = (q, V, np.full(k, 1.5), np.full(m, 20.0))
+                lps.append((q, V, np.full(k, 1.5), np.full(m, 20.0)))
             elif trial % 3 == 1:
                 q = rng.dirichlet(np.ones(k)) @ V if trial % 2 else rng.dirichlet(np.ones(m))
-                lp = (np.ones(k), V.T, q, np.ones(k))
+                lps.append((np.ones(k), V.T, q, np.ones(k)))
             else:
-                lp = (rng.normal(size=m), rng.uniform(0.0, 1.0, size=(k, m)),
-                      rng.uniform(0.2, 2.0, size=k), rng.uniform(0.2, 3.0, size=m))
+                lps.append((rng.normal(size=m), rng.uniform(0.0, 1.0, size=(k, m)),
+                            rng.uniform(0.2, 2.0, size=k), rng.uniform(0.2, 3.0, size=m)))
+        for lp in lps + fixed_box_lps():
             sol = solve_box_lp(*lp)
             x, value, duals, iterations = looped_box_lp(*lp)
             assert sol.x.tobytes() == x.tobytes() and sol.duals.tobytes() == duals.tobytes()
@@ -131,6 +156,12 @@ class TestSimplexSolver:
             assert mine.value == pytest.approx(-ref.fun, abs=1e-9)
             assert np.all(A @ mine.x <= b + 1e-9)
             assert np.all(mine.x >= -1e-12) and np.all(mine.x <= u + 1e-9)
+
+    def test_no_variables_is_solved_at_the_origin(self):
+        for rows in (0, 2):
+            sol = solve_box_lp([], np.zeros((rows, 0)), np.ones(rows), [])
+            assert sol.x.size == 0 and sol.value == 0.0 and sol.iterations == 0
+            assert sol.duals.tobytes() == np.zeros(rows).tobytes()
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -614,6 +645,15 @@ def seeded_kappa_instance(seed, m, k, **kwargs):
     return q, credal, MechanismParams(C=2.0, R=60.0), kwargs
 
 
+def market_kappa_instance(seed):
+    """A hull mixture of the benchmark market's set: several starts run to KAPPA_MAX_ITER."""
+    V = market_vertices()
+    q = np.random.default_rng(seed).dirichlet(np.ones(V.shape[0])) @ V
+    space = EvidenceSpace.of_size(V.shape[1])
+    credal = CredalSet(space, tuple(Categorical(space, v) for v in V))
+    return Categorical(space, q / q.sum()), credal, MechanismParams(C=15.0, R=250.0), {}
+
+
 @st.composite
 def kappa_instances(draw):
     """A type and up to ten vertices over up to nine outcomes, zeros allowed anywhere."""
@@ -664,10 +704,19 @@ class TestLockStepKappa:
     @example(seeded_kappa_instance(4, m=4, k=4, max_iter=1))
     @example(seeded_kappa_instance(5, m=4, k=4, max_iter=2))
     @example(seeded_kappa_instance(6, m=3, k=9, n_starts=14))
+    @example(market_kappa_instance(1))
     @settings(max_examples=100, deadline=None)
     def test_random_instances_bitwise(self, instance):
         q, credal, params, kwargs = instance
         assert_kappa_matches_the_loop(q, credal, params, **kwargs)
+
+    def test_rows_sharing_one_mask_are_not_grouped(self):
+        # On the market's set every live row has the same active mask at every
+        # iteration, so the gradient never packs the masks into group keys.
+        q, credal, params, _ = market_kappa_instance(1)
+        with patch.object(np, "packbits", wraps=np.packbits) as packbits:
+            minimize_kappa(q, credal, params)
+        assert packbits.call_count == 0
 
     def test_row_projection_matches_the_vector_one_on_any_layout(self):
         rng = np.random.default_rng(3)

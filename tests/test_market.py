@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -198,3 +199,55 @@ def test_report_outputs(tmp_path, simplex_hull, uniform3):
     summary = json.loads(summary_path.read_text())
     assert set(summary) == {"perfect", "counts", "indeterminate"}
     assert sum(summary["counts"].values()) == 1
+
+
+def golden_market():
+    """A small copy of the benchmark market: 12 Dirichlet(3) vertices over 6 outcomes.
+
+    Even-numbered optimal-LP providers are hull mixtures (on the fee
+    boundary), odd-numbered ones Dirichlet draws; the risk-averse market takes
+    the first two hull mixtures, and the betting market one provider clearly
+    above and one clearly below the threshold.
+    """
+    space = EvidenceSpace.of_size(6)
+    V = np.random.default_rng(0).dirichlet(np.full(6, 3.0), size=12)
+    credal = CredalSet(space, tuple(Categorical(space, v) for v in V))
+    rng = np.random.default_rng(1)
+    providers = []
+    for i in range(20):
+        q = rng.dirichlet(np.ones(12)) @ V if i % 2 == 0 else rng.dirichlet(np.ones(6))
+        providers.append(Provider(id=f"p{i:02d}", q=Categorical(space, q / q.sum())))
+    metric = rng.permutation(np.linspace(0.0, 1.0, 6))
+    above = below = None
+    while above is None or below is None:
+        q = rng.dirichlet(np.ones(6))
+        edge = float(q @ metric) - 0.5
+        if edge >= 0.1 and above is None:
+            above = q
+        elif edge <= -0.1 and below is None:
+            below = q
+    bettors = [Provider(id=f"b{i}", q=Categorical(space, q)) for i, q in enumerate((above, below))]
+    return {
+        "optimal-LP": (providers, Requirement(kind="credal", credal=credal), {}),
+        "risk-averse": (providers[:4:2], Requirement(kind="credal", credal=credal), {}),
+        "betting": (bettors, Requirement(kind="threshold", metric=metric, tau=0.5), {"n": 100}),
+    }, credal
+
+
+#: SHA-256 of each report CSV of :func:`golden_market`; the sup values are
+#: written with repr, so these pin the LP, kappa and betting bits.
+GOLDEN_REPORT_SHA256 = {
+    "optimal-LP": "276593e94c66a66989e9c383fe07e0a56d80290377b49bca35ce24e6b0b26af9",
+    "risk-averse": "c0cfedac67291a265cb6aa744c6d91f614e74d2d9371ab4b8b341bbd9db936e6",
+    "betting": "80b80544bb6314ca2b8079a7c6ee184d8054eac828f78e23a6e90b6ed537d4ca",
+}
+
+
+@pytest.mark.parametrize("mechanism", sorted(GOLDEN_REPORT_SHA256))
+def test_market_reports_are_pinned_to_the_byte(tmp_path, mechanism):
+    markets, credal = golden_market()
+    providers, req, extra = markets[mechanism]
+    report = simulate_market(providers, req, credal, PARAMS, mechanism=mechanism, **extra)
+    report.to_csv(tmp_path / "report.csv")
+    digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256[mechanism]
