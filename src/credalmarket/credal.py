@@ -15,7 +15,6 @@ library alone, which keeps each command's start-up short.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -81,12 +80,6 @@ class CredalSet:
     def singleton(p: Categorical) -> "CredalSet":
         return CredalSet(p.space, (p,))
 
-    def to_json(self) -> dict:
-        return {
-            "space": list(self.space.labels),
-            "vertices": [v.probs.tolist() for v in self.vertices],
-        }
-
     @staticmethod
     def from_json(payload: dict) -> "CredalSet":
         json_object(payload, ("space", "vertices"), "credal JSON", required=("space", "vertices"))
@@ -98,9 +91,6 @@ class CredalSet:
     @staticmethod
     def load(path: str | Path) -> "CredalSet":
         return CredalSet.from_json(load_json(path, "credal set"))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
 
 
 def upper_expectation(credal: CredalSet, payoff) -> float:
@@ -268,11 +258,13 @@ def gaming_witness(
     a single point, or coincident points, the hull adds nothing to game with).
     The builder takes the arguments of :func:`sequential_glr_value`.
     """
+    from .licenses import participation_decision  # licenses imports this module
+
     if len(points) < 2:
         return None
     builder = naive_license_builder or sequential_glr_value
     value_fn = builder(points, params.C, params.R, GAMING_HORIZON)
     w, v = maximize_over_mixtures(points, value_fn, grid_resolution=grid_resolution)
-    if v > params.C + 1e-9 * (1.0 + params.C):  # strict gain, above float residue
+    if participation_decision(v, params):
         return GamingWitness(weights=w, payoff_gap=v - params.C)
     return None

@@ -209,17 +209,15 @@ def mixture(dists: list[Categorical], weights) -> Categorical:
 
 
 def kl_divergence(q: Categorical, p: Categorical) -> float:
-    """KL(Q || P) in nats, with 0 * log(0/x) = 0.
+    """KL(Q || P) in nats: the sum over Q's support, so 0 * log(0/x) = 0.
 
-    Returns ``math.inf`` (the dedicated sentinel, never an overflow) when Q
-    puts mass where P has none.
+    Returns ``inf`` (the :func:`log_ratio` of P = 0 < Q, never an overflow)
+    when Q puts mass where P has none.
     """
     require_same_space(q, p)
-    qp, pp = q.probs, p.probs
-    support = qp > 0.0
-    if np.any(pp[support] == 0.0):
-        return math.inf
-    return float(np.sum(qp[support] * np.log(qp[support] / pp[support])))
+    support = q.probs > 0.0
+    qs = q.probs[support]
+    return float(qs @ log_ratio(qs, p.probs[support]))
 
 
 def ratio(q, p) -> np.ndarray:

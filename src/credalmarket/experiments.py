@@ -28,12 +28,13 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 from typing import ClassVar, Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .betting import BettingScore, KellyConfig, plugin_paths
+from .betting import BettingScore, KellyConfig, _smoothed, plugin_paths
 from .credal import CredalSet, approximate_constraint_set
 from .evidence import (
     Categorical,
@@ -85,6 +86,11 @@ class ResultTable:
             if len(row) != len(self.columns):
                 raise ValueError("result table rows must match the column schema")
 
+    @classmethod
+    def of(cls, cfg, columns: tuple[str, ...], rows, headline: dict[str, float]) -> "ResultTable":
+        """A run's table, stamped with the scenario, seed and config hash of ``cfg``."""
+        return cls(cfg.scenario, cfg.seed, _config_hash(cfg), columns, tuple(rows), headline)
+
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(f"# scenario={self.scenario} seed={self.seed} config_hash={self.config_hash}\n")
@@ -98,12 +104,11 @@ class ResultTable:
         return np.array([row[j] for row in self.rows])
 
 
-def _mean_se(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    mean = x.mean(axis=axis)
-    if x.shape[axis] > 1:
-        se = x.std(axis=axis, ddof=1) / math.sqrt(x.shape[axis])
-    else:
-        se = np.zeros_like(mean)
+def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over the runs, the rows of ``x``."""
+    runs = x.shape[0]
+    mean = x.mean(axis=0)
+    se = x.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros_like(mean)
     return mean, se
 
 
@@ -175,17 +180,13 @@ def run_simplex_gaming(cfg: SimplexGamingConfig) -> ResultTable:
     credal = _cumulative_trajectories(z, q, p_star, cfg.params, 0)
     naive_mean, naive_se = _mean_se(naive)
     credal_mean, credal_se = _mean_se(credal)
-    rows = tuple(
-        (t + 1, float(naive_mean[t]), float(naive_se[t]), float(credal_mean[t]), float(credal_se[t]))
-        for t in range(cfg.n)
-    )
-    return ResultTable(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        config_hash=_config_hash(cfg),
-        columns=("step", "naive_mean", "naive_se", "credal_mean", "credal_se"),
-        rows=rows,
-        headline={
+    rows = zip(range(1, cfg.n + 1), naive_mean.tolist(), naive_se.tolist(),
+               credal_mean.tolist(), credal_se.tolist())
+    return ResultTable.of(
+        cfg,
+        ("step", "naive_mean", "naive_se", "credal_mean", "credal_se"),
+        rows,
+        {
             "naive_final_mean": float(naive_mean[-1]) if cfg.n else cfg.params.C,
             "credal_final_mean": float(credal_mean[-1]) if cfg.n else cfg.params.C,
             "credal_final_se": float(credal_se[-1]) if cfg.n else 0.0,
@@ -202,11 +203,15 @@ PAIRED_SPACE = EvidenceSpace(("y0=0,y1=0", "y0=0,y1=1", "y0=1,y1=0", "y0=1,y1=1"
 PAIRED_GAP_METRIC = (0.0, 1.0, 1.0, 0.0)
 
 
-def paired_fairness_distribution(gamma: float, base_rate: float = 0.1) -> Categorical:
-    """Joint law of one draw from each subgroup, Y0 ~ Bern(0.1), Y1 ~ Bern(gamma+0.1)."""
-    p0, p1 = base_rate, gamma + base_rate
+#: positive rate of the reference subgroup Y0
+PARITY_BASE_RATE = 0.1
+
+
+def paired_fairness_distribution(gamma: float) -> Categorical:
+    """Joint law of one draw from each subgroup, Y0 ~ Bern(base rate), Y1 ~ Bern(gamma + base rate)."""
+    p0, p1 = PARITY_BASE_RATE, gamma + PARITY_BASE_RATE
     if not (0.0 <= p1 <= 1.0):
-        raise ValueError(f"gamma + base rate must stay inside [0, 1], got {gamma!r} + {base_rate!r}")
+        raise ValueError(f"gamma + base rate must stay inside [0, 1], got {gamma!r} + {p0!r}")
     probs = [(1 - p0) * (1 - p1), (1 - p0) * p1, p0 * (1 - p1), p0 * p1]
     return Categorical(PAIRED_SPACE, probs)
 
@@ -291,28 +296,21 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
             q_used = q
         else:
             pooled = z[:, : cfg.burn_in].reshape(-1)
-            counts = np.bincount(pooled, minlength=q.space.size) + 1.0
-            q_used = Categorical(q.space, counts / counts.sum())
+            counts = np.bincount(pooled, minlength=q.space.size)
+            q_used = Categorical(q.space, _smoothed(counts, pooled.size, q.space.size)[0])
         w_star, _, _ = minimize_kappa(q_used, credal, cfg.params)
         p_star = w_star @ credal.vertex_matrix
         explicit = _cumulative_trajectories(z, q_used, p_star, cfg.params, cfg.burn_in)
         b_mean, b_se = _mean_se(betting)
         e_mean, e_se = _mean_se(explicit)
-        for t in range(cfg.n):
-            rows.append(
-                (gamma, t + 1, float(b_mean[t]), float(b_se[t]), float(e_mean[t]), float(e_se[t]))
-            )
+        rows += zip(repeat(gamma), range(1, cfg.n + 1), b_mean.tolist(), b_se.tolist(),
+                    e_mean.tolist(), e_se.tolist())
         headline[f"betting_final_mean_gamma={gamma}"] = float(b_mean[-1])
         headline[f"explicit_final_mean_gamma={gamma}"] = float(e_mean[-1])
-        drift = float(q.probs @ score.score)
-        headline[f"analytic_drift_gamma={gamma}"] = drift
-    return ResultTable(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        config_hash=_config_hash(cfg),
-        columns=("gamma", "step", "betting_mean", "betting_se", "explicit_mean", "explicit_se"),
-        rows=tuple(rows),
-        headline=headline,
+        headline[f"analytic_drift_gamma={gamma}"] = float(q.probs @ score.score)
+    return ResultTable.of(
+        cfg, ("gamma", "step", "betting_mean", "betting_se", "explicit_mean", "explicit_se"),
+        rows, headline,
     )
 
 
@@ -410,16 +408,11 @@ def run_chi2_strategic(cfg: Chi2Config) -> ResultTable:
         null_approved = alpha if null_enter else 0.0
         rows.append((float(alpha), power, null_enter, compliant_enter, float(null_approved)))
     powers = {row[0]: row[1] for row in rows}
-    return ResultTable(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        config_hash=_config_hash(cfg),
-        columns=("alpha", "power", "null_enter", "compliant_enter", "null_approved"),
-        rows=tuple(rows),
-        headline={
-            "fee_cap_ratio": ratio,
-            "power_at_0.05": powers.get(0.05, float("nan")),
-        },
+    return ResultTable.of(
+        cfg,
+        ("alpha", "power", "null_enter", "compliant_enter", "null_approved"),
+        rows,
+        {"fee_cap_ratio": ratio, "power_at_0.05": powers.get(0.05, float("nan"))},
     )
 
 
@@ -475,8 +468,8 @@ def run_synthetic_spurious(cfg: SpuriousConfig) -> ResultTable:
         z = _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed)
         traj = _cumulative_trajectories(z, q, p_star, cfg.params, cfg.burn_in)
         mean, se = _mean_se(traj)
-        for t in range(cfg.n):
-            rows.append(("license", agent, t + 1, float(mean[t]), float(se[t])))
+        rows += zip(repeat("license"), repeat(agent), range(1, cfg.n + 1),
+                    mean.tolist(), se.tolist())
         finals[agent] = float(mean[-1])
         payouts[agent] = np.minimum(cfg.params.C * q.probs / p_star, cfg.params.R)
 
@@ -489,13 +482,11 @@ def run_synthetic_spurious(cfg: SpuriousConfig) -> ResultTable:
     rows.append(("ratio", "easy_group", 0, easy, 0.0))
     rows.append(("ratio", "hard_group", 0, hard, 0.0))
 
-    return ResultTable(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        config_hash=_config_hash(cfg),
-        columns=("series", "key", "step", "value", "stderr"),
-        rows=tuple(rows),
-        headline={
+    return ResultTable.of(
+        cfg,
+        ("series", "key", "step", "value", "stderr"),
+        rows,
+        {
             "compliant_final_mean": finals["compliant"],
             "non_compliant_final_mean": finals["non_compliant"],
             "easy_group_ratio": easy,

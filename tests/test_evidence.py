@@ -179,6 +179,14 @@ class TestKlDivergence:
         p = Categorical(space2, [0.0, 1.0])
         assert kl_divergence(q, p) == math.inf
 
+    def test_outcome_outside_both_supports_adds_nothing(self, space3):
+        q = Categorical(space3, [0.6, 0.4, 0.0])
+        p = Categorical(space3, [0.5, 0.5, 0.0])
+        expected = 0.6 * math.log(0.6 / 0.5) + 0.4 * math.log(0.4 / 0.5)
+        kl = kl_divergence(q, p)
+        assert math.isfinite(kl)
+        assert kl == pytest.approx(expected, abs=1e-15)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_gibbs_inequality(self, seed):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from unittest.mock import patch
@@ -11,14 +12,22 @@ from scipy.optimize import linprog
 from conftest import random_categorical, random_credal
 from credalmarket import licenses
 from credalmarket._linprog import PIVOT_TOL, solve_box_lp
+from credalmarket.cli import build_parser
 from credalmarket.credal import CredalSet, upper_expectation
-from credalmarket.evidence import Categorical, EvidenceSpace, kl_divergence
+from credalmarket.evidence import (
+    Categorical,
+    EvidenceSpace,
+    json_object,
+    kl_divergence,
+    load_json,
+)
 from credalmarket.experiments import (
     SIMPLEX_POINTS,
     paired_fairness_distribution,
     parity_credal_set,
 )
 from credalmarket.licenses import (
+    BOUNDARY_BAND,
     KAPPA_MAX_ITER,
     License,
     MechanismParams,
@@ -185,6 +194,9 @@ class TestObedience:
         assert not participation_decision(params_small.C, params_small)
         assert participation_decision(params_small.R, params_small)
         assert not participation_decision(0.0, params_small)
+        # the boundary band around C belongs to exclusion
+        assert not participation_decision(params_small.C + BOUNDARY_BAND / 2, params_small)
+        assert participation_decision(params_small.C + 2 * BOUNDARY_BAND, params_small)
 
 
 class TestRiskNeutralResponse:
@@ -393,39 +405,57 @@ class TestRiskAverseResponse:
         assert np.allclose(res.license.payout, params_small.C, atol=1e-9)
 
 
+# The license JSON is output-only (``License.to_json``, written by ``license
+# optimal --out``); the license JSON the program reads is that command's
+# input: a credal file with the space and a config with the provider vector
+# and the params.
+
+
+def run_license_command(tmp_path, config, space=("a", "b"), config_path=None):
+    """``license optimal`` on a one-vertex credal set over ``space``; input errors raise."""
+    credal = tmp_path / "credal.json"
+    credal.write_text(json.dumps({"space": space, "vertices": [[0.25, 0.75]]}))
+    if config_path is None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+    args = build_parser().parse_args(
+        ["license", "optimal", "--credal", str(credal), "--config", str(config_path)])
+    return args.func(args)
+
+
 def test_license_json_round_trip(tmp_path, space2):
     params = MechanismParams(0.5, 1.0)
     lic = License(space2, [1.0, 1.0 / 3.0])
     path = tmp_path / "license.json"
-    lic.save(path, params)
-    loaded, loaded_params = License.load(path)
+    path.write_text(json.dumps(lic.to_json(params)))
+    fields = ("space", "payout", "params")
+    payload = json_object(load_json(path, "license"), fields, "license JSON", required=fields)
+    loaded = License(EvidenceSpace(payload["space"]), payload["payout"])
     assert np.array_equal(loaded.payout, lic.payout)
     assert loaded.space == lic.space
-    assert loaded_params == params
-    with pytest.raises(ValueError):
-        License.from_json({"space": ["a", "b"], "payout": [0.1, 0.2]})
+    assert MechanismParams.from_json(payload["params"], "license JSON field 'params'") == params
 
 
 @pytest.mark.parametrize("name, content, message", [
-    (".", None, "cannot read license file"),
-    ("missing.json", None, "cannot read license file"),
-    ("bad.json", "{\"payout\": [0.1,", "not valid JSON"),
+    (".", None, "cannot read license config file"),
+    ("missing.json", None, "cannot read license config file"),
+    ("bad.json", "{\"provider\": [0.1,", "not valid JSON"),
 ], ids=["directory", "missing", "invalid-json"])
 def test_license_load_errors_are_value_errors_naming_the_file(tmp_path, name, content, message):
     path = tmp_path / name
     if content is not None:
         path.write_text(content)
     with pytest.raises(ValueError, match=message) as err:
-        License.load(path)
+        run_license_command(tmp_path, None, config_path=path)
     assert str(path) in str(err.value)
 
 
 @pytest.mark.parametrize("payout", [["0.1", 0.2], [0.1, True], [[0.1], 0.2], "0.1,0.2",
                                     [math.nan, 0.2], [0.1, math.inf], 0.1])
-def test_license_json_rejects_payouts_that_are_not_numbers(payout):
-    payload = {"space": ["a", "b"], "payout": payout, "params": {"C": 0.5, "R": 1.0}}
-    with pytest.raises(ValueError, match="payout"):
-        License.from_json(payload)
+def test_license_json_rejects_payouts_that_are_not_numbers(tmp_path, payout):
+    # the provider vector is read by the rule the license payout was read by
+    with pytest.raises(ValueError, match="'provider'"):
+        run_license_command(tmp_path, {"provider": payout, "params": {"C": 0.5, "R": 1.0}})
 
 
 @pytest.mark.parametrize("C, R", [(0.5, math.inf), (math.nan, 1.0), (0.5, math.nan)])
@@ -437,20 +467,22 @@ def test_mechanism_params_must_be_finite(C, R):
 
 
 @pytest.mark.parametrize("payload, key", [
-    ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": {"C": 0.5, "R": 1.0}, "seed": 3},
+    ({"space": ["a", "b"], "provider": [0.5, 0.5], "params": {"C": 0.5, "R": 1.0}, "seed": 3},
      "'seed'"),
-    ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": {"C": 0.5, "R": 1.0, "fee": 0.1}},
+    ({"space": ["a", "b"], "provider": [0.5, 0.5], "params": {"C": 0.5, "R": 1.0, "fee": 0.1}},
      "'fee'"),
-    ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": {"C": 0.5}}, "'R'"),
-    ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": {"C": "0.5", "R": 1.0}}, "'params'"),
-    ({"space": ["a", "b"], "payout": [0.1, 0.2], "params": [0.5, 1.0]}, "'params'"),
-    ({"space": "ab", "payout": [0.1, 0.2], "params": {"C": 0.5, "R": 1.0}}, "'space'"),
-    ({"space": ["a", 1], "payout": [0.1, 0.2], "params": {"C": 0.5, "R": 1.0}}, "'space'"),
+    ({"space": ["a", "b"], "provider": [0.5, 0.5], "params": {"C": 0.5}}, "'R'"),
+    ({"space": ["a", "b"], "provider": [0.5, 0.5], "params": {"C": "0.5", "R": 1.0}},
+     "'params'"),
+    ({"space": ["a", "b"], "provider": [0.5, 0.5], "params": [0.5, 1.0]}, "'params'"),
+    ({"space": "ab", "provider": [0.5, 0.5], "params": {"C": 0.5, "R": 1.0}}, "'space'"),
+    ({"space": ["a", 1], "provider": [0.5, 0.5], "params": {"C": 0.5, "R": 1.0}}, "'space'"),
 ], ids=["top-level", "params", "params-missing", "params-string", "params-list", "space-string",
         "space-number"])
-def test_license_json_names_the_bad_key(payload, key):
+def test_license_json_names_the_bad_key(tmp_path, payload, key):
+    config = {k: v for k, v in payload.items() if k != "space"}
     with pytest.raises(ValueError, match=key):
-        License.from_json(payload)
+        run_license_command(tmp_path, config, space=payload["space"])
 
 
 # ---------------------------------------------------------------------------
