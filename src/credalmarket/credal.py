@@ -3,7 +3,8 @@
 A credal set is stored by its generating vertices; the represented set is
 their convex hull, which is closed and convex by construction.  Envelope
 queries reduce to finite maxima over vertices, hull membership to a small
-box linear program on the package's one simplex solver.  A threshold set
+box linear program on the package's simplex solver (one LP per call, or
+many in lock-step with :func:`uncovered_masses`).  A threshold set
 {P : E_P[score] >= tau}, such as the fairness scenario's non-compliant set,
 is built from the probability grid points it contains.
 
@@ -22,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._linprog import solve_box_lp
+from ._linprog import solve_box_lp, solve_box_lps
 from .evidence import (
     Categorical,
     EvidenceSpace,
@@ -41,6 +42,7 @@ __all__ = [
     "GamingWitness",
     "upper_expectation",
     "membership",
+    "uncovered_masses",
     "gaming_witness",
     "approximate_constraint_set",
     "sequential_glr_value",
@@ -125,6 +127,19 @@ def membership(q: Categorical, credal: CredalSet) -> MembershipWitness:
         w = np.clip(sol.x, 0.0, None)  # the ratio-test tie tolerance can leave w_i slightly < 0
         return MembershipWitness(True, w / w.sum(), uncovered)
     return MembershipWitness(False, None, uncovered)
+
+
+def uncovered_masses(qs: list[Categorical], credal: CredalSet) -> np.ndarray:
+    """The uncovered mass of :func:`membership` for many types, to the bit.
+
+    q_i is a member exactly when its mass is at most ``MEMBERSHIP_TOL``.  The
+    LPs share the constraint matrix and run in lock-step blocks on
+    :func:`_linprog.solve_box_lps`.
+    """
+    space = require_same_space(credal, *qs)
+    k = credal.vertex_matrix.shape[0]
+    b = np.array([q.probs for q in qs]).reshape(len(qs), space.size)
+    return 1.0 - solve_box_lps(np.ones(k), credal.vertex_matrix.T, b, np.ones(k)).value
 
 
 # ---------------------------------------------------------------------------

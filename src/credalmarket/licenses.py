@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._linprog import solve_box_lp
+from ._linprog import solve_box_lp, solve_box_lps
 from .credal import CredalSet, upper_expectation
 from .evidence import (
     Categorical,
@@ -38,6 +38,7 @@ __all__ = [
     "is_obedient",
     "participation_decision",
     "sup_value_over_obedient",
+    "sup_values_over_obedient",
     "neyman_pearson_license",
     "kappa",
     "minimize_kappa",
@@ -155,6 +156,19 @@ def sup_value_over_obedient(q: Categorical, credal: CredalSet,
         license=License(q.space, np.clip(sol.x, 0.0, params.R)),
         value=sol.value,
     )
+
+
+def sup_values_over_obedient(qs: list[Categorical], credal: CredalSet,
+                             params: MechanismParams) -> np.ndarray:
+    """The values of :func:`sup_value_over_obedient` for many types, to the bit.
+
+    The types' LPs share the constraint matrix and run in lock-step blocks
+    on :func:`_linprog.solve_box_lps`.
+    """
+    space = require_same_space(credal, *qs)
+    V = credal.vertex_matrix
+    c = np.array([q.probs for q in qs]).reshape(len(qs), space.size)
+    return solve_box_lps(c, V, np.full(V.shape[0], params.C), np.full(space.size, params.R)).value
 
 
 def neyman_pearson_license(q: Categorical, p: Categorical,
@@ -305,16 +319,19 @@ def minimize_kappa(
         if live.size == 0:
             break
         W_live, G = W[live], gradients(P[live])
-        # Projected-gradient stationarity on the simplex.
-        D = _project_rows_to_simplex(W_live - G) - W_live
+        # Projected-gradient stationarity on the simplex.  The projected point
+        # is also the line search's full step: W - 1.0 * G is bitwise W - G.
+        W_new = _project_rows_to_simplex(W_live - G)
+        D = W_new - W_live
         stationary = np.sqrt(np.vecdot(D, D)) <= KAPPA_GRAD_TOL
         converged[live[stationary]] = True
-        live, G = live[~stationary], G[~stationary]
+        live, G, W_new = live[~stationary], G[~stationary], W_new[~stationary]
         searching, eta = live, 1.0
-        for _ in range(40):
+        for halving in range(40):
             if searching.size == 0:
                 break
-            W_new = _project_rows_to_simplex(W[searching] - eta * G)
+            if halving:
+                W_new = _project_rows_to_simplex(W[searching] - eta * G)
             P_new = probs_of(W_new)
             val_new = kappa_of(P_new)
             better = val_new < vals[searching] - 1e-14

@@ -20,10 +20,12 @@ import numpy as np
 from .betting import BettingScore, KellyConfig, plugin_paths
 from .credal import (
     GAMING_HORIZON,
+    MEMBERSHIP_TOL,
     CredalSet,
     maximize_over_mixtures,
     membership,
     sequential_glr_value,
+    uncovered_masses,
 )
 from .evidence import Categorical, draw_outcomes, require_same_space
 from .licenses import (
@@ -31,7 +33,7 @@ from .licenses import (
     MechanismParams,
     optimal_risk_averse_license,
     participation_decision,
-    sup_value_over_obedient,
+    sup_values_over_obedient,
 )
 
 __all__ = [
@@ -184,18 +186,22 @@ def simulate_market(
     for first, second in zip(ordered, ordered[1:]):
         if first.id == second.id:
             raise ValueError(f"provider id {first.id!r} is not unique")
+    types = [pr.q for pr in ordered]
     if mechanism == "optimal-LP":
-        sup_values = [sup_value_over_obedient(pr.q, credal, params).value for pr in ordered]
+        sup_values = sup_values_over_obedient(types, credal, params).tolist()
     elif mechanism == "risk-averse":
-        sup_values = [optimal_risk_averse_license(pr.q, credal, params).value for pr in ordered]
+        sup_values = [optimal_risk_averse_license(q, credal, params).value for q in types]
     elif ordered:
         sup_values = _betting_sup_values(ordered, req, params, n=n, seed=seed,
                                          replicates=BETTING_REPLICATES, cfg=KellyConfig())
     else:
         sup_values = []
+    if req.kind == "credal":
+        compliance = (uncovered_masses(types, req.credal) > MEMBERSHIP_TOL).tolist()
+    else:
+        compliance = [evaluate_requirement(req, q) for q in types]
     rows = []
-    for provider, sup_value in zip(ordered, sup_values):
-        compliant = evaluate_requirement(req, provider.q)
+    for provider, sup_value, compliant in zip(ordered, sup_values, compliance):
         participated = participation_decision(sup_value, params)
         rows.append(
             ProviderRow(

@@ -11,7 +11,8 @@ from scipy.optimize import linprog
 
 from conftest import random_categorical, random_credal
 from credalmarket import licenses
-from credalmarket._linprog import PIVOT_TOL, solve_box_lp
+from credalmarket import _linprog
+from credalmarket._linprog import PIVOT_TOL, solve_box_lp, solve_box_lps
 from credalmarket.cli import build_parser
 from credalmarket.credal import CredalSet, upper_expectation
 from credalmarket.evidence import (
@@ -115,24 +116,43 @@ def fixed_box_lps():
     return lps
 
 
+def random_box_lps():
+    """300 license-shaped (sparse objective), membership-shaped and generic box LPs."""
+    rng = np.random.default_rng(6)
+    lps = []
+    for trial in range(300):
+        m, k = int(rng.integers(2, 8)), int(rng.integers(1, 13))
+        V = rng.dirichlet(np.ones(m), size=k)
+        if trial % 3 == 0:
+            q = rng.dirichlet(np.ones(m)) * (rng.random(m) > 0.3)
+            lps.append((q, V, np.full(k, 1.5), np.full(m, 20.0)))
+        elif trial % 3 == 1:
+            q = rng.dirichlet(np.ones(k)) @ V if trial % 2 else rng.dirichlet(np.ones(m))
+            lps.append((np.ones(k), V.T, q, np.ones(k)))
+        else:
+            lps.append((rng.normal(size=m), rng.uniform(0.0, 1.0, size=(k, m)),
+                        rng.uniform(0.2, 2.0, size=k), rng.uniform(0.2, 3.0, size=m)))
+    return lps
+
+
+def assert_lock_step_rows_equal_single_solves(c, A, b, u):
+    """Every row of solve_box_lps is solve_box_lp's solution of that LP, to the byte."""
+    batch = solve_box_lps(c, A, b, u)
+    c, b = np.asarray(c, dtype=float), np.asarray(b, dtype=float)
+    N = len(c) if c.ndim == 2 else len(b)
+    assert batch.x.shape[0] == batch.value.shape[0] == batch.duals.shape[0] == N
+    for i in range(N):
+        sol = solve_box_lp(c[i] if c.ndim == 2 else c, A, b[i] if b.ndim == 2 else b, u)
+        assert batch.x[i].tobytes() == sol.x.tobytes()
+        assert batch.duals[i].tobytes() == sol.duals.tobytes()
+        assert batch.value[i].tobytes() == np.float64(sol.value).tobytes()
+        assert batch.iterations[i] == sol.iterations
+    return batch
+
+
 class TestSimplexSolver:
     def test_bitwise_equal_to_the_looped_tableau(self):
-        # license-shaped (sparse objective), membership-shaped and generic box LPs
-        rng = np.random.default_rng(6)
-        lps = []
-        for trial in range(300):
-            m, k = int(rng.integers(2, 8)), int(rng.integers(1, 13))
-            V = rng.dirichlet(np.ones(m), size=k)
-            if trial % 3 == 0:
-                q = rng.dirichlet(np.ones(m)) * (rng.random(m) > 0.3)
-                lps.append((q, V, np.full(k, 1.5), np.full(m, 20.0)))
-            elif trial % 3 == 1:
-                q = rng.dirichlet(np.ones(k)) @ V if trial % 2 else rng.dirichlet(np.ones(m))
-                lps.append((np.ones(k), V.T, q, np.ones(k)))
-            else:
-                lps.append((rng.normal(size=m), rng.uniform(0.0, 1.0, size=(k, m)),
-                            rng.uniform(0.2, 2.0, size=k), rng.uniform(0.2, 3.0, size=m)))
-        for lp in lps + fixed_box_lps():
+        for lp in random_box_lps() + fixed_box_lps():
             sol = solve_box_lp(*lp)
             x, value, duals, iterations = looped_box_lp(*lp)
             assert sol.x.tobytes() == x.tobytes() and sol.duals.tobytes() == duals.tobytes()
@@ -149,6 +169,58 @@ class TestSimplexSolver:
         x, value, duals, iterations = looped_box_lp(*lp)
         assert sol.x.tobytes() == x.tobytes() and sol.duals.tobytes() == duals.tobytes()
         assert sol.value == value and sol.iterations == iterations
+
+    def test_lock_step_rows_equal_single_solves_by_shape(self):
+        # Each shape group shares its first LP's A and upper bounds and keeps
+        # every member's objective and right-hand side.
+        groups = {}
+        for c, A, b, u in random_box_lps():
+            groups.setdefault((c.size, b.size), []).append((c, A, b, u))
+        assert len(groups) > 20 and max(map(len, groups.values())) > 5
+        for lps in groups.values():
+            A, u = lps[0][1], lps[0][3]
+            c = np.array([lp[0] for lp in lps])
+            b = np.array([lp[2] for lp in lps])
+            assert_lock_step_rows_equal_single_solves(c, A, b, u)
+
+    def test_lock_step_rows_equal_single_solves_on_the_fixed_lps(self):
+        # Stacked in the pairs that share A and u: the two license LPs, the
+        # two membership LPs (shared objective), the two 3 x 3 LPs (shared b);
+        # a shared operand is passed both stacked and 1-D.
+        lps = fixed_box_lps()
+        for i, j in ((0, 2), (1, 3), (4, 5)):
+            (c0, A, b0, u), (c1, _, b1, _) = lps[i], lps[j]
+            c, b = np.array([c0, c1]), np.array([b0, b1])
+            assert_lock_step_rows_equal_single_solves(c, A, b, u)
+            assert_lock_step_rows_equal_single_solves(
+                c0 if np.array_equal(c0, c1) else c, A, b0 if np.array_equal(b0, b1) else b, u)
+        for c, A, b, u in lps:
+            assert_lock_step_rows_equal_single_solves(c[None], A, b, u)
+
+    def test_lock_step_near_tie_among_other_lps(self):
+        near_tie = np.array([1.0, 1.0 - 0.7e-10, 1.0 - 1.4e-10])
+        b = np.array([[1.0, 2.0, 3.0], near_tie, [3.0, 2.0, 1.0], near_tie[::-1], [0.0, 1.0, 1.0]])
+        batch = assert_lock_step_rows_equal_single_solves([1.0], np.ones((3, 1)), b, [10.0])
+        assert batch.x[1, 0] == near_tie[2] and batch.x[3, 0] == near_tie[2]
+
+    def test_lock_step_batch_larger_than_one_block(self):
+        V = market_vertices()
+        rows = V.shape[0] + V.shape[1]
+        block = _linprog.BLOCK_ENTRIES // ((rows + 1) * (V.shape[1] + rows + 1))
+        rng = np.random.default_rng(2)
+        q = rng.dirichlet(np.ones(12), size=2 * block + 7) @ V
+        q[1::2] = rng.dirichlet(np.ones(6), size=q[1::2].shape[0])
+        assert_lock_step_rows_equal_single_solves(q, V, np.full(12, 15.0), np.full(6, 250.0))
+        assert_lock_step_rows_equal_single_solves(np.ones(12), V.T, q, np.ones(12))
+
+    def test_lock_step_with_no_lps_or_no_variables(self):
+        empty = solve_box_lps(np.zeros((0, 3)), np.ones((2, 3)), np.zeros((0, 2)), np.ones(3))
+        assert empty.x.shape == (0, 3) and empty.value.shape == (0,)
+        assert empty.duals.shape == (0, 5) and empty.iterations.shape == (0,)
+        for rows in (0, 2):
+            batch = assert_lock_step_rows_equal_single_solves(
+                np.zeros((4, 0)), np.zeros((rows, 0)), np.ones((4, rows)), [])
+            assert batch.x.shape == (4, 0) and not batch.value.any() and not batch.iterations.any()
 
     def test_against_scipy_on_random_box_lps(self):
         rng = np.random.default_rng(5)
@@ -177,6 +249,12 @@ class TestSimplexSolver:
             solve_box_lp([1.0], [[1.0, 2.0]], [1.0], [1.0])
         with pytest.raises(ValueError):
             solve_box_lp([1.0], [[1.0]], [-1.0], [1.0])
+        with pytest.raises(ValueError):
+            solve_box_lps([[1.0]], [[1.0, 2.0]], [1.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            solve_box_lps([[1.0], [1.0]], [[1.0]], [[1.0], [-1.0]], [1.0])
+        with pytest.raises(ValueError):
+            solve_box_lps([[1.0], [1.0]], [[1.0]], [[1.0], [1.0], [1.0]], [1.0])
 
 
 class TestObedience:

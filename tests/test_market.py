@@ -7,11 +7,15 @@ import pytest
 from conftest import random_categorical, random_credal
 from credalmarket.credal import CredalSet, membership
 from credalmarket.evidence import Categorical, EvidenceSpace
-from credalmarket.licenses import MechanismParams, sup_value_over_obedient
+from credalmarket._linprog import BLOCK_ENTRIES
+from credalmarket.licenses import MechanismParams, participation_decision, sup_value_over_obedient
 from credalmarket.market import (
     BOUNDARY_BAND,
+    MarketReport,
     Provider,
+    ProviderRow,
     Requirement,
+    _classify,
     evaluate_requirement,
     simulate_market,
     strategic_mixture_best_response,
@@ -75,6 +79,15 @@ class TestSimulateMarket:
         req = Requirement(kind="credal", credal=simplex_hull)
         with pytest.raises(ValueError, match="'p' is not unique"):
             simulate_market(providers, req, simplex_hull, PARAMS)
+
+    @pytest.mark.parametrize("mechanism", ["optimal-LP", "risk-averse"])
+    def test_provider_on_another_space_of_the_same_size_is_rejected(self, simplex_hull, uniform3,
+                                                                    mechanism):
+        other = Categorical(EvidenceSpace(("x", "y", "z")), [0.2, 0.3, 0.5])
+        providers = [Provider(id="a", q=uniform3), Provider(id="b", q=other)]
+        req = Requirement(kind="credal", credal=simplex_hull)
+        with pytest.raises(ValueError, match="different evidence spaces"):
+            simulate_market(providers, req, simplex_hull, PARAMS, mechanism=mechanism)
 
     def test_empty_market_is_vacuously_perfect(self, simplex_hull):
         req = Requirement(kind="credal", credal=simplex_hull)
@@ -251,3 +264,30 @@ def test_market_reports_are_pinned_to_the_byte(tmp_path, mechanism):
     report.to_csv(tmp_path / "report.csv")
     digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_REPORT_SHA256[mechanism]
+
+
+def test_market_larger_than_one_lp_block_matches_the_per_provider_loop(tmp_path):
+    # More providers than one block of either lock-step LP (license LP 12 x 6,
+    # membership LP 6 x 12), each row against the single-LP calls.
+    _, credal = golden_market()
+    space, V = credal.space, credal.vertex_matrix
+    lp_block = BLOCK_ENTRIES // ((18 + 1) * (6 + 18 + 1))
+    rng = np.random.default_rng(3)
+    providers = []
+    for i in range(2 * lp_block + 11):
+        q = rng.dirichlet(np.ones(12)) @ V if i % 2 == 0 else rng.dirichlet(np.ones(6))
+        providers.append(Provider(id=f"p{i:04d}", q=Categorical(space, q / q.sum())))
+    req = Requirement(kind="credal", credal=credal)
+    rows = []
+    for pr in providers:
+        sup_value = sup_value_over_obedient(pr.q, credal, PARAMS).value
+        compliant, participated = evaluate_requirement(req, pr.q), participation_decision(sup_value, PARAMS)
+        rows.append(ProviderRow(pr.id, compliant, sup_value, participated,
+                                _classify(compliant, participated),
+                                abs(sup_value - PARAMS.C) <= BOUNDARY_BAND))
+    MarketReport(rows=tuple(rows), perfect=True).to_csv(tmp_path / "loop.csv")
+    report = simulate_market(providers[::-1], req, credal, PARAMS)
+    report.to_csv(tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+    assert [r.indeterminate for r in report.rows] == [r.indeterminate for r in rows]
+    assert report.perfect
