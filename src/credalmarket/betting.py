@@ -12,14 +12,13 @@ Wealth is tracked in log space and the cap applies only at license issuance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .evidence import Categorical, EvidenceSpace, SampleStream, require_same_space, sample
+from .evidence import Categorical, EvidenceSpace, SampleStream, require_same_space, sample, write_csv
 from .licenses import MechanismParams
 
 __all__ = [
@@ -157,6 +156,14 @@ def _smoothed(counts, total: int, m: int) -> np.ndarray:
     return (np.atleast_2d(counts) + 1.0) / (total + m)
 
 
+def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over the runs, the rows of ``x``."""
+    runs = x.shape[0]
+    mean = x.mean(axis=0)
+    se = x.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros_like(mean)
+    return mean, se
+
+
 def plugin_paths(
     z: np.ndarray, b: BettingScore, cfg: KellyConfig, params: MechanismParams,
     warm_start: bool = False,
@@ -267,10 +274,7 @@ def verify_supermartingale(
         remap[reached] = merged
         states = ordered[first]
         state = remap[key]
-    wealth = np.exp(log_wealth)
-    mean = float(wealth.mean())
-    se = float(wealth.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
-    return mean, se
+    return tuple(map(float, _mean_se(np.exp(log_wealth))))
 
 
 def write_trajectory_csv(
@@ -289,14 +293,12 @@ def write_trajectory_csv(
     """
     outcomes = sample(stream, n)
     lams, log_wealth, licenses = plugin_paths(outcomes[None, :], b, cfg, params)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step", "lambda", "outcome", "wealth", "license_value"])
-        for t in range(n):
-            try:
-                wealth = math.exp(log_wealth[0, t])
-            except OverflowError:
-                wealth = math.inf
-            writer.writerow([t + 1, repr(float(lams[0, t])), int(outcomes[t]), repr(wealth),
-                             repr(float(licenses[0, t]))])
+    rows = []
+    for t in range(n):
+        try:
+            wealth = math.exp(log_wealth[0, t])
+        except OverflowError:
+            wealth = math.inf
+        rows.append((t + 1, lams[0, t], int(outcomes[t]), wealth, licenses[0, t]))
+    write_csv(path, ("step", "lambda", "outcome", "wealth", "license_value"), rows,
+              comment=header_comment)

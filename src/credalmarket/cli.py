@@ -23,7 +23,6 @@ is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -41,6 +40,7 @@ from .evidence import (
     json_object,
     json_string,
     load_json,
+    write_json,
 )
 from .experiments import SCENARIOS, load_config, run_scenario
 from .licenses import (
@@ -69,11 +69,6 @@ def _check_out(path: str, force: bool) -> None:
         raise ValueError(f"output directory {parent} does not exist")
 
 
-def _note(args: argparse.Namespace, message: str) -> None:
-    if getattr(args, "verbose", False):
-        print(message, file=sys.stderr)
-
-
 def cmd_license(args: argparse.Namespace) -> int:
     credal = CredalSet.load(args.credal)
     fields = ("provider", "params")
@@ -85,11 +80,10 @@ def cmd_license(args: argparse.Namespace) -> int:
     if args.out:
         _check_out(args.out, args.force)
 
-    _note(args, f"credal set: {len(credal.vertices)} vertices over {credal.space.size} outcomes")
     neutral = sup_value_over_obedient(q, credal, params)
     averse = optimal_risk_averse_license(q, credal, params)
     for name, result in (("risk_neutral", neutral), ("risk_averse", averse)):
-        obedient = is_obedient(result.license, credal, params, tol=1e-6)
+        obedient = is_obedient(result.license, credal, params)
         print(f"{name}_value={result.value!r}")
         print(f"{name}_obedient={str(obedient).lower()}")
     verdict = "participate (sup > C)" if participation_decision(neutral.value, params) else "excluded (sup <= C)"
@@ -99,12 +93,11 @@ def cmd_license(args: argparse.Namespace) -> int:
         print(f"neyman_pearson_payout={np_license.payout.tolist()!r}")
 
     if args.out:
-        blob = {
+        write_json(args.out, {
             "risk_neutral": neutral.license.to_json(params),
             "risk_averse": averse.license.to_json(params),
             "values": {"risk_neutral": neutral.value, "risk_averse": averse.value},
-        }
-        Path(args.out).write_text(json.dumps(blob, indent=2) + "\n")
+        })
         print(f"wrote={args.out}")
     if not averse.converged:
         print("warning: the risk-averse optimizer hit its iteration cap or returned a license "
@@ -181,7 +174,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = load_config(args.scenario, payload, seed=args.seed)
     out = args.out or f"{args.scenario}.csv"
     _check_out(out, args.force)
-    _note(args, f"running {cfg!r}")
     table = run_scenario(cfg)  # raises on a value out of its range before the first draw
     table.to_csv(out)
     print(f"wrote={out}")
@@ -196,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="credalmarket",
         description="Regulation-mechanism toolkit: optimal licenses, betting licenses, market simulations.",
     )
-    parser.add_argument("--verbose", action="store_true", help="extra diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     lic = sub.add_parser("license", help="license computations")

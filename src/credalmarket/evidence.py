@@ -14,6 +14,8 @@ which each draw advances; pure operations are safe to share across threads.
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +35,9 @@ __all__ = [
     "draw_outcomes",
     "spawn_seeds",
     "load_json",
+    "write_json",
+    "write_csv",
+    "json_digest",
     "is_json_number",
     "json_number",
     "json_integer",
@@ -70,8 +75,7 @@ class EvidenceSpace:
         return EvidenceSpace(tuple(f"{prefix}{i}" for i in range(m)))
 
 
-# JSON input rules: each returns ``value`` itself once it has the JSON type it
-# names, and raises a ValueError naming the field otherwise.
+# File formats: every file the package reads or writes goes through these.
 
 
 def load_json(path: str | Path, what: str):
@@ -82,6 +86,37 @@ def load_json(path: str | Path, what: str):
         raise ValueError(f"cannot read {what} file {path}: {err.strerror or err}")
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ValueError(f"{what} file {path} is not valid JSON: {err}")
+
+
+def write_json(path: str | Path, obj) -> None:
+    """``obj`` as JSON indented by 2, with a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
+def json_digest(obj) -> str:
+    """First 12 hex digits of the SHA-256 of ``obj``'s JSON with sorted keys."""
+    payload = json.dumps(obj, sort_keys=True, default=list)
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+def write_csv(path: str | Path, columns, rows, comment: str | None = None) -> None:
+    """A CSV table: an optional ``# comment`` line, the ``columns`` header, then ``rows``.
+
+    The comment line ends in ``\\n`` and the csv module's rows in ``\\r\\n``.
+    A float cell, NumPy's included, is written as ``repr(float(v))``: the
+    shortest text that reads back to the same float, never ``np.float64(...)``.
+    """
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+# JSON input rules: each returns ``value`` itself once it has the JSON type it
+# names, and raises a ValueError naming the field otherwise.
 
 
 def is_json_number(value) -> bool:

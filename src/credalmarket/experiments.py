@@ -23,9 +23,6 @@ leading comment line.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
@@ -34,20 +31,23 @@ from typing import ClassVar, Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .betting import BettingScore, KellyConfig, _smoothed, plugin_paths
+from .betting import BettingScore, KellyConfig, _mean_se, _smoothed, plugin_paths
 from .credal import CredalSet, approximate_constraint_set
 from .evidence import (
     Categorical,
     EvidenceSpace,
+    json_digest,
     json_integer,
     json_number,
     json_numbers,
     json_object,
     log_ratio,
+    ratio,
     spawn_seeds,
+    write_csv,
 )
 from .evidence import draw_outcomes as _draw_outcomes  # the name perfbench traces, tests patch
-from .licenses import MechanismParams, minimize_kappa
+from .licenses import MechanismParams, _truncated_payout, minimize_kappa
 
 __all__ = [
     "ResultTable",
@@ -63,11 +63,6 @@ __all__ = [
     "load_config",
     "SCENARIOS",
 ]
-
-
-def _config_hash(cfg) -> str:
-    payload = json.dumps(asdict(cfg), sort_keys=True, default=list)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -89,27 +84,15 @@ class ResultTable:
     @classmethod
     def of(cls, cfg, columns: tuple[str, ...], rows, headline: dict[str, float]) -> "ResultTable":
         """A run's table, stamped with the scenario, seed and config hash of ``cfg``."""
-        return cls(cfg.scenario, cfg.seed, _config_hash(cfg), columns, tuple(rows), headline)
+        return cls(cfg.scenario, cfg.seed, json_digest(asdict(cfg)), columns, tuple(rows), headline)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# scenario={self.scenario} seed={self.seed} config_hash={self.config_hash}\n")
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        write_csv(path, self.columns, self.rows,
+                  comment=f"scenario={self.scenario} seed={self.seed} config_hash={self.config_hash}")
 
     def column(self, name: str) -> np.ndarray:
         j = self.columns.index(name)
         return np.array([row[j] for row in self.rows])
-
-
-def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error over the runs, the rows of ``x``."""
-    runs = x.shape[0]
-    mean = x.mean(axis=0)
-    se = x.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros_like(mean)
-    return mean, se
 
 
 def _capped_exp(log_values: np.ndarray, cap: float) -> np.ndarray:
@@ -471,14 +454,14 @@ def run_synthetic_spurious(cfg: SpuriousConfig) -> ResultTable:
         rows += zip(repeat("license"), repeat(agent), range(1, cfg.n + 1),
                     mean.tolist(), se.tolist())
         finals[agent] = float(mean[-1])
-        payouts[agent] = np.minimum(cfg.params.C * q.probs / p_star, cfg.params.R)
+        payouts[agent] = _truncated_payout(ratio(q.probs, p_star), cfg.params.C, cfg.params.R)
 
-    ratio = payouts["compliant"] / payouts["non_compliant"]
+    payout_ratio = payouts["compliant"] / payouts["non_compliant"]
     for j, label in enumerate(SPURIOUS_SPACE.labels):
-        rows.append(("ratio", label, 0, float(ratio[j]), 0.0))
+        rows.append(("ratio", label, 0, float(payout_ratio[j]), 0.0))
     qd = q_dro.probs
-    easy = float((qd[:2] @ ratio[:2]) / qd[:2].sum())
-    hard = float((qd[2:] @ ratio[2:]) / qd[2:].sum())
+    easy = float((qd[:2] @ payout_ratio[:2]) / qd[:2].sum())
+    hard = float((qd[2:] @ payout_ratio[2:]) / qd[2:].sum())
     rows.append(("ratio", "easy_group", 0, easy, 0.0))
     rows.append(("ratio", "hard_group", 0, hard, 0.0))
 

@@ -119,11 +119,10 @@ class OptimalLicenseResult:
     kappa_value: Optional[float] = None
 
 
-def is_obedient(license: License, credal: CredalSet, params: MechanismParams,
-                tol: float = BOUNDARY_BAND) -> bool:
-    """True iff no distribution in the set earns more than C + ``tol`` from the license."""
+def is_obedient(license: License, credal: CredalSet, params: MechanismParams) -> bool:
+    """True iff no distribution in the set earns more than C + ``BOUNDARY_BAND`` from the license."""
     require_same_space(license, credal)
-    return upper_expectation(credal, license.payout) - params.C <= tol
+    return upper_expectation(credal, license.payout) - params.C <= BOUNDARY_BAND
 
 
 def participation_decision(sup_value: float, params: MechanismParams) -> bool:
@@ -398,7 +397,7 @@ def optimal_risk_averse_license(
     overcharge other credal vertices, and the scaled form restores
     sup_P E_P[pi*] = C.  When the optimizer exhausts its iteration budget the
     best point found is returned with converged=False, and so is a license
-    that is not obedient (to ``is_obedient``'s default tolerance): a P* with
+    that is not obedient (to within ``BOUNDARY_BAND``): a P* with
     no mass on a Q-supported outcome that another vertex charges pays R there
     for every gamma.
     """

@@ -9,8 +9,6 @@ perfect-market verdict, since float noise must not decide it.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Literal, Optional
@@ -27,7 +25,7 @@ from .credal import (
     sequential_glr_value,
     uncovered_masses,
 )
-from .evidence import Categorical, draw_outcomes, require_same_space
+from .evidence import Categorical, draw_outcomes, require_same_space, write_csv, write_json
 from .licenses import (
     BOUNDARY_BAND,
     MechanismParams,
@@ -106,23 +104,13 @@ class MarketReport:
         return out
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["provider_id", "compliant", "sup_value", "participated", "classification"])
-            for r in self.rows:
-                writer.writerow(
-                    [r.provider_id, int(r.compliant), repr(r.sup_value), int(r.participated), r.classification]
-                )
-
-    def summary_json(self) -> dict:
-        return {
-            "perfect": self.perfect,
-            "counts": self.counts(),
-            "indeterminate": sum(r.indeterminate for r in self.rows),
-        }
+        write_csv(path, ("provider_id", "compliant", "sup_value", "participated", "classification"),
+                  [(r.provider_id, int(r.compliant), r.sup_value, int(r.participated), r.classification)
+                   for r in self.rows])
 
     def save_summary(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.summary_json(), indent=2) + "\n")
+        write_json(path, {"perfect": self.perfect, "counts": self.counts(),
+                          "indeterminate": sum(r.indeterminate for r in self.rows)})
 
 
 def evaluate_requirement(req: Requirement, q: Categorical) -> bool:

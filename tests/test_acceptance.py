@@ -135,7 +135,7 @@ def test_criterion_3_kappa_projection():
         res = optimal_risk_averse_license(q, credal, params)
         grid_val = _grid_kappa_min(q, credal, params)
         worst_gap = max(worst_gap, res.kappa_value - grid_val)
-        if not is_obedient(res.license, credal, params, tol=1e-6):
+        if not is_obedient(res.license, credal, params):
             all_obedient = False
         pay = res.license.payout
         if np.any(pay[q.probs > 0] < params.R - 1e-9):

@@ -17,11 +17,14 @@ from credalmarket.evidence import (
     json_numbers,
     json_object,
     kl_divergence,
+    load_json,
     log_ratio,
     mixture,
     ratio,
     sample,
     spawn_seeds,
+    write_csv,
+    write_json,
 )
 from credalmarket.licenses import (
     License,
@@ -121,6 +124,24 @@ class TestJsonRules:
             json_object(payload, ("a", "b"), "cfg", required=("a", "b"))
         with pytest.raises(ValueError, match="'a'"):
             json_object(payload, ("b",), "cfg")
+
+
+class TestWriters:
+    #: a trajectory row whose wealth overflowed: step, lambda, outcome, wealth, license_value
+    ROW = (7, 0.5, 1, math.inf, 250.0)
+
+    def test_numpy_float_cells_write_as_python_floats(self, tmp_path):
+        numpy_row = tuple(np.float64(v) if isinstance(v, float) else v for v in self.ROW)
+        for name, row in (("python.csv", self.ROW), ("numpy.csv", numpy_row)):
+            write_csv(tmp_path / name, ("step", "lambda", "outcome", "wealth", "license_value"),
+                      [row], comment="run")
+        assert (tmp_path / "python.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes() == (
+            b"# run\nstep,lambda,outcome,wealth,license_value\r\n7,0.5,1,inf,250.0\r\n")
+
+    def test_json_is_indented_with_a_final_newline(self, tmp_path):
+        write_json(tmp_path / "a.json", {"x": [1, 0.5]})
+        assert (tmp_path / "a.json").read_text() == '{\n  "x": [\n    1,\n    0.5\n  ]\n}\n'
+        assert load_json(tmp_path / "a.json", "test") == {"x": [1, 0.5]}
 
 
 class TestMixture:

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from credalmarket import experiments
-from credalmarket.evidence import Categorical, EvidenceSpace, spawn_seeds
+from credalmarket.credal import CredalSet
+from credalmarket.evidence import Categorical, EvidenceSpace, ratio, spawn_seeds
 from credalmarket.experiments import (
+    SPURIOUS_SPACE,
     Chi2Config,
     FairnessConfig,
     ResultTable,
@@ -27,7 +29,7 @@ from credalmarket.experiments import (
     run_simplex_gaming,
     run_synthetic_spurious,
 )
-from credalmarket.licenses import MechanismParams
+from credalmarket.licenses import MechanismParams, _truncated_payout, minimize_kappa
 
 
 def table_bytes(table: ResultTable, tmp_path, name: str) -> bytes:
@@ -53,6 +55,14 @@ class TestDeterminism:
         assert a == b
         header = a.decode().splitlines()[0]
         assert header.startswith(f"# scenario={cfg.scenario} seed={cfg.seed} config_hash=")
+
+    def test_numpy_float_cells_write_as_python_floats(self, tmp_path):
+        python_row = (1, 2.5, 0.1 + 0.2, math.inf, "a")
+        numpy_row = (1, *map(np.float64, python_row[1:4]), "a")
+        written = [table_bytes(ResultTable("s", 0, "h", ("i", "x", "y", "z", "k"), (row,)), tmp_path, name)
+                   for row, name in ((python_row, "python.csv"), (numpy_row, "numpy.csv"))]
+        want = b"# scenario=s seed=0 config_hash=h\ni,x,y,z,k\r\n1,2.5,0.30000000000000004,inf,a\r\n"
+        assert written == [want, want]
 
     def test_seed_changes_the_table(self, tmp_path):
         a = table_bytes(run_simplex_gaming(SimplexGamingConfig(runs=3, n=40, seed=1)), tmp_path, "a.csv")
@@ -338,6 +348,24 @@ class TestSpurious:
         ratio_keys = {r[1] for r in table.rows if r[0] == "ratio"}
         assert {"easy_group", "hard_group"} <= ratio_keys
         assert len(ratio_keys) == 6
+
+    def test_ratio_rows_are_truncated_payout_ratios(self):
+        # The ratio rows do not depend on runs, n or burn_in: these are the
+        # default config's rows.
+        cfg = SpuriousConfig(runs=2, n=50)
+        hull = CredalSet(SPURIOUS_SPACE, (Categorical(SPURIOUS_SPACE, cfg.q_noncompliant),
+                                          Categorical(SPURIOUS_SPACE, cfg.p_random)))
+        payouts = {}
+        for agent, probs in (("compliant", cfg.q_compliant), ("non_compliant", cfg.q_noncompliant)):
+            q = Categorical(SPURIOUS_SPACE, probs)
+            p_star = minimize_kappa(q, hull, cfg.params)[0] @ hull.vertex_matrix
+            payouts[agent] = _truncated_payout(ratio(q.probs, p_star), cfg.params.C, cfg.params.R)
+        # The non-compliant surrogate is a hull vertex, so it is its own P*.
+        assert np.all(payouts["non_compliant"] == cfg.params.C)
+        rows = {r[1]: r[3] for r in run_synthetic_spurious(cfg).rows if r[0] == "ratio"}
+        want = payouts["compliant"] / payouts["non_compliant"]
+        assert [rows[label] for label in SPURIOUS_SPACE.labels] == want.tolist()
+        assert rows["hard_correct"] == 2.5370648378231873
 
 
 class TestConfigLoading:

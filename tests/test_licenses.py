@@ -304,7 +304,7 @@ class TestRiskNeutralResponse:
             C = float(rng.uniform(0.2, 1.0))
             params = MechanismParams(C, C * float(rng.uniform(1.1, 6.0)))
             res = sup_value_over_obedient(q, cs, params)
-            assert is_obedient(res.license, cs, params, tol=1e-6)
+            assert is_obedient(res.license, cs, params)
 
 
 class TestNeymanPearson:
@@ -444,7 +444,7 @@ class TestRiskAverseResponse:
             C = float(rng.uniform(0.2, 1.0))
             params = MechanismParams(C, C * float(rng.uniform(1.1, 5.0)))
             res = optimal_risk_averse_license(q, cs, params)
-            assert is_obedient(res.license, cs, params, tol=1e-6)
+            assert is_obedient(res.license, cs, params)
             pay = res.license.payout
             if np.any(pay[q.probs > 0] < params.R - 1e-9):
                 sup = upper_expectation(cs, pay)
@@ -465,7 +465,7 @@ class TestRiskAverseResponse:
             raw = rng.uniform(0.0, params.R, size=space.size)
             scale = min(1.0, params.C / max(upper_expectation(cs, raw), 1e-12))
             arbitrary = License(space, raw * scale)
-            assert is_obedient(arbitrary, cs, params, tol=1e-9)
+            assert is_obedient(arbitrary, cs, params)
             assert neutral.value >= q.expectation(arbitrary.payout) - 1e-8
 
     def test_license_that_is_not_obedient_is_not_converged(self):

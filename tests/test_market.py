@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,6 +208,10 @@ def test_report_outputs(tmp_path, simplex_hull, uniform3):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "provider_id,compliant,sup_value,participated,classification"
     assert len(lines) == 2
+    # A NumPy float sup value writes the same bytes as the Python float.
+    numpy_rows = tuple(replace(r, sup_value=np.float64(r.sup_value)) for r in report.rows)
+    replace(report, rows=numpy_rows).to_csv(tmp_path / "numpy.csv")
+    assert (tmp_path / "numpy.csv").read_bytes() == csv_path.read_bytes()
     summary_path = tmp_path / "report.json"
     report.save_summary(summary_path)
     summary = json.loads(summary_path.read_text())
