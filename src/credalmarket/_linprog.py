@@ -7,12 +7,13 @@ needed.  Bland's pivoting rule (R. G. Bland, "New finite pivoting rules for
 the simplex method", Math. Oper. Res. 2(2), 1977) keeps the method finite and
 deterministic.  Problem sizes are tiny (tens of variables), so the cost of a
 solve is numpy call overhead, not arithmetic: the tableau is written in place
-into one zeroed array, and each pivot is a few array operations on it plus a
-row-by-row ratio scan.  The scan and the row update fix the result's bits.
+into one zeroed array, and each pivot is a few array operations on it plus
+Bland's ratio scan over the rows in order.  The scan and the rank-1 update
+fix the result's bits.
 
 :func:`solve_box_lps` solves many LPs that share ``A`` and ``upper`` in
-lock-step, one pivot per LP per round, and gives each the bits
-:func:`solve_box_lp` gives it alone.
+lock-step, one pivot per LP per round on a stack of their tableaux, and gives
+each the bits :func:`solve_box_lp` gives it alone.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-10
-#: Entries of the largest stacked tableau :func:`solve_box_lps` pivots at
-#: once (1 MB), which bounds its memory.  One tableau for all 1,000 providers
-#: of the benchmark's optimal-LP market raised that run's peak RSS from 43.2
-#: to 45.9 MB; blocks of this size (275 license or 222 membership LPs) keep
-#: it at 43.2-43.3 MB, and four times smaller blocks made the solve about
-#: twice as slow.
+#: Entries of the largest stack of tableaux :func:`solve_box_lps` pivots at
+#: once (1 MB: 275 license or 222 membership LPs of the benchmark's market),
+#: which bounds its memory to a few copies of one block.  On 1,000 such LPs
+#: one call's tracemalloc peak is 2.7 MB, against 9-11 MB with no blocks, and
+#: the benchmark's optimal-LP market peaks at 43.2-43.8 MB RSS.  Four times
+#: smaller blocks make the solve about twice as slow.
 BLOCK_ENTRIES = 1 << 17
 
 
@@ -75,22 +76,6 @@ def _tableaux(c, A, b, upper) -> np.ndarray:
     T[:, k:m_rows, -1] = upper
     T[:, -1, :n] = -c
     return T
-
-
-def _primal_and_duals(rhs: np.ndarray, costs: np.ndarray, basis: np.ndarray,
-                      n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The basic solutions x (N, n) and duals of optimal tableaux.
-
-    ``rhs`` (N, k + n) is their right-hand-side column, ``costs`` their
-    reduced costs over the slack columns, which are the dual multipliers,
-    and ``basis`` (N, k + n) their basic variables.
-    """
-    rows, slots = np.nonzero(basis < n)
-    x = np.zeros((rhs.shape[0], n))
-    x[rows, basis[rows, slots]] = rhs[rows, slots]
-    duals = costs.copy()
-    duals[np.abs(duals) < PIVOT_TOL] = 0.0
-    return x, duals
 
 
 def solve_box_lp(c, A, b, upper) -> LpSolution:
@@ -157,12 +142,14 @@ def solve_box_lps(c, A, b, upper) -> LpBatch:
     ``c`` is (N, n) and ``b`` is (N, k); either may be 1-D when every LP
     shares it.  ``A`` (k, n) and ``upper`` (n,) are shared.  Row i of the
     result is, to the byte, what :func:`solve_box_lp` returns for LP i.  The
-    LPs run in blocks of at most ``BLOCK_ENTRIES`` tableau entries.  In each
-    round every LP of a block that still has an improving column pivots once,
-    with the entering column, the ratio scan and the row update of
-    :func:`solve_box_lp` done as the same float operations across the block;
-    an optimal LP leaves the block.  For a single LP, :func:`solve_box_lp` is
-    faster.
+    LPs run in blocks of at most ``BLOCK_ENTRIES`` tableau entries, each one
+    pivot loop.  In each round every LP of the block that still has an
+    improving column pivots once: the entering column, the ratio scan and the
+    rank-1 update of :func:`solve_box_lp` are the same float operations done
+    across the block, the update as one broadcast product.  An optimal LP
+    writes its x, duals and pivot count into the result and leaves the block
+    by boolean indexing.  A single LP costs about eight times as much here as
+    in :func:`solve_box_lp`.
     """
     c = np.asarray(c, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -176,76 +163,57 @@ def solve_box_lps(c, A, b, upper) -> LpBatch:
     duals = np.zeros((N, m_rows))
     iterations = np.zeros(N, dtype=int)
     block = max(1, BLOCK_ENTRIES // ((m_rows + 1) * (n + m_rows + 1)))
-    for start in range(0, max(N, 1), block):  # an empty batch still checks its shapes
-        rows = slice(start, start + block)
-        x[rows], duals[rows], iterations[rows] = _solve_block(c[rows], A, b[rows], u)
-    return LpBatch(x=x, value=np.vecdot(c, x), duals=duals, iterations=iterations)
-
-
-def _solve_block(c, A, b, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x, duals and pivot counts of the LPs of one block, pivoted in lock-step."""
-    T = _tableaux(c, A, b, u)
-    N, n = c.shape
-    m_rows = A.shape[0] + n
-    x = np.zeros((N, n))
-    duals = np.zeros((N, m_rows))
-    iterations = np.zeros(N, dtype=int)
-    live = np.arange(N)  # the LP each tableau of T belongs to
-    basis = np.tile(np.arange(n, n + m_rows), (N, 1))
     max_iter = 200 * (n + m_rows)
-    rounds = 0
-    # With no variables the slack basis is optimal: x and the duals are 0.
-    while n > 0 and live.size:
-        improving = T[:, -1, :-1] < -PIVOT_TOL
-        entering = improving.argmax(axis=1)  # Bland: lowest improving index
-        lane = np.arange(live.size)
-        optimal = ~improving[lane, entering]
-        if optimal.any():
-            done = live[optimal]
-            x[done], duals[done] = _primal_and_duals(
-                T[optimal, :-1, -1], T[optimal, -1, n:-1], basis[optimal], n)
-            iterations[done] = rounds
-            # Unfinished tableaux from the tail fill the finished ones' slots,
-            # and the block shrinks to a leading view: no tableau is copied whole.
-            size = live.size - done.size
-            holes = np.flatnonzero(optimal[:size])
-            movers = size + np.flatnonzero(~optimal[size:])
-            for a in (T, basis, live, entering):
-                a[holes] = a[movers]
-            T, basis, live, entering = T[:size], basis[:size], live[:size], entering[:size]
-            lane = lane[:size]
-            if size == 0:
-                break
-        if rounds == max_iter:
-            raise RuntimeError("simplex failed to terminate")
-        col = T[lane, :m_rows, entering].T
-        rhs = T[:, :m_rows, -1].T
-        eligible = col > PIVOT_TOL
-        # Bland's sequential ratio scan, one row of every tableau per step.
-        # Ratios of ineligible rows (inf or nan) are never taken.
-        best_ratio = np.full(live.size, np.inf)
-        leaving = np.full(live.size, -1)
-        leaving_basic = np.full(live.size, n + m_rows)  # above every basic index
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = rhs / col
-            for i in range(m_rows):
-                ratio, basic = ratios[i], basis[:, i]
-                take = eligible[i] & (
-                    (ratio < best_ratio - PIVOT_TOL)
-                    | ((np.abs(ratio - best_ratio) <= PIVOT_TOL) & (basic < leaving_basic))
-                )
-                best_ratio = np.where(take, ratio, best_ratio)
-                leaving = np.where(take, i, leaving)
-                leaving_basic = np.where(take, basic, leaving_basic)
-        if (leaving < 0).any():
-            raise RuntimeError("LP is unbounded, which a box LP cannot be")
-        pivot_rows = T[lane, leaving]
-        pivot_rows /= pivot_rows[lane, entering][:, None]
-        T[lane, leaving] = pivot_rows
-        factors = T[lane, :, entering]
-        factors[lane, leaving] = 0.0
-        for r in range(m_rows + 1):  # row by row, so no temporary as large as the block
-            T[:, r] -= factors[:, r, None] * pivot_rows
-        basis[lane, leaving] = entering
-        rounds += 1
-    return x, duals, iterations
+    for start in range(0, max(N, 1), block):  # an empty batch still checks its shapes
+        live = np.arange(start, min(start + block, N))  # the LP each tableau of T belongs to
+        T = _tableaux(c[live], A, b[live], u)
+        basis = np.tile(np.arange(n, n + m_rows), (live.size, 1))
+        rounds = 0
+        # With no variables the slack basis is optimal: x and the duals are 0.
+        while n > 0 and live.size:
+            improving = T[:, -1, :-1] < -PIVOT_TOL
+            entering = improving.argmax(axis=1)  # Bland: lowest improving index
+            optimal = ~improving[np.arange(live.size), entering]
+            if optimal.any():
+                done, final, final_basis = live[optimal], T[optimal], basis[optimal]
+                lps, slots = np.nonzero(final_basis < n)
+                x[done[lps], final_basis[lps, slots]] = final[lps, slots, -1]
+                duals[done] = final[:, -1, n:-1]
+                iterations[done] = rounds
+                T, basis, live, entering = (a[~optimal] for a in (T, basis, live, entering))
+                if not live.size:
+                    break
+            if rounds == max_iter:
+                raise RuntimeError("simplex failed to terminate")
+            lane = np.arange(live.size)
+            col = T[lane, :m_rows, entering].T
+            rhs = T[:, :m_rows, -1].T
+            eligible = col > PIVOT_TOL
+            # Bland's sequential ratio scan, one row of every tableau per step.
+            # Ratios of ineligible rows (inf or nan) are never taken.
+            best_ratio = np.full(live.size, np.inf)
+            leaving = np.full(live.size, -1)
+            leaving_basic = np.full(live.size, n + m_rows)  # above every basic index
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = rhs / col
+                for i in range(m_rows):
+                    ratio, basic = ratios[i], basis[:, i]
+                    take = eligible[i] & (
+                        (ratio < best_ratio - PIVOT_TOL)
+                        | ((np.abs(ratio - best_ratio) <= PIVOT_TOL) & (basic < leaving_basic))
+                    )
+                    best_ratio = np.where(take, ratio, best_ratio)
+                    leaving = np.where(take, i, leaving)
+                    leaving_basic = np.where(take, basic, leaving_basic)
+            if (leaving < 0).any():
+                raise RuntimeError("LP is unbounded, which a box LP cannot be")
+            pivot_rows = T[lane, leaving]
+            pivot_rows /= pivot_rows[lane, entering][:, None]
+            T[lane, leaving] = pivot_rows
+            factors = T[lane, :, entering]
+            factors[lane, leaving] = 0.0
+            T -= factors[:, :, None] * pivot_rows[:, None, :]
+            basis[lane, leaving] = entering
+            rounds += 1
+    duals[np.abs(duals) < PIVOT_TOL] = 0.0
+    return LpBatch(x=x, value=np.vecdot(c, x), duals=duals, iterations=iterations)

@@ -76,7 +76,8 @@ def cmd_license(args: argparse.Namespace) -> int:
                           required=fields)
     params = MechanismParams.from_json(payload["params"], "license config field 'params'")
     q = Categorical(credal.space,
-                    json_numbers(payload["provider"], "license config field 'provider'"))
+                    json_numbers(payload["provider"], "license config field 'provider'",
+                                 credal.space.size))
     if args.out:
         _check_out(args.out, args.force)
 
@@ -115,13 +116,14 @@ def cmd_market(args: argparse.Namespace) -> int:
     providers = []
     for row in json_list(payload["providers"], "market config field 'providers'"):
         json_object(row, ("id", "q"), "provider entry", required=("id", "q"))
-        q = Categorical(credal.space, json_numbers(row["q"], "provider entry field 'q'"))
-        providers.append(Provider(id=json_string(row["id"], "provider entry field 'id'"), q=q))
+        q = json_numbers(row["q"], "provider entry field 'q'", credal.space.size)
+        providers.append(Provider(id=json_string(row["id"], "provider entry field 'id'"),
+                                  q=Categorical(credal.space, q)))
     req = json_object(payload["requirement"], ("kind", "metric", "tau"), "requirement",
                       required=("kind",))
     if req["kind"] == "threshold":
         # a missing metric or tau reads as null, which the rules name and reject
-        metric = json_numbers(req.get("metric"), "requirement field 'metric'")
+        metric = json_numbers(req.get("metric"), "requirement field 'metric'", credal.space.size)
         tau = json_number(req.get("tau"), "requirement field 'tau'")
         requirement = Requirement(kind="threshold", metric=metric, tau=tau)
     else:  # Requirement rejects unknown kinds, and a metric or tau on a credal one
@@ -130,13 +132,15 @@ def cmd_market(args: argparse.Namespace) -> int:
     n = json_integer(payload.get("n", 500), "market config field 'n'", 0)
     seed = json_integer(args.seed if args.seed is not None else payload.get("seed", 0), "seed", 0)
     if args.out:
+        summary = Path(args.out).with_suffix(".summary.json")
         _check_out(args.out, args.force)
+        _check_out(summary, args.force)
     report = simulate_market(providers, requirement, credal, params,
                              mechanism=payload.get("mechanism", "optimal-LP"), n=n, seed=seed)
 
     if args.out:
         report.to_csv(args.out)
-        report.save_summary(Path(args.out).with_suffix(".summary.json"))
+        report.save_summary(summary)
         print(f"wrote={args.out}")
     print(f"perfect={str(report.perfect).lower()}")
     for name, count in report.counts().items():
@@ -151,8 +155,9 @@ def cmd_betting(args: argparse.Namespace) -> int:
                           required=("params", "labels", "source", "metric", "tau"))
     params = MechanismParams.from_json(payload["params"], "betting config field 'params'")
     space = EvidenceSpace(json_labels(payload["labels"], "betting config field 'labels'"))
-    source = Categorical(space, json_numbers(payload["source"], "betting config field 'source'"))
-    metric = json_numbers(payload["metric"], "betting config field 'metric'")
+    source = Categorical(space, json_numbers(payload["source"], "betting config field 'source'",
+                                             space.size))
+    metric = json_numbers(payload["metric"], "betting config field 'metric'", space.size)
     score = BettingScore.from_metric(space, metric,
                                      json_number(payload["tau"], "betting config field 'tau'"))
     n = json_integer(payload.get("n", 500), "betting config field 'n'", 1)

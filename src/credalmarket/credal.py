@@ -3,10 +3,10 @@
 A credal set is stored by its generating vertices; the represented set is
 their convex hull, which is closed and convex by construction.  Envelope
 queries reduce to finite maxima over vertices, hull membership to a small
-box linear program on the package's simplex solver (one LP per call, or
-many in lock-step with :func:`uncovered_masses`).  A threshold set
-{P : E_P[score] >= tau}, such as the fairness scenario's non-compliant set,
-is built from the probability grid points it contains.
+box linear program solved in lock-step blocks on the package's simplex
+solver (one LP for :func:`membership`, many for :func:`uncovered_masses`).
+A threshold set {P : E_P[score] >= tau}, such as the fairness scenario's
+non-compliant set, is built from the probability grid points it contains.
 
 scipy is a runtime dependency of :func:`maximize_over_mixtures` only: its
 Nelder-Mead polish imports ``scipy.optimize`` on the first call.  Importing
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._linprog import solve_box_lp, solve_box_lps
+from ._linprog import LpBatch, solve_box_lps
 from .evidence import (
     Categorical,
     EvidenceSpace,
@@ -87,8 +87,8 @@ class CredalSet:
         json_object(payload, ("space", "vertices"), "credal JSON", required=("space", "vertices"))
         space = EvidenceSpace(json_labels(payload["space"], "credal JSON field 'space'"))
         rows = json_list(payload["vertices"], "credal JSON field 'vertices'")
-        return CredalSet(space, tuple(Categorical(space, json_numbers(row, "credal JSON vertex"))
-                                      for row in rows))
+        rows = [json_numbers(row, "credal JSON vertex", space.size) for row in rows]
+        return CredalSet(space, tuple(Categorical(space, row) for row in rows))
 
     @staticmethod
     def load(path: str | Path) -> "CredalSet":
@@ -109,6 +109,15 @@ class MembershipWitness(NamedTuple):
     uncovered: float
 
 
+def _membership_lps(qs: list[Categorical], credal: CredalSet) -> LpBatch:
+    """The membership LPs of the types, solved in lock-step blocks on
+    :func:`_linprog.solve_box_lps`: max sum w  s.t.  V^T w <= q,  0 <= w <= 1."""
+    space = require_same_space(credal, *qs)
+    k = credal.vertex_matrix.shape[0]
+    b = np.array([q.probs for q in qs]).reshape(len(qs), space.size)
+    return solve_box_lps(np.ones(k), credal.vertex_matrix.T, b, np.ones(k))
+
+
 def membership(q: Categorical, credal: CredalSet) -> MembershipWitness:
     """Test whether q lies in the convex hull of the vertices.
 
@@ -118,13 +127,10 @@ def membership(q: Categorical, credal: CredalSet) -> MembershipWitness:
     is a mixture of the vertices.  q is a member when the uncovered mass is at
     most ``MEMBERSHIP_TOL``, with witness weights w / sum w.
     """
-    require_same_space(q, credal)
-    V = credal.vertex_matrix  # (k, m)
-    k = V.shape[0]
-    sol = solve_box_lp(c=np.ones(k), A=V.T, b=q.probs, upper=np.ones(k))
-    uncovered = 1.0 - sol.value
+    sol = _membership_lps([q], credal)
+    uncovered = 1.0 - float(sol.value[0])
     if uncovered <= MEMBERSHIP_TOL:
-        w = np.clip(sol.x, 0.0, None)  # the ratio-test tie tolerance can leave w_i slightly < 0
+        w = np.clip(sol.x[0], 0.0, None)  # the ratio-test tie tolerance can leave w_i slightly < 0
         return MembershipWitness(True, w / w.sum(), uncovered)
     return MembershipWitness(False, None, uncovered)
 
@@ -132,14 +138,9 @@ def membership(q: Categorical, credal: CredalSet) -> MembershipWitness:
 def uncovered_masses(qs: list[Categorical], credal: CredalSet) -> np.ndarray:
     """The uncovered mass of :func:`membership` for many types, to the bit.
 
-    q_i is a member exactly when its mass is at most ``MEMBERSHIP_TOL``.  The
-    LPs share the constraint matrix and run in lock-step blocks on
-    :func:`_linprog.solve_box_lps`.
+    q_i is a member exactly when its mass is at most ``MEMBERSHIP_TOL``.
     """
-    space = require_same_space(credal, *qs)
-    k = credal.vertex_matrix.shape[0]
-    b = np.array([q.probs for q in qs]).reshape(len(qs), space.size)
-    return 1.0 - solve_box_lps(np.ones(k), credal.vertex_matrix.T, b, np.ones(k)).value
+    return 1.0 - _membership_lps(qs, credal).value
 
 
 # ---------------------------------------------------------------------------

@@ -148,9 +148,11 @@ def json_list(value, name: str) -> list:
     return _checked(isinstance(value, list), value, name, "a list")
 
 
-def json_numbers(value, name: str) -> list:
-    return _checked(isinstance(value, list) and all(map(is_json_number, value)),
-                    value, name, "a list of finite numbers")
+def json_numbers(value, name: str, size: int | None = None) -> list:
+    """A list of finite numbers, and of ``size`` of them when ``size`` is given."""
+    ok = isinstance(value, list) and all(map(is_json_number, value))
+    expected = "a list of finite numbers" if size is None else f"a list of {size} finite numbers"
+    return _checked(ok and size in (None, len(value)), value, name, expected)
 
 
 def json_labels(value, name: str) -> list:

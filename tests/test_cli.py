@@ -384,20 +384,22 @@ class TestOutputCheckedFirst:
         assert code == 2 and out == "" and "--force" in err
         assert out_path.read_text() == "keep"
 
-    def test_market_refuses_existing_output_before_computing(self, capsys, tmp_path,
-                                                             hull_credal, monkeypatch):
+    @pytest.mark.parametrize("existing, absent", [("report.csv", "report.summary.json"),
+                                                  ("report.summary.json", "report.csv")])
+    def test_market_refuses_existing_output_before_computing(self, capsys, tmp_path, hull_credal,
+                                                             monkeypatch, existing, absent):
         def fail(*args, **kwargs):
             raise AssertionError("the market ran")
 
         monkeypatch.setattr("credalmarket.cli.simulate_market", fail)
         cfg = write_json(tmp_path / "market.json", MARKET_CONFIG)
+        (tmp_path / existing).write_text("keep")
         out_path = tmp_path / "report.csv"
-        out_path.write_text("keep")
         code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
                                  "--config", str(cfg), "--out", str(out_path))
         assert code == 2 and out == "" and "--force" in err
-        assert out_path.read_text() == "keep"
-        assert not out_path.with_suffix(".summary.json").exists()
+        assert (tmp_path / existing).read_text() == "keep"
+        assert not (tmp_path / absent).exists()
 
 
 def test_license_that_is_not_obedient_exits_1(capsys, tmp_path):
@@ -424,6 +426,8 @@ class TestNumbersGivenAsStrings:
         ("metric", ["1", -1.0]),
         ("metric", [1.0, True]),
         ("source", ["0.75", "0.25"]),
+        ("source", [0.5, 0.25, 0.25]),
+        ("metric", [1.0, -1.0, 0.0]),
     ])
     def test_betting_field_exits_2(self, capsys, tmp_path, field, value):
         cfg = write_json(tmp_path / "bet.json", {**BETTING_CONFIG, field: value})
@@ -437,30 +441,37 @@ class TestNumbersGivenAsStrings:
         ("tau", "0.5"),
         ("metric", [0, "1", 0]),
         ("metric", [1.0, False, 0.0]),
+        ("metric", [1.0, 0.0]),
     ])
-    def test_threshold_requirement_field_exits_2(self, capsys, tmp_path, hull_credal,
+    def test_threshold_requirement_field_exits_2(self, capsys, tmp_path, hull_credal, monkeypatch,
                                                  field, value):
+        def fail(*args, **kwargs):
+            raise AssertionError("the market ran")
+
+        monkeypatch.setattr("credalmarket.cli.simulate_market", fail)
         requirement = {**MARKET_CONFIG["requirement"], field: value}
         cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, "requirement": requirement})
         code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
                                  "--config", str(cfg))
         assert code == 2 and out == "" and repr(field) in err
 
-    def test_provider_q_exits_2(self, capsys, tmp_path, hull_credal):
-        provider = {"id": "good", "q": ["0.9", 0.05, 0.05]}
+    @pytest.mark.parametrize("q", [["0.9", 0.05, 0.05], [0.9, 0.1]])
+    def test_provider_q_exits_2(self, capsys, tmp_path, hull_credal, q):
+        provider = {"id": "good", "q": q}
         cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, "providers": [provider]})
         code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
                                  "--config", str(cfg))
         assert code == 2 and out == "" and "'q'" in err
 
-    def test_license_provider_exits_2(self, capsys, tmp_path, singleton_credal):
+    @pytest.mark.parametrize("provider", [["0.2", "0.8"], [0.2, 0.3, 0.5]])
+    def test_license_provider_exits_2(self, capsys, tmp_path, singleton_credal, provider):
         cfg = write_json(tmp_path / "cfg.json",
-                         {"provider": ["0.2", "0.8"], "params": {"C": 0.5, "R": 1.0}})
+                         {"provider": provider, "params": {"C": 0.5, "R": 1.0}})
         code, out, err = run_cli(capsys, "license", "optimal", "--credal", str(singleton_credal),
                                  "--config", str(cfg))
         assert code == 2 and out == "" and "'provider'" in err
 
-    @pytest.mark.parametrize("vertex", [["0.25", "0.75"], [True, 0.0]])
+    @pytest.mark.parametrize("vertex", [["0.25", "0.75"], [True, 0.0], [1.0]])
     def test_credal_vertex_exits_2(self, capsys, tmp_path, license_config, vertex):
         credal = write_json(tmp_path / "credal.json", {"space": ["z0", "z1"], "vertices": [vertex]})
         code, out, err = run_cli(capsys, "license", "optimal", "--credal", str(credal),

@@ -203,15 +203,38 @@ class TestSimplexSolver:
         batch = assert_lock_step_rows_equal_single_solves([1.0], np.ones((3, 1)), b, [10.0])
         assert batch.x[1, 0] == near_tie[2] and batch.x[3, 0] == near_tie[2]
 
-    def test_lock_step_batch_larger_than_one_block(self):
+    @pytest.mark.parametrize("lps_per_block", [1, 3, None])
+    def test_lock_step_batch_larger_than_one_block(self, monkeypatch, lps_per_block):
+        # More LPs than one default block, cut into blocks of 1 LP, of 3 LPs
+        # and of the default size: the rows do not depend on the cut.
         V = market_vertices()
         rows = V.shape[0] + V.shape[1]
         block = _linprog.BLOCK_ENTRIES // ((rows + 1) * (V.shape[1] + rows + 1))
         rng = np.random.default_rng(2)
         q = rng.dirichlet(np.ones(12), size=2 * block + 7) @ V
         q[1::2] = rng.dirichlet(np.ones(6), size=q[1::2].shape[0])
-        assert_lock_step_rows_equal_single_solves(q, V, np.full(12, 15.0), np.full(6, 250.0))
-        assert_lock_step_rows_equal_single_solves(np.ones(12), V.T, q, np.ones(12))
+        for lp, n in (((q, V, np.full(12, 15.0), np.full(6, 250.0)), V.shape[1]),
+                      ((np.ones(12), V.T, q, np.ones(12)), V.shape[0])):
+            if lps_per_block:
+                monkeypatch.setattr(_linprog, "BLOCK_ENTRIES",
+                                    lps_per_block * (rows + 1) * (n + rows + 1))
+            assert_lock_step_rows_equal_single_solves(*lp)
+
+    def test_lock_step_memory_is_bounded_by_the_block(self):
+        # 1,000 market-shaped LPs of each kind: the tableaux of one block and
+        # their temporaries, not of the whole batch (about 9-11 MB unblocked).
+        V = market_vertices()
+        rng = np.random.default_rng(4)
+        q = rng.dirichlet(np.ones(12), size=1000) @ V
+        q[1::2] = rng.dirichlet(np.ones(6), size=500)
+        for lp in ((q, V, np.full(12, 15.0), np.full(6, 250.0)), (np.ones(12), V.T, q, np.ones(12))):
+            tracemalloc.start()
+            try:
+                solve_box_lps(*lp)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 8 * _linprog.BLOCK_ENTRIES
 
     def test_lock_step_with_no_lps_or_no_variables(self):
         empty = solve_box_lps(np.zeros((0, 3)), np.ones((2, 3)), np.zeros((0, 2)), np.ones(3))
