@@ -77,8 +77,8 @@ class KellyConfig:
     margin: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.margin <= 0.0:
-            raise ValueError("admissibility margin must be positive")
+        if not 0.0 < self.margin < 1.0:  # a margin of 1 or more leaves no bet in (0, B]
+            raise ValueError(f"admissibility margin must lie in (0, 1), got {self.margin!r}")
 
     def ceiling(self, score: np.ndarray) -> float:
         worst = float(np.min(score))

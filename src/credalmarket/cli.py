@@ -57,6 +57,9 @@ EXIT_OK = 0
 EXIT_NONCONVERGED = 1
 EXIT_CONFIG = 2
 
+NONCONVERGED = ("the risk-averse optimizer hit its iteration cap or returned a license "
+                "that is not obedient")
+
 
 def _check_out(path: str, force: bool) -> None:
     target = Path(path)
@@ -101,8 +104,7 @@ def cmd_license(args: argparse.Namespace) -> int:
         })
         print(f"wrote={args.out}")
     if not averse.converged:
-        print("warning: the risk-averse optimizer hit its iteration cap or returned a license "
-              "that is not obedient", file=sys.stderr)
+        print(f"warning: {NONCONVERGED}", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
 
@@ -145,6 +147,9 @@ def cmd_market(args: argparse.Namespace) -> int:
     print(f"perfect={str(report.perfect).lower()}")
     for name, count in report.counts().items():
         print(f"count_{name}={count}")
+    if report.nonconverged:  # a warning only: the report itself is complete
+        print(f"warning: {NONCONVERGED} for providers {', '.join(report.nonconverged)}",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -263,9 +263,12 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
         types = [paired_fairness_distribution(gamma) for gamma in cfg.gammas]
     except ValueError as err:
         raise ValueError(f"{cfg.scenario} config field 'gammas': {err}") from err
+    try:
+        kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
+    except ValueError as err:
+        raise ValueError(f"{cfg.scenario} config field 'kelly_margin': {err}") from err
     score = parity_betting_score(cfg.tau)
     credal = parity_credal_set(cfg.tau, cfg.grid_resolution)
-    kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
     paths = [_draw_outcomes(q, cfg.runs, cfg.n, cfg.seed + g_idx) for g_idx, q in enumerate(types)]
     if cfg.bet_zero_control or not paths:
         bettings = [np.full(z.shape, cfg.params.C) for z in paths]

@@ -94,8 +94,12 @@ class ProviderRow:
 
 @dataclass(frozen=True)
 class MarketReport:
+    """Per-provider rows; ``nonconverged`` names the providers whose risk-averse
+    solve hit its iteration cap or gave a license that is not obedient."""
+
     rows: tuple[ProviderRow, ...]
     perfect: bool
+    nonconverged: tuple[str, ...] = ()
 
     def counts(self) -> dict[str, int]:
         out = {"true-in": 0, "true-out": 0, "false-in": 0, "false-out": 0}
@@ -175,10 +179,13 @@ def simulate_market(
         if first.id == second.id:
             raise ValueError(f"provider id {first.id!r} is not unique")
     types = [pr.q for pr in ordered]
+    nonconverged: tuple[str, ...] = ()
     if mechanism == "optimal-LP":
         sup_values = sup_values_over_obedient(types, credal, params).tolist()
     elif mechanism == "risk-averse":
-        sup_values = [optimal_risk_averse_license(q, credal, params).value for q in types]
+        results = [optimal_risk_averse_license(q, credal, params) for q in types]
+        sup_values = [r.value for r in results]
+        nonconverged = tuple(pr.id for pr, r in zip(ordered, results) if not r.converged)
     elif ordered:
         sup_values = _betting_sup_values(ordered, req, params, n=n, seed=seed,
                                          replicates=BETTING_REPLICATES, cfg=KellyConfig())
@@ -202,7 +209,7 @@ def simulate_market(
             )
         )
     perfect = all(r.participated == r.compliant for r in rows if not r.indeterminate)
-    return MarketReport(rows=tuple(rows), perfect=perfect)
+    return MarketReport(rows=tuple(rows), perfect=perfect, nonconverged=nonconverged)
 
 
 def strategic_mixture_best_response(

@@ -136,6 +136,12 @@ class TestKellyBet:
     def test_negative_edge_means_no_bet(self, bspace):
         assert kelly_optimal_bet(binary_dist(bspace, 0.3), binary_score(bspace), KellyConfig()) == 0.0
 
+    @pytest.mark.parametrize("margin", [0.0, 1.0, 1.5, float("nan")])
+    def test_margin_outside_the_unit_interval_is_rejected(self, margin):
+        # A margin of 1 or more gives a ceiling at or below 0: no bet in (0, B].
+        with pytest.raises(ValueError, match="margin"):
+            KellyConfig(margin=margin)
+
     def test_sure_win_bets_the_ceiling(self, bspace):
         score = BettingScore(bspace, [0.4, 0.4])
         cfg = KellyConfig()

@@ -418,6 +418,27 @@ def test_license_that_is_not_obedient_exits_1(capsys, tmp_path):
     assert "not obedient" in err
 
 
+def test_market_warns_about_a_license_that_is_not_obedient_and_exits_0(capsys, tmp_path):
+    # The provider of the test above, beside one whose license is obedient.
+    credal = write_json(tmp_path / "credal.json", {
+        "space": ["z0", "z1"],
+        "vertices": [[0.0, 1.0], [0.11818315092721399, 0.881816849072786], [1.0, 0.0]],
+    })
+    cfg = write_json(tmp_path / "market.json", {
+        "params": {"C": 2.9063453991814963, "R": 212.37797700435968},
+        "providers": [{"id": "good", "q": [0.5, 0.5]},
+                      {"id": "bad", "q": [0.9659557992953943, 0.03404420070460571]}],
+        "requirement": {"kind": "credal"},
+        "mechanism": "risk-averse",
+    })
+    out_path = tmp_path / "report.csv"
+    code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(credal),
+                             "--config", str(cfg), "--out", str(out_path))
+    assert code == 0 and "perfect=" in out and out_path.exists()
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and warnings[0].endswith("not obedient for providers bad")
+
+
 class TestNumbersGivenAsStrings:
     """float() and np.asarray(..., dtype=float) take "0.5" and true; the CLI must not."""
 
@@ -484,6 +505,8 @@ class TestScenarioRangesCheckedFirst:
         ("chi2_strategic", {"alpha_grid": [0.05, -0.2]}, "alpha_grid"),
         ("chi2_strategic", {"alpha_grid": [0.05, 1.5]}, "alpha_grid"),
         ("fairness", {"gammas": [0.4, 0.95]}, "gammas"),
+        ("fairness", {"runs": 2, "n": 50, "kelly_margin": 1.5}, "kelly_margin"),
+        ("fairness", {"runs": 2, "n": 5, "kelly_margin": 2}, "kelly_margin"),
     ])
     def test_value_out_of_range_exits_2_before_drawing(self, capsys, tmp_path, monkeypatch,
                                                         scenario, payload, field):

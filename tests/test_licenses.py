@@ -859,10 +859,29 @@ class TestLockStepKappa:
             for row, out in zip(X, projected):
                 assert np.array_equal(out, looped_project_to_simplex(row))
 
-    def test_peak_memory_on_the_parity_set(self):
-        # One 126 x 125 weight matrix, not a 125 x 125 identity per start.
+    @pytest.mark.parametrize("gamma, max_calls", [(0.4, 800), (0.6, 2600)])
+    def test_line_search_halvings_are_stacked_in_chunks(self, gamma, max_calls):
+        # 2,568 and 6,722 projections when every halving is a round of its own
+        # (795 and 2,585 in chunks); no chunk stacks more rows than the
+        # 126 x 125 weight matrix holds.
+        rows = []
+
+        def project(X):
+            rows.append(X.shape[0])
+            return _project_rows_to_simplex(X)
+
+        with patch.object(licenses, "_project_rows_to_simplex", project):
+            minimize_kappa(paired_fairness_distribution(gamma), parity_credal_set(0.6, 10),
+                           MechanismParams(15.0, 250.0))
+        assert len(rows) <= max_calls
+        assert max(rows) <= 126
+
+    @pytest.mark.parametrize("gamma", [0.4, 0.6])
+    def test_peak_memory_on_the_parity_set(self, gamma):
+        # One 126 x 125 weight matrix, not a 125 x 125 identity per start, and
+        # line-search stacks of at most as many rows.
         credal = parity_credal_set(0.6, 10)
-        q, params = paired_fairness_distribution(0.4), MechanismParams(15.0, 250.0)
+        q, params = paired_fairness_distribution(gamma), MechanismParams(15.0, 250.0)
         tracemalloc.start()
         try:
             minimize_kappa(q, credal, params)

@@ -1,15 +1,22 @@
 import hashlib
 import json
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from conftest import random_categorical, random_credal
+from credalmarket import licenses
 from credalmarket.credal import CredalSet, membership
 from credalmarket.evidence import Categorical, EvidenceSpace
 from credalmarket._linprog import BLOCK_ENTRIES
-from credalmarket.licenses import MechanismParams, participation_decision, sup_value_over_obedient
+from credalmarket.licenses import (
+    KAPPA_MAX_ITER,
+    MechanismParams,
+    participation_decision,
+    sup_value_over_obedient,
+)
 from credalmarket.market import (
     BOUNDARY_BAND,
     MarketReport,
@@ -269,6 +276,15 @@ def test_market_reports_are_pinned_to_the_byte(tmp_path, mechanism):
     report.to_csv(tmp_path / "report.csv")
     digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_REPORT_SHA256[mechanism]
+
+
+@pytest.mark.parametrize("max_iter, named", [(KAPPA_MAX_ITER, ()), (1, ("p00", "p02"))])
+def test_risk_averse_market_names_the_providers_that_did_not_converge(max_iter, named):
+    markets, credal = golden_market()
+    providers, req, _ = markets["risk-averse"]
+    with patch.object(licenses, "KAPPA_MAX_ITER", max_iter):
+        report = simulate_market(providers, req, credal, PARAMS, mechanism="risk-averse")
+    assert report.nonconverged == named
 
 
 def test_market_larger_than_one_lp_block_matches_the_per_provider_loop(tmp_path):
