@@ -260,14 +260,15 @@ def minimize_kappa(
     batched gradient, projection and kappa evaluation per iteration, and a
     backtracking line search over the rows still searching.  A row leaves
     when it is stationary or when 40 halvings find no decrease.  The line
-    search takes the halvings in chunks that double each round (1, 1, 2, 4,
-    ..., capped so a chunk stacks at most as many rows as the weight matrix
-    has): one projection and one kappa evaluation cover every searching row
-    at every halving of the chunk, and a row moves to its first improving
-    halving there.  Each row takes exactly the steps, and gets exactly the
-    bits, that the start would get alone: the projection and P = wV (one
-    gemv per row) work row by row, and every dot product runs over
-    C-contiguous rows (see :func:`_column_subset`).
+    search takes the halvings in chunks: halving 0 alone, then from halving
+    h the next h (1, 2-3, 4-7, ..., capped at halving 39 and so that a chunk
+    stacks at most as many rows as the weight matrix has).  One projection
+    and one kappa evaluation cover every searching row at every halving of
+    the chunk, and a row moves to its first improving halving there.  Each
+    row takes exactly the steps, and gets exactly the bits, that the start
+    would get alone: the projection and P = wV (one gemv per row) work row
+    by row, and every dot product runs over C-contiguous rows (see
+    :func:`_column_subset`).
     """
     V = credal.vertex_matrix
     k = V.shape[0]
@@ -330,22 +331,20 @@ def minimize_kappa(
         stationary = np.sqrt(np.vecdot(D, D)) <= KAPPA_GRAD_TOL
         converged[live[stationary]] = True
         live, G, W_new = live[~stationary], G[~stationary], W_new[~stationary]
-        searching, halving, chunk, size = live, 0, 1, 1
+        searching, halving, chunk = live, 0, 1
         while searching.size and halving < 40:
             if halving:
                 # The next ``chunk`` halvings stacked chunk-major; 2**-h is exact.
-                chunk = min(size, 40 - halving, W.shape[0] // searching.size)
+                chunk = min(halving, 40 - halving, W.shape[0] // searching.size)
                 etas = np.ldexp(1.0, -np.arange(halving, halving + chunk))
                 W_new = _project_rows_to_simplex(
                     (W[searching] - etas[:, None, None] * G).reshape(-1, k))
-                size *= 2
             P_new = probs_of(W_new)
             val_new = kappa_of(P_new)
             better = val_new.reshape(chunk, -1) < vals[searching] - 1e-14
-            found = pick = better[0]
-            if chunk > 1:  # each row moves to its first improving halving
-                found = better.any(axis=0)
-                pick = better.argmax(axis=0)[found] * searching.size + np.flatnonzero(found)
+            # Each row moves to its first improving halving in the chunk.
+            found = better.any(axis=0)
+            pick = better.argmax(axis=0)[found] * searching.size + np.flatnonzero(found)
             moved = searching[found]
             W[moved], P[moved], vals[moved] = W_new[pick], P_new[pick], val_new[pick]
             searching, G = searching[~found], G[~found]
