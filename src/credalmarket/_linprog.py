@@ -34,20 +34,18 @@ BLOCK_ENTRIES = 1 << 17
 
 @dataclass(frozen=True)
 class LpSolution:
+    """One LP's solution; :func:`solve_box_lps` gives N LPs' with a leading axis on each field."""
+
     x: np.ndarray
-    value: float
+    value: float | np.ndarray
     duals: np.ndarray  # one multiplier per row of A (then per upper bound)
-    iterations: int
+    iterations: int | np.ndarray
 
 
-@dataclass(frozen=True)
-class LpBatch:
-    """The solutions of :func:`solve_box_lps`, one row per LP."""
-
-    x: np.ndarray  # (N, n)
-    value: np.ndarray  # (N,)
-    duals: np.ndarray  # (N, k + n)
-    iterations: np.ndarray  # (N,)
+def _as_floats(c, A, b, upper) -> tuple[np.ndarray, ...]:
+    """The LP data as float arrays, with A at least 2-D."""
+    return (np.asarray(c, dtype=float), np.atleast_2d(np.asarray(A, dtype=float)),
+            np.asarray(b, dtype=float), np.asarray(upper, dtype=float))
 
 
 def _tableaux(c, A, b, upper) -> np.ndarray:
@@ -83,12 +81,10 @@ def solve_box_lp(c, A, b, upper) -> LpSolution:
 
     ``b`` and ``upper`` must be non-negative so the slack basis is feasible.
     """
-    c = np.asarray(c, dtype=float)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float)
+    c, A, b, upper = _as_floats(c, A, b, upper)
     if c.ndim != 1 or b.ndim != 1:
         raise ValueError("inconsistent LP dimensions")
-    T = _tableaux(c[None], A, b[None], np.asarray(upper, dtype=float))[0]
+    T = _tableaux(c[None], A, b[None], upper)[0]
     n = c.size
     m_rows = A.shape[0] + n
     basis = list(range(n, n + m_rows))
@@ -136,7 +132,7 @@ def solve_box_lp(c, A, b, upper) -> LpSolution:
     return LpSolution(x=x, value=float(c @ x), duals=duals, iterations=iterations)
 
 
-def solve_box_lps(c, A, b, upper) -> LpBatch:
+def solve_box_lps(c, A, b, upper) -> LpSolution:
     """Solve the LPs  max c_i.x  s.t.  A x <= b_i,  0 <= x <= upper  in lock-step.
 
     ``c`` is (N, n) and ``b`` is (N, k); either may be 1-D when every LP
@@ -151,10 +147,7 @@ def solve_box_lps(c, A, b, upper) -> LpBatch:
     by boolean indexing.  A single LP costs about eight times as much here as
     in :func:`solve_box_lp`.
     """
-    c = np.asarray(c, dtype=float)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float)
-    u = np.asarray(upper, dtype=float)
+    c, A, b, u = _as_floats(c, A, b, upper)
     N = c.shape[0] if c.ndim == 2 else b.shape[0] if b.ndim == 2 else 1
     c, b = np.broadcast_to(c, (N, c.shape[-1])), np.broadcast_to(b, (N, b.shape[-1]))
     n = c.shape[1]
@@ -216,4 +209,4 @@ def solve_box_lps(c, A, b, upper) -> LpBatch:
             basis[lane, leaving] = entering
             rounds += 1
     duals[np.abs(duals) < PIVOT_TOL] = 0.0
-    return LpBatch(x=x, value=np.vecdot(c, x), duals=duals, iterations=iterations)
+    return LpSolution(x=x, value=np.vecdot(c, x), duals=duals, iterations=iterations)

@@ -29,12 +29,12 @@ from pathlib import Path
 from .betting import BettingScore, KellyConfig, write_trajectory_csv
 from .credal import CredalSet
 from .evidence import (
-    Categorical,
     EvidenceSpace,
     SampleStream,
     json_integer,
     json_labels,
     json_list,
+    json_categorical,
     json_number,
     json_numbers,
     json_object,
@@ -78,9 +78,7 @@ def cmd_license(args: argparse.Namespace) -> int:
     payload = json_object(load_json(args.config, "license config"), fields, "license config",
                           required=fields)
     params = MechanismParams.from_json(payload["params"], "license config field 'params'")
-    q = Categorical(credal.space,
-                    json_numbers(payload["provider"], "license config field 'provider'",
-                                 credal.space.size))
+    q = json_categorical(payload["provider"], "license config field 'provider'", credal.space)
     if args.out:
         _check_out(args.out, args.force)
 
@@ -118,9 +116,8 @@ def cmd_market(args: argparse.Namespace) -> int:
     providers = []
     for row in json_list(payload["providers"], "market config field 'providers'"):
         json_object(row, ("id", "q"), "provider entry", required=("id", "q"))
-        q = json_numbers(row["q"], "provider entry field 'q'", credal.space.size)
-        providers.append(Provider(id=json_string(row["id"], "provider entry field 'id'"),
-                                  q=Categorical(credal.space, q)))
+        q = json_categorical(row["q"], "provider entry field 'q'", credal.space)
+        providers.append(Provider(id=json_string(row["id"], "provider entry field 'id'"), q=q))
     req = json_object(payload["requirement"], ("kind", "metric", "tau"), "requirement",
                       required=("kind",))
     if req["kind"] == "threshold":
@@ -160,8 +157,7 @@ def cmd_betting(args: argparse.Namespace) -> int:
                           required=("params", "labels", "source", "metric", "tau"))
     params = MechanismParams.from_json(payload["params"], "betting config field 'params'")
     space = EvidenceSpace(json_labels(payload["labels"], "betting config field 'labels'"))
-    source = Categorical(space, json_numbers(payload["source"], "betting config field 'source'",
-                                             space.size))
+    source = json_categorical(payload["source"], "betting config field 'source'", space)
     metric = json_numbers(payload["metric"], "betting config field 'metric'", space.size)
     score = BettingScore.from_metric(space, metric,
                                      json_number(payload["tau"], "betting config field 'tau'"))

@@ -23,13 +23,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._linprog import LpBatch, solve_box_lps
+from ._linprog import LpSolution, solve_box_lps
 from .evidence import (
     Categorical,
     EvidenceSpace,
+    json_categorical,
     json_labels,
     json_list,
-    json_numbers,
     json_object,
     kl_divergence,
     load_json,
@@ -44,6 +44,7 @@ __all__ = [
     "membership",
     "uncovered_masses",
     "gaming_witness",
+    "strategic_mixture_best_response",
     "approximate_constraint_set",
     "sequential_glr_value",
     "maximize_over_mixtures",
@@ -87,8 +88,8 @@ class CredalSet:
         json_object(payload, ("space", "vertices"), "credal JSON", required=("space", "vertices"))
         space = EvidenceSpace(json_labels(payload["space"], "credal JSON field 'space'"))
         rows = json_list(payload["vertices"], "credal JSON field 'vertices'")
-        rows = [json_numbers(row, "credal JSON vertex", space.size) for row in rows]
-        return CredalSet(space, tuple(Categorical(space, row) for row in rows))
+        return CredalSet(space, tuple(json_categorical(row, "credal JSON vertex", space)
+                                      for row in rows))
 
     @staticmethod
     def load(path: str | Path) -> "CredalSet":
@@ -109,7 +110,7 @@ class MembershipWitness(NamedTuple):
     uncovered: float
 
 
-def _membership_lps(qs: list[Categorical], credal: CredalSet) -> LpBatch:
+def _membership_lps(qs: list[Categorical], credal: CredalSet) -> LpSolution:
     """The membership LPs of the types, solved in lock-step blocks on
     :func:`_linprog.solve_box_lps`: max sum w  s.t.  V^T w <= q,  0 <= w <= 1."""
     space = require_same_space(credal, *qs)
@@ -261,13 +262,32 @@ def maximize_over_mixtures(
     return np.asarray(best_w), float(best_v)
 
 
+def strategic_mixture_best_response(
+    base_models: list[Categorical],
+    params,
+    value_fn: Optional[Callable[[Categorical], float]] = None,
+    grid_resolution: float = 0.02,
+) -> tuple[np.ndarray, float]:
+    """Best mixture of base models against a mechanism's value function.
+
+    Defaults to the naive per-point sequential regulator (the gaming target of
+    the simplex experiment); pass the credal mechanism's value function, e.g.
+    ``lambda q: sup_value_over_obedient(q, credal, params).value``, to confirm
+    that no mixture beats an obedient mechanism.
+    """
+    if len(base_models) < 2:
+        raise ValueError("strategic mixing needs at least two base models")
+    fn = value_fn or sequential_glr_value(base_models, params.C, params.R, GAMING_HORIZON)
+    return maximize_over_mixtures(base_models, fn, grid_resolution=grid_resolution)
+
+
 def gaming_witness(
     points: list[Categorical],
     params,
     naive_license_builder: Optional[Callable[..., Callable[[Categorical], float]]] = None,
     grid_resolution: float = 0.02,
 ) -> Optional[GamingWitness]:
-    """Search for a mixture of the points that beats a naive per-point regulator.
+    """The best mixture of :func:`strategic_mixture_best_response`, when it beats the fee.
 
     Returns the best weights and the payoff excess over the entry fee when a
     profitable mixture exists, otherwise None (absence is a valid answer: for
@@ -279,8 +299,8 @@ def gaming_witness(
     if len(points) < 2:
         return None
     builder = naive_license_builder or sequential_glr_value
-    value_fn = builder(points, params.C, params.R, GAMING_HORIZON)
-    w, v = maximize_over_mixtures(points, value_fn, grid_resolution=grid_resolution)
+    w, v = strategic_mixture_best_response(
+        points, params, builder(points, params.C, params.R, GAMING_HORIZON), grid_resolution)
     if participation_decision(v, params):
         return GamingWitness(weights=w, payoff_gap=v - params.C)
     return None

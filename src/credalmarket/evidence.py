@@ -46,6 +46,7 @@ __all__ = [
     "json_numbers",
     "json_labels",
     "json_object",
+    "json_categorical",
 ]
 
 #: tolerance on probability-vector normalization
@@ -180,6 +181,15 @@ def json_object(payload, allowed: tuple[str, ...], what: str,
     return payload
 
 
+def json_categorical(value, name: str, space: EvidenceSpace) -> Categorical:
+    """The distribution on ``space`` of a list of numbers; every error names the field."""
+    probs = json_numbers(value, name, space.size)
+    try:
+        return Categorical(space, probs)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from err
+
+
 def _as_prob_vector(probs, m: int) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.shape != (m,):
@@ -188,7 +198,7 @@ def _as_prob_vector(probs, m: int) -> np.ndarray:
     if not np.all(p >= 0):
         raise ValueError("probabilities must be non-negative and not NaN")
     if not abs(float(p.sum()) - 1.0) <= PROB_ATOL:
-        raise ValueError(f"probabilities must sum to 1 (got {p.sum()!r})")
+        raise ValueError(f"probabilities must sum to 1 (got {float(p.sum())!r})")
     p = p.copy()
     p.flags.writeable = False
     return p

@@ -99,6 +99,14 @@ def _capped_exp(log_values: np.ndarray, cap: float) -> np.ndarray:
     return np.exp(np.minimum(log_values, math.log(cap)))
 
 
+def _config_distribution(cfg, name: str, space: EvidenceSpace) -> Categorical:
+    """The distribution in config field ``name``; an invalid one is a ValueError naming the field."""
+    try:
+        return Categorical(space, getattr(cfg, name))
+    except ValueError as err:
+        raise ValueError(f"{cfg.scenario} config field {name!r}: {err}") from err
+
+
 # ---------------------------------------------------------------------------
 # Simplex gaming (three prohibited points vs their hull)
 # ---------------------------------------------------------------------------
@@ -125,11 +133,8 @@ class SimplexGamingConfig:
 
 def _empirical_loglik(z: np.ndarray, m: int) -> np.ndarray:
     """Running maximized log-likelihood sum_z k_z(t) * ln(k_z(t)/t) per run."""
-    runs, n = z.shape
-    onehot = np.zeros((runs, n, m))
-    onehot[np.arange(runs)[:, None], np.arange(n)[None, :], z] = 1.0
-    counts = onehot.cumsum(axis=1)
-    t = np.arange(1, n + 1, dtype=float)[None, :, None]
+    counts = np.cumsum(z[:, :, None] == np.arange(m), axis=1, dtype=float)
+    t = np.arange(1, z.shape[1] + 1, dtype=float)[None, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(counts > 0, counts * np.log(np.where(counts > 0, counts / t, 1.0)), 0.0)
     return terms.sum(axis=2)
@@ -148,9 +153,8 @@ def run_simplex_gaming(cfg: SimplexGamingConfig) -> ResultTable:
     space = EvidenceSpace.of_size(3)
     points = [Categorical(space, p) for p in SIMPLEX_POINTS]
     hull = CredalSet(space, tuple(points))
-    q = Categorical(space, cfg.provider_q) if cfg.provider_q else Categorical(
-        space, np.mean(SIMPLEX_POINTS, axis=0)
-    )
+    q = (_config_distribution(cfg, "provider_q", space) if cfg.provider_q
+         else Categorical(space, np.mean(SIMPLEX_POINTS, axis=0)))
     w_star, _, _ = minimize_kappa(q, hull, cfg.params)
     p_star = w_star @ hull.vertex_matrix
 
@@ -438,9 +442,8 @@ def run_synthetic_spurious(cfg: SpuriousConfig) -> ResultTable:
     trajectories; series "ratio" rows hold the per-outcome and per-group
     compliant/non-compliant license ratios at step 0.
     """
-    q_dro = Categorical(SPURIOUS_SPACE, cfg.q_compliant)
-    q_erm = Categorical(SPURIOUS_SPACE, cfg.q_noncompliant)
-    p_rand = Categorical(SPURIOUS_SPACE, cfg.p_random)
+    q_dro, q_erm, p_rand = (_config_distribution(cfg, name, SPURIOUS_SPACE)
+                            for name in ("q_compliant", "q_noncompliant", "p_random"))
     hull = CredalSet(SPURIOUS_SPACE, (q_erm, p_rand))
 
     rows = []

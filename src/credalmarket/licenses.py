@@ -135,6 +135,13 @@ def participation_decision(sup_value: float, params: MechanismParams) -> bool:
     return sup_value - params.C > BOUNDARY_BAND
 
 
+def _obedience_lp(credal: CredalSet, params: MechanismParams) -> tuple[np.ndarray, ...]:
+    """(A, b, upper) of the obedient-license LP max E_Q[pi]: E_P[pi] <= C at
+    each vertex P, 0 <= pi <= R.  Only the objective Q differs between types."""
+    V = credal.vertex_matrix
+    return V, np.full(V.shape[0], params.C), np.full(V.shape[1], params.R)
+
+
 def sup_value_over_obedient(q: Categorical, credal: CredalSet,
                             params: MechanismParams) -> OptimalLicenseResult:
     """Risk-neutral best response: max_pi E_Q[pi] over all obedient licenses.
@@ -143,14 +150,7 @@ def sup_value_over_obedient(q: Categorical, credal: CredalSet,
     contains pi = 0, and the optimizer sits at a vertex of the polytope.
     """
     require_same_space(q, credal)
-    V = credal.vertex_matrix
-    k = V.shape[0]
-    sol = solve_box_lp(
-        c=q.probs,
-        A=V,
-        b=np.full(k, params.C),
-        upper=np.full(q.space.size, params.R),
-    )
+    sol = solve_box_lp(q.probs, *_obedience_lp(credal, params))
     return OptimalLicenseResult(
         license=License(q.space, np.clip(sol.x, 0.0, params.R)),
         value=sol.value,
@@ -165,9 +165,8 @@ def sup_values_over_obedient(qs: list[Categorical], credal: CredalSet,
     on :func:`_linprog.solve_box_lps`.
     """
     space = require_same_space(credal, *qs)
-    V = credal.vertex_matrix
     c = np.array([q.probs for q in qs]).reshape(len(qs), space.size)
-    return solve_box_lps(c, V, np.full(V.shape[0], params.C), np.full(space.size, params.R)).value
+    return solve_box_lps(c, *_obedience_lp(credal, params)).value
 
 
 def neyman_pearson_license(q: Categorical, p: Categorical,

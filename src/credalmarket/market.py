@@ -11,20 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Literal, Optional
+from typing import Literal, Optional
 
 import numpy as np
 
 from .betting import BettingScore, KellyConfig, plugin_paths
-from .credal import (
-    GAMING_HORIZON,
-    MEMBERSHIP_TOL,
-    CredalSet,
-    maximize_over_mixtures,
-    membership,
-    sequential_glr_value,
-    uncovered_masses,
-)
+from .credal import MEMBERSHIP_TOL, CredalSet, uncovered_masses
+from .credal import strategic_mixture_best_response  # re-exported: its callers import it from here
 from .evidence import Categorical, draw_outcomes, require_same_space, write_csv, write_json
 from .licenses import (
     BOUNDARY_BAND,
@@ -73,6 +66,13 @@ class Requirement:
         else:
             raise ValueError(f"unknown requirement kind {self.kind!r}")
 
+    def complies(self, types: list[Categorical]) -> np.ndarray:
+        """Whether each type complies: E_Q[metric] > tau, or Q outside the credal set
+        (more than ``MEMBERSHIP_TOL`` uncovered, as in :func:`credal.membership`)."""
+        if self.kind == "threshold":
+            return np.array([q.expectation(self.metric) > self.tau for q in types], dtype=bool)
+        return uncovered_masses(types, self.credal) > MEMBERSHIP_TOL
+
 
 @dataclass(frozen=True, eq=False)
 class Provider:
@@ -118,10 +118,8 @@ class MarketReport:
 
 
 def evaluate_requirement(req: Requirement, q: Categorical) -> bool:
-    """True iff the type complies: E_Q[h] > tau, or Q outside the credal set."""
-    if req.kind == "threshold":
-        return q.expectation(req.metric) > req.tau
-    return not membership(q, req.credal).is_member
+    """One type's :meth:`Requirement.complies`."""
+    return bool(req.complies([q])[0])
 
 
 def _classify(compliant: bool, participated: bool) -> Classification:
@@ -191,12 +189,8 @@ def simulate_market(
                                          replicates=BETTING_REPLICATES, cfg=KellyConfig())
     else:
         sup_values = []
-    if req.kind == "credal":
-        compliance = (uncovered_masses(types, req.credal) > MEMBERSHIP_TOL).tolist()
-    else:
-        compliance = [evaluate_requirement(req, q) for q in types]
     rows = []
-    for provider, sup_value, compliant in zip(ordered, sup_values, compliance):
+    for provider, sup_value, compliant in zip(ordered, sup_values, req.complies(types).tolist()):
         participated = participation_decision(sup_value, params)
         rows.append(
             ProviderRow(
@@ -210,22 +204,3 @@ def simulate_market(
         )
     perfect = all(r.participated == r.compliant for r in rows if not r.indeterminate)
     return MarketReport(rows=tuple(rows), perfect=perfect, nonconverged=nonconverged)
-
-
-def strategic_mixture_best_response(
-    base_models: list[Categorical],
-    params: MechanismParams,
-    value_fn: Optional[Callable[[Categorical], float]] = None,
-    grid_resolution: float = 0.02,
-) -> tuple[np.ndarray, float]:
-    """Best mixture of base models against a mechanism's value function.
-
-    Defaults to the naive per-point sequential regulator (the gaming target of
-    the simplex experiment); pass the credal mechanism's value function, e.g.
-    ``lambda q: sup_value_over_obedient(q, credal, params).value``, to confirm
-    that no mixture beats an obedient mechanism.
-    """
-    if len(base_models) < 2:
-        raise ValueError("strategic mixing needs at least two base models")
-    fn = value_fn or sequential_glr_value(base_models, params.C, params.R, GAMING_HORIZON)
-    return maximize_over_mixtures(base_models, fn, grid_resolution=grid_resolution)

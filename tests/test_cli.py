@@ -449,13 +449,15 @@ class TestNumbersGivenAsStrings:
         ("source", ["0.75", "0.25"]),
         ("source", [0.5, 0.25, 0.25]),
         ("metric", [1.0, -1.0, 0.0]),
+        ("source", [0.7, 0.7]),
+        ("source", [1.5, -0.5]),
     ])
     def test_betting_field_exits_2(self, capsys, tmp_path, field, value):
         cfg = write_json(tmp_path / "bet.json", {**BETTING_CONFIG, field: value})
         out_path = tmp_path / "bet.csv"
         code, out, err = run_cli(capsys, "betting", "run", "--config", str(cfg),
                                  "--out", str(out_path))
-        assert code == 2 and out == "" and repr(field) in err
+        assert code == 2 and out == "" and repr(field) in err and "np.float64" not in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -476,28 +478,31 @@ class TestNumbersGivenAsStrings:
                                  "--config", str(cfg))
         assert code == 2 and out == "" and repr(field) in err
 
-    @pytest.mark.parametrize("q", [["0.9", 0.05, 0.05], [0.9, 0.1]])
+    @pytest.mark.parametrize("q", [["0.9", 0.05, 0.05], [0.9, 0.1], [1.5, -0.5, 0.0],
+                                   [0.5, 0.5, 0.5]])
     def test_provider_q_exits_2(self, capsys, tmp_path, hull_credal, q):
         provider = {"id": "good", "q": q}
         cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, "providers": [provider]})
         code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
                                  "--config", str(cfg))
-        assert code == 2 and out == "" and "'q'" in err
+        assert code == 2 and out == "" and "'q'" in err and "np.float64" not in err
 
-    @pytest.mark.parametrize("provider", [["0.2", "0.8"], [0.2, 0.3, 0.5]])
+    @pytest.mark.parametrize("provider", [["0.2", "0.8"], [0.2, 0.3, 0.5], [0.75, 0.75],
+                                          [1.5, -0.5]])
     def test_license_provider_exits_2(self, capsys, tmp_path, singleton_credal, provider):
         cfg = write_json(tmp_path / "cfg.json",
                          {"provider": provider, "params": {"C": 0.5, "R": 1.0}})
         code, out, err = run_cli(capsys, "license", "optimal", "--credal", str(singleton_credal),
                                  "--config", str(cfg))
-        assert code == 2 and out == "" and "'provider'" in err
+        assert code == 2 and out == "" and "'provider'" in err and "np.float64" not in err
 
-    @pytest.mark.parametrize("vertex", [["0.25", "0.75"], [True, 0.0], [1.0]])
+    @pytest.mark.parametrize("vertex", [["0.25", "0.75"], [True, 0.0], [1.0], [0.75, 0.75],
+                                        [1.5, -0.5]])
     def test_credal_vertex_exits_2(self, capsys, tmp_path, license_config, vertex):
         credal = write_json(tmp_path / "credal.json", {"space": ["z0", "z1"], "vertices": [vertex]})
         code, out, err = run_cli(capsys, "license", "optimal", "--credal", str(credal),
                                  "--config", str(license_config))
-        assert code == 2 and out == "" and "vertex" in err
+        assert code == 2 and out == "" and "vertex" in err and "np.float64" not in err
 
 
 class TestScenarioRangesCheckedFirst:
@@ -520,6 +525,26 @@ class TestScenarioRangesCheckedFirst:
         code, out, err = run_cli(capsys, "experiment", scenario, "--config", str(cfg),
                                  "--out", str(out_path))
         assert code == 2 and out == "" and repr(field) in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("scenario, field, value", [
+        ("simplex_gaming", "provider_q", [0.5, 0.5]),
+        ("simplex_gaming", "provider_q", [0.5, 0.5, 0.5]),
+        ("synthetic_spurious", "q_compliant", [0.5, 0.5, 0.5, 0.5]),
+        ("synthetic_spurious", "q_noncompliant", [1.5, -0.5, 0.0, 0.0]),
+        ("synthetic_spurious", "p_random", [0.4, 0.4, 0.2]),
+    ])
+    def test_distribution_field_is_named_before_drawing(self, capsys, tmp_path, monkeypatch,
+                                                        scenario, field, value):
+        def fail(*args, **kwargs):
+            raise AssertionError("the scenario drew before checking its config")
+
+        monkeypatch.setattr("credalmarket.experiments._draw_outcomes", fail)
+        cfg = write_json(tmp_path / "cfg.json", {field: value})
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "experiment", scenario, "--config", str(cfg),
+                                 "--out", str(out_path))
+        assert code == 2 and out == "" and repr(field) in err and "np.float64" not in err
         assert not out_path.exists()
 
 

@@ -7,8 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import random_credal
+from conftest import random_categorical, random_credal
+from credalmarket import credal, market
 from credalmarket.credal import (
+    GAMING_HORIZON,
     MEMBERSHIP_TOL,
     CredalSet,
     _grid_compositions,
@@ -17,11 +19,14 @@ from credalmarket.credal import (
     gaming_witness,
     maximize_over_mixtures,
     membership,
+    sequential_glr_value,
+    strategic_mixture_best_response,
+    uncovered_masses,
     upper_expectation,
 )
 from credalmarket.evidence import Categorical, EvidenceSpace, mixture
 from credalmarket.experiments import parity_credal_set
-from credalmarket.licenses import MechanismParams
+from credalmarket.licenses import MechanismParams, sup_value_over_obedient
 
 
 class TestEnvelopes:
@@ -113,6 +118,18 @@ def infinity_norm_distance(q: np.ndarray, V: np.ndarray) -> float:
     )
     assert res.success
     return float(res.fun)
+
+
+def test_uncovered_masses_are_the_membership_masses_to_the_byte():
+    rng = np.random.default_rng(7)
+    space = EvidenceSpace.of_size(5)
+    hull = random_credal(rng, space, 6)
+    types = [Categorical(space, rng.dirichlet(np.ones(6)) @ hull.vertex_matrix) for _ in range(20)]
+    types += list(hull.vertices) + [random_categorical(rng, space) for _ in range(20)]
+    masses = uncovered_masses(types, hull)
+    assert masses.shape == (len(types),)
+    for q, mass in zip(types, masses):
+        assert np.float64(membership(q, hull).uncovered).tobytes() == mass.tobytes()
 
 
 class TestMembershipAgainstOracle:
@@ -267,6 +284,33 @@ class TestGamingWitness:
 
     def test_identical_points_have_no_witness(self, uniform3):
         assert gaming_witness([uniform3, uniform3], MechanismParams(1.0, 2.0)) is None
+
+    @pytest.mark.parametrize("regulator", ["naive", "lp-singleton", "lp-hull"])
+    def test_is_the_best_mixture_search_plus_the_fee_decision(self, simplex_points, regulator):
+        params = MechanismParams(C=15.0, R=250.0)
+        if regulator == "naive":  # the default builder
+            builder, given = sequential_glr_value, None
+        else:  # an obedient LP regulator of the hull, or one a mixture games: points[0] alone
+            regulated = simplex_points if regulator == "lp-hull" else simplex_points[:1]
+            hull = CredalSet(simplex_points[0].space, tuple(regulated))
+
+            def builder(points, C, R, horizon):
+                return lambda q: sup_value_over_obedient(q, hull, params).value
+
+            given = builder
+        witness = gaming_witness(simplex_points, params, given, grid_resolution=0.05)
+        w, v = strategic_mixture_best_response(
+            simplex_points, params,
+            value_fn=builder(simplex_points, params.C, params.R, GAMING_HORIZON),
+            grid_resolution=0.05)
+        if regulator == "lp-hull":
+            assert witness is None and v <= params.C + 1e-9
+        else:
+            assert witness.weights.tobytes() == w.tobytes()
+            assert witness.payoff_gap == v - params.C
+
+    def test_market_re_exports_the_search(self):
+        assert market.strategic_mixture_best_response is credal.strategic_mixture_best_response
 
 
 class TestMixtureSearch:

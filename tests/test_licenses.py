@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 from conftest import random_categorical, random_credal
 from credalmarket import licenses
 from credalmarket import _linprog
-from credalmarket._linprog import PIVOT_TOL, solve_box_lp, solve_box_lps
+from credalmarket._linprog import PIVOT_TOL, LpSolution, solve_box_lp, solve_box_lps
 from credalmarket.cli import build_parser
 from credalmarket.credal import CredalSet, upper_expectation
 from credalmarket.evidence import (
@@ -40,6 +40,7 @@ from credalmarket.licenses import (
     optimal_risk_averse_license,
     participation_decision,
     sup_value_over_obedient,
+    sup_values_over_obedient,
 )
 
 
@@ -138,11 +139,13 @@ def random_box_lps():
 def assert_lock_step_rows_equal_single_solves(c, A, b, u):
     """Every row of solve_box_lps is solve_box_lp's solution of that LP, to the byte."""
     batch = solve_box_lps(c, A, b, u)
+    assert isinstance(batch, LpSolution)
     c, b = np.asarray(c, dtype=float), np.asarray(b, dtype=float)
     N = len(c) if c.ndim == 2 else len(b)
     assert batch.x.shape[0] == batch.value.shape[0] == batch.duals.shape[0] == N
     for i in range(N):
         sol = solve_box_lp(c[i] if c.ndim == 2 else c, A, b[i] if b.ndim == 2 else b, u)
+        assert isinstance(sol, LpSolution)
         assert batch.x[i].tobytes() == sol.x.tobytes()
         assert batch.duals[i].tobytes() == sol.duals.tobytes()
         assert batch.value[i].tobytes() == np.float64(sol.value).tobytes()
@@ -328,6 +331,21 @@ class TestRiskNeutralResponse:
             params = MechanismParams(C, C * float(rng.uniform(1.1, 6.0)))
             res = sup_value_over_obedient(q, cs, params)
             assert is_obedient(res.license, cs, params)
+
+    def test_batch_values_are_the_single_values_to_the_byte(self):
+        rng = np.random.default_rng(8)
+        params = MechanismParams(C=15.0, R=250.0)
+        for m, k in [(2, 1), (3, 3), (5, 7), (6, 12)]:
+            space = EvidenceSpace.of_size(m)
+            cs = random_credal(rng, space, k)
+            types = [Categorical(space, rng.dirichlet(np.ones(k)) @ cs.vertex_matrix)
+                     for _ in range(10)]
+            types += list(cs.vertices) + [random_categorical(rng, space) for _ in range(10)]
+            values = sup_values_over_obedient(types, cs, params)
+            assert values.shape == (len(types),)
+            for q, value in zip(types, values):
+                single = sup_value_over_obedient(q, cs, params).value
+                assert np.float64(single).tobytes() == value.tobytes()
 
 
 class TestNeymanPearson:

@@ -58,6 +58,67 @@ class TestRequirement:
         assert evaluate_requirement(req, Categorical(space3, [0.9, 0.05, 0.05]))
 
 
+@pytest.fixture(scope="module")
+def population():
+    """The golden market's credal set and :func:`market_population` of it."""
+    _, credal = golden_market()
+    return credal, market_population(credal, np.random.default_rng(5))
+
+
+def market_population(credal, rng):
+    """Hull mixtures, the vertices, Dirichlet draws, and pairs straddling the hull's boundary.
+
+    Each straddling pair lies on the segment from a hull mixture to a draw
+    outside, bisected on the membership verdict until the two points are
+    1e-12 apart, so their uncovered masses sit at ``MEMBERSHIP_TOL``.
+    """
+    space, V = credal.space, credal.vertex_matrix
+
+    def point(probs):
+        return Categorical(space, probs / probs.sum())
+
+    inside = [point(rng.dirichlet(np.ones(len(V))) @ V) for _ in range(20)]
+    drawn = [point(rng.dirichlet(np.ones(space.size))) for _ in range(20)]
+    straddling = []
+    for a, b in zip(inside, drawn):
+        if membership(b, credal).is_member:
+            continue
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if membership(point((1 - mid) * a.probs + mid * b.probs), credal).is_member:
+                lo = mid
+            else:
+                hi = mid
+        straddling += [point((1 - t) * a.probs + t * b.probs) for t in (lo, hi)]
+    return inside + list(credal.vertices) + drawn + straddling
+
+
+class TestComplies:
+    """``Requirement.complies`` is the one compliance rule; ``evaluate_requirement`` is one row of it."""
+
+    def test_credal_rule_is_non_membership(self, population):
+        credal, types = population
+        req = Requirement(kind="credal", credal=credal)
+        got = req.complies(types)
+        assert got.dtype == bool and got.shape == (len(types),)
+        expected = [not membership(q, credal).is_member for q in types]
+        assert got.tolist() == expected == [evaluate_requirement(req, q) for q in types]
+        assert 0 < sum(expected) < len(types)
+
+    def test_threshold_rule_is_the_expectation_above_tau(self, population):
+        _, types = population
+        metric = np.linspace(0.0, 1.0, 6)
+        tau = float(np.median([q.expectation(metric) for q in types]))
+        req = Requirement(kind="threshold", metric=metric, tau=tau)
+        expected = [q.expectation(metric) > tau for q in types]
+        assert req.complies(types).tolist() == expected == [evaluate_requirement(req, q) for q in types]
+        assert 0 < sum(expected) < len(types)
+
+    def test_no_types(self, simplex_hull):
+        assert Requirement(kind="credal", credal=simplex_hull).complies([]).shape == (0,)
+
+
 class TestSimulateMarket:
     def test_gaming_population_all_excluded(self, simplex_hull, simplex_points, uniform3):
         providers = [Provider(id=f"p{i}", q=p) for i, p in enumerate(simplex_points)]
