@@ -16,6 +16,7 @@ library alone, which keeps each command's start-up short.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -149,14 +150,12 @@ def uncovered_masses(qs: list[Categorical], credal: CredalSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _grid_compositions(total: int, parts: int):
-    """All integer vectors of the given length summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _grid_compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _grid_compositions(total: int, parts: int) -> np.ndarray:
+    """Every ``parts``-vector of non-negative integers summing to ``total``, as float rows in
+    lexicographic order: stars and bars, the gaps between ``parts - 1`` bars among the slots."""
+    slots = total + parts - 1
+    bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=float)
+    return np.diff(bars, axis=1, prepend=-1.0, append=float(slots)) - 1.0
 
 
 def approximate_constraint_set(space: EvidenceSpace, score, tau: float,
@@ -175,7 +174,7 @@ def approximate_constraint_set(space: EvidenceSpace, score, tau: float,
     h = np.asarray(score, dtype=float)
     if h.shape != (space.size,):
         raise ValueError("the threshold set needs one score per outcome")
-    counts = np.array(list(_grid_compositions(g, space.size)), dtype=float)
+    counts = _grid_compositions(g, space.size)
     kept = counts[np.vecdot(counts, h) / g >= tau - 1e-12]
     if kept.size == 0:
         raise ValueError("no grid point reaches the threshold at this resolution")
@@ -219,8 +218,7 @@ def sequential_glr_value(
 
 def _weight_grid(k: int, resolution: float) -> np.ndarray:
     steps = max(1, round(1.0 / resolution))
-    grid = np.array(list(_grid_compositions(steps, k)), dtype=float) / steps
-    return grid
+    return _grid_compositions(steps, k) / steps
 
 
 def maximize_over_mixtures(
@@ -238,11 +236,9 @@ def maximize_over_mixtures(
     space = require_same_space(*points)
     P = np.stack([p.probs for p in points])
     grid = _weight_grid(len(points), grid_resolution)
-    best_w, best_v = None, -np.inf
-    for w in grid:
-        v = value_fn(Categorical(space, w @ P))
-        if v > best_v:
-            best_w, best_v = w, v
+    values = [value_fn(Categorical(space, w @ P)) for w in grid]
+    best = int(np.argmax(values))  # the first grid point of the largest value
+    best_w, best_v = grid[best], values[best]
 
     def softmax(logits: np.ndarray) -> np.ndarray:
         e = np.exp(logits - logits.max())

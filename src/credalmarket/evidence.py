@@ -190,6 +190,17 @@ def json_categorical(value, name: str, space: EvidenceSpace) -> Categorical:
         raise ValueError(f"{name}: {err}") from err
 
 
+def frozen_vector(values, what: str, space: EvidenceSpace | None = None) -> np.ndarray:
+    """A read-only float copy of ``values``: finite, one entry per outcome of ``space`` if given."""
+    v = np.array(values, dtype=float)  # a copy, never a view of the caller's array
+    if space is not None and v.shape != (space.size,):
+        raise ValueError(f"{what} length does not match the evidence space")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be finite")
+    v.flags.writeable = False
+    return v
+
+
 def _as_prob_vector(probs, m: int) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.shape != (m,):

@@ -155,18 +155,13 @@ def run_simplex_gaming(cfg: SimplexGamingConfig) -> ResultTable:
     hull = CredalSet(space, tuple(points))
     q = (_config_distribution(cfg, "provider_q", space) if cfg.provider_q
          else Categorical(space, np.mean(SIMPLEX_POINTS, axis=0)))
-    w_star, _, _ = minimize_kappa(q, hull, cfg.params)
-    p_star = w_star @ hull.vertex_matrix
-
     z = _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed)
     log_num = _empirical_loglik(z, space.size)
     log_points = np.stack([np.log(p.probs)[z].cumsum(axis=1) for p in points])
     naive_log = math.log(cfg.params.C) + log_num - log_points.max(axis=0)
 
-    naive = _capped_exp(naive_log, cfg.params.R)
-    credal = _cumulative_trajectories(z, q, p_star, cfg.params, 0)
-    naive_mean, naive_se = _mean_se(naive)
-    credal_mean, credal_se = _mean_se(credal)
+    naive_mean, naive_se = _mean_se(_capped_exp(naive_log, cfg.params.R))
+    _, credal_mean, credal_se = _explicit_route(z, q, hull, cfg.params, 0)
     rows = zip(range(1, cfg.n + 1), naive_mean.tolist(), naive_se.tolist(),
                credal_mean.tolist(), credal_se.tolist())
     return ResultTable.of(
@@ -254,6 +249,16 @@ def _cumulative_trajectories(
     return _capped_exp(math.log(params.C) + logs, params.R)
 
 
+def _explicit_route(z: np.ndarray, q: Categorical, credal: CredalSet, params: MechanismParams,
+                    burn_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P* = w* V, the capped-KL projection of ``q`` onto ``credal``, and the mean and SE of
+    the cumulative likelihood-ratio licenses against it along the rows of ``z``."""
+    w_star, _, _ = minimize_kappa(q, credal, params)
+    p_star = w_star @ credal.vertex_matrix
+    mean, se = _mean_se(_cumulative_trajectories(z, q, p_star, params, burn_in))
+    return p_star, mean, se
+
+
 def run_fairness(cfg: FairnessConfig) -> ResultTable:
     """Mean license trajectories per fairness gap, betting and explicit routes.
 
@@ -288,11 +293,8 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
             pooled = z[:, : cfg.burn_in].reshape(-1)
             counts = np.bincount(pooled, minlength=q.space.size)
             q_used = Categorical(q.space, _smoothed(counts, pooled.size, q.space.size)[0])
-        w_star, _, _ = minimize_kappa(q_used, credal, cfg.params)
-        p_star = w_star @ credal.vertex_matrix
-        explicit = _cumulative_trajectories(z, q_used, p_star, cfg.params, cfg.burn_in)
+        _, e_mean, e_se = _explicit_route(z, q_used, credal, cfg.params, cfg.burn_in)
         b_mean, b_se = _mean_se(betting)
-        e_mean, e_se = _mean_se(explicit)
         rows += zip(repeat(gamma), range(1, cfg.n + 1), b_mean.tolist(), b_se.tolist(),
                     e_mean.tolist(), e_se.tolist())
         headline[f"betting_final_mean_gamma={gamma}"] = float(b_mean[-1])
@@ -450,13 +452,10 @@ def run_synthetic_spurious(cfg: SpuriousConfig) -> ResultTable:
     finals = {}
     payouts = {}
     for agent, q in (("compliant", q_dro), ("non_compliant", q_erm)):
-        w_star, _, _ = minimize_kappa(q, hull, cfg.params)
-        p_star = w_star @ hull.vertex_matrix
         # Same seed for both agents: paired paths, and equal surrogates give
         # identical trajectories.
         z = _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed)
-        traj = _cumulative_trajectories(z, q, p_star, cfg.params, cfg.burn_in)
-        mean, se = _mean_se(traj)
+        p_star, mean, se = _explicit_route(z, q, hull, cfg.params, cfg.burn_in)
         rows += zip(repeat("license"), repeat(agent), range(1, cfg.n + 1),
                     mean.tolist(), se.tolist())
         finals[agent] = float(mean[-1])
@@ -521,13 +520,13 @@ def load_config(scenario: str, payload: Optional[dict] = None, seed: Optional[in
             payload[key] = MechanismParams.from_json(value, name)
         elif hint is int:
             json_integer(value, name, 1 if key in cls.POSITIVE else 0)
-        elif hint is float:
-            json_number(value, name)
+        elif hint is float:  # 1 and 1.0 are one config, with one hash
+            payload[key] = float(json_number(value, name))
         elif hint is bool:
             if type(value) is not bool:
                 raise ValueError(f"{name} must be true or false, got {value!r}")
         elif value is not None or type(None) not in get_args(hint):  # tuple[float, ...]
-            payload[key] = tuple(json_numbers(value, name))
+            payload[key] = tuple(map(float, json_numbers(value, name)))
     return cls(**payload)
 
 

@@ -23,6 +23,7 @@ from .credal import CredalSet, upper_expectation
 from .evidence import (
     Categorical,
     EvidenceSpace,
+    frozen_vector,
     json_number,
     json_object,
     log_ratio,
@@ -87,14 +88,9 @@ class License:
     payout: np.ndarray
 
     def __post_init__(self) -> None:
-        pay = np.asarray(self.payout, dtype=float)
-        if pay.shape != (self.space.size,):
-            raise ValueError("payout length does not match the evidence space")
-        if np.any(pay < 0.0) or not np.all(np.isfinite(pay)):
-            raise ValueError("payouts must be finite and non-negative")
-        pay = pay.copy()
-        pay.flags.writeable = False
-        object.__setattr__(self, "payout", pay)
+        object.__setattr__(self, "payout", frozen_vector(self.payout, "payout", self.space))
+        if np.any(self.payout < 0.0):
+            raise ValueError("payouts must be non-negative")
 
     def to_json(self, params: MechanismParams) -> dict:
         return {
@@ -304,9 +300,6 @@ def minimize_kappa(
                 rows = np.flatnonzero(group == j)
                 G[rows] = row_gradients(P[rows], mask)
         return G
-
-    if k == 1:
-        return np.ones(1), float(kappa_of(V)[0]), True
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(KAPPA_SEED)))
     W = np.empty((max(n_starts, k + 1), k))

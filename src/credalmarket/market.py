@@ -18,7 +18,7 @@ import numpy as np
 from .betting import BettingScore, KellyConfig, plugin_paths
 from .credal import MEMBERSHIP_TOL, CredalSet, uncovered_masses
 from .credal import strategic_mixture_best_response  # re-exported: its callers import it from here
-from .evidence import Categorical, draw_outcomes, require_same_space, write_csv, write_json
+from .evidence import Categorical, draw_outcomes, frozen_vector, require_same_space, write_csv, write_json
 from .licenses import (
     BOUNDARY_BAND,
     MechanismParams,
@@ -56,10 +56,9 @@ class Requirement:
         if self.kind == "threshold":
             if self.metric is None or self.tau is None or self.credal is not None:
                 raise ValueError("threshold requirement needs metric and tau only")
-            m = np.asarray(self.metric, dtype=float)
-            if not (np.all(np.isfinite(m)) and np.isfinite(self.tau)):
-                raise ValueError("threshold metric and tau must be finite")
-            object.__setattr__(self, "metric", m)
+            object.__setattr__(self, "metric", frozen_vector(self.metric, "threshold metric"))
+            if not np.isfinite(self.tau):
+                raise ValueError("threshold tau must be finite")
         elif self.kind == "credal":
             if self.credal is None or self.metric is not None or self.tau is not None:
                 raise ValueError("credal requirement needs a credal set only")
@@ -129,25 +128,18 @@ def _classify(compliant: bool, participated: bool) -> Classification:
     return "false-out" if compliant else "true-out"
 
 
-def _betting_sup_values(
-    providers: list[Provider],
-    req: Requirement,
-    params: MechanismParams,
-    n: int,
-    seed: int,
-    replicates: int,
-    cfg: KellyConfig,
-) -> list[float]:
-    """Mean final betting license of each provider over its seeded replicates.
+def _betting_sup_values(providers: list[Provider], req: Requirement, params: MechanismParams,
+                        n: int, seed: int) -> list[float]:
+    """Mean final betting license of each provider over ``BETTING_REPLICATES`` seeded replicates.
 
     Rows are solved independently, so every provider's replicates run as the
     rows of one :func:`plugin_paths` call.
     """
     space = require_same_space(*(pr.q for pr in providers))
     score = BettingScore.from_metric(space, req.metric, req.tau)
-    z = np.vstack([draw_outcomes(pr.q, replicates, n, seed) for pr in providers])
-    finals = plugin_paths(z, score, cfg, params)[2][:, -1]
-    return [float(np.mean(row)) for row in finals.reshape(len(providers), replicates)]
+    z = np.vstack([draw_outcomes(pr.q, BETTING_REPLICATES, n, seed) for pr in providers])
+    finals = plugin_paths(z, score, KellyConfig(), params)[2][:, -1]
+    return [float(np.mean(row)) for row in finals.reshape(len(providers), BETTING_REPLICATES)]
 
 
 def simulate_market(
@@ -185,8 +177,7 @@ def simulate_market(
         sup_values = [r.value for r in results]
         nonconverged = tuple(pr.id for pr, r in zip(ordered, results) if not r.converged)
     elif ordered:
-        sup_values = _betting_sup_values(ordered, req, params, n=n, seed=seed,
-                                         replicates=BETTING_REPLICATES, cfg=KellyConfig())
+        sup_values = _betting_sup_values(ordered, req, params, n=n, seed=seed)
     else:
         sup_values = []
     rows = []

@@ -273,7 +273,8 @@ class TestBatchedPaths:
         providers = [Provider(id=f"p{i}", q=Categorical(space, q))
                      for i, q in enumerate([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.7, 0.2, 0.1]])]
         cfg = KellyConfig()
-        got = _betting_sup_values(providers, req, PARAMS, n=200, seed=9, replicates=7, cfg=cfg)
+        with patch("credalmarket.market.BETTING_REPLICATES", 7):
+            got = _betting_sup_values(providers, req, PARAMS, n=200, seed=9)
         score = BettingScore.from_metric(space, req.metric, req.tau)
         for provider, value in zip(providers, got):
             finals = [run_sequential_license(SampleStream(provider.q, seed=s), score, cfg, PARAMS, 200)[-1]
@@ -284,8 +285,9 @@ class TestBatchedPaths:
         req = Requirement(kind="threshold", metric=np.array([1.0, 0.0]), tau=0.5)
         providers = [Provider(id="a", q=Categorical(EvidenceSpace(("x", "y")), [0.5, 0.5])),
                      Provider(id="b", q=Categorical(EvidenceSpace(("u", "v")), [0.5, 0.5]))]
-        with pytest.raises(ValueError, match="different evidence spaces"):
-            _betting_sup_values(providers, req, PARAMS, n=10, seed=0, replicates=2, cfg=KellyConfig())
+        with patch("credalmarket.market.BETTING_REPLICATES", 2), \
+                pytest.raises(ValueError, match="different evidence spaces"):
+            _betting_sup_values(providers, req, PARAMS, n=10, seed=0)
 
     def test_fairness_stacks_gammas_as_the_per_gamma_loop(self):
         cfg = FairnessConfig(runs=3, n=150, gammas=(0.4, 0.5, 0.6), grid_resolution=5)
@@ -348,6 +350,25 @@ class TestSupermartingale:
             verify_supermartingale(
                 binary_dist(bspace, 0.6), binary_score(bspace), KellyConfig(), runs=10, n=5, seed=0
             )
+
+    @given(m=st.integers(2, 6), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_zero_drift_nulls_are_accepted_despite_round_off(self, m, scale, seed):
+        # tau = E_P[h] makes E[b] = 0, the boundary the audit checks; the
+        # computed edge is float residue of either sign
+        rng = np.random.default_rng(seed)
+        space = EvidenceSpace.of_size(m)
+        null = Categorical(space, rng.dirichlet(np.ones(m)))
+        h = scale * rng.normal(size=m)
+        score = BettingScore.from_metric(space, h, float(null.probs @ h))
+        mean, se = verify_supermartingale(null, score, KellyConfig(), runs=3, n=2, seed=0)
+        assert math.isfinite(mean) and math.isfinite(se)
+
+    def test_edge_beyond_round_off_rejected(self, bspace):
+        score = BettingScore(bspace, [1.0, -1.0 + 2e-9])  # E[b] = 1e-9 on a fair coin
+        with pytest.raises(ValueError, match=r"E\[b\] <= 0"):
+            verify_supermartingale(binary_dist(bspace, 0.5), score, KellyConfig(), runs=2, n=1, seed=0)
 
     def test_zero_drift_checkpoints_respect_obedience(self, bspace):
         # mean wealth never exceeds C + 3 SE at any checkpoint

@@ -313,8 +313,41 @@ class TestGamingWitness:
         assert market.strategic_mixture_best_response is credal.strategic_mixture_best_response
 
 
+def recursive_compositions(total, parts):
+    """The recursive generator that the stars-and-bars grid replaced."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def test_grid_compositions_match_the_recursive_generator():
+    for total, parts in itertools.product(range(12), range(1, 6)):
+        got = _grid_compositions(total, parts)
+        want = np.array(list(recursive_compositions(total, parts)), dtype=float)
+        assert got.dtype == float and got.flags.c_contiguous
+        assert got.shape == want.shape and np.array_equal(got, want), (total, parts)
+
+
 class TestMixtureSearch:
     """The search stacks its points once and mixes them with ``w @ P``."""
+
+    def test_ties_resolve_to_the_first_grid_point(self):
+        # The unit vectors mix to w itself; the value peaks at two grid points,
+        # and (0.2, 0.3, 0.5) comes first in the grid's lexicographic order.
+        space = EvidenceSpace.of_size(3)
+        points = [Categorical(space, row) for row in np.eye(3)]
+        a, b = np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.3, 0.2])
+
+        def value(q):
+            return -min(np.abs(q.probs - a).sum(), np.abs(q.probs - b).sum())
+
+        w, v = maximize_over_mixtures(points, value, grid_resolution=0.1)
+        assert np.array_equal(w, a) and v == 0.0
+        w, v = maximize_over_mixtures(points, lambda q: 1.0, grid_resolution=0.1)
+        assert np.array_equal(w, [0.0, 0.0, 1.0]) and v == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(2, 4), m=st.integers(2, 6), resolution=st.sampled_from([0.5, 0.2, 0.1]),

@@ -382,6 +382,23 @@ class TestConfigLoading:
         cfg = load_config("fairness", {"params": {"C": 15, "R": 250}})
         assert type(cfg.params.C) is float and type(cfg.params.R) is float
 
+    def test_integer_floats_are_stored_as_floats(self):
+        # 1 and 1.0 are one config: one hash, and float cells in the CSV
+        cfg = load_config("fairness", {"tau": 1, "kelly_margin": 0, "gammas": [0, 0.5]})
+        assert cfg == load_config("fairness", {"tau": 1.0, "kelly_margin": 0.0, "gammas": [0.0, 0.5]})
+        assert [type(v) for v in (cfg.tau, cfg.kelly_margin, *cfg.gammas)] == [float] * 4
+        hashes = {ResultTable.of(load_config("fairness", {"tau": tau}), (), (), {}).config_hash
+                  for tau in (1, 1.0)}
+        assert len(hashes) == 1
+        q = load_config("simplex_gaming", {"provider_q": [0, 1, 0]}).provider_q
+        assert q == (0.0, 1.0, 0.0) and all(type(v) is float for v in q)
+        assert load_config("simplex_gaming", {"provider_q": None}).provider_q is None
+
+    def test_integer_gamma_is_written_as_a_float(self, tmp_path):
+        cfg = load_config("fairness", {"gammas": [0], "runs": 2, "n": 2, "grid_resolution": 5})
+        lines = table_bytes(run_fairness(cfg), tmp_path, "f.csv").decode().splitlines()
+        assert [line.split(",")[0] for line in lines[2:]] == ["0.0", "0.0"]
+
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             load_config("nope")

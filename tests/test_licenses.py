@@ -418,6 +418,17 @@ class TestKappa:
             two_term = kl_divergence(q, p) - tail
             assert kappa(q, p, params) == pytest.approx(two_term, abs=1e-12)
 
+    @given(m=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_vertex_set_returns_the_vertex(self, m, seed):
+        rng = np.random.default_rng(seed)
+        space = EvidenceSpace.of_size(m)
+        q, p = (Categorical(space, rng.dirichlet(np.ones(m))) for _ in range(2))
+        params = MechanismParams(C=15.0, R=250.0)
+        w, value, converged = minimize_kappa(q, CredalSet.singleton(p), params)
+        assert w.tolist() == [1.0] and converged
+        assert value == kappa(q, p, params)
+
     def test_converged_flag_describes_the_returned_start(self, space2):
         # One iteration leaves the best start short of the optimum while a
         # vertex start stops at once; the flag must report the best start.

@@ -5,10 +5,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_categorical, random_credal
 from credalmarket import licenses
-from credalmarket.credal import CredalSet, membership
+from credalmarket.credal import CredalSet, membership, uncovered_masses
 from credalmarket.evidence import Categorical, EvidenceSpace
 from credalmarket._linprog import BLOCK_ENTRIES
 from credalmarket.licenses import (
@@ -45,6 +47,15 @@ class TestRequirement:
     def test_threshold_tau_must_be_finite(self, tau):
         with pytest.raises(ValueError, match="finite"):
             Requirement(kind="threshold", metric=[1.0, 0.0], tau=tau)
+
+    def test_metric_is_kept_when_the_callers_array_changes(self, space2):
+        metric = np.array([1.0, 0.0])
+        req = Requirement(kind="threshold", metric=metric, tau=0.5)
+        q = Categorical(space2, [0.7, 0.3])
+        assert evaluate_requirement(req, q)
+        metric[:] = 0.0
+        assert evaluate_requirement(req, q)
+        assert req.metric.tolist() == [1.0, 0.0] and not req.metric.flags.writeable
 
     def test_threshold_evaluation(self, space2):
         req = Requirement(kind="threshold", metric=np.array([1.0, 0.0]), tau=0.5)
@@ -208,6 +219,38 @@ class TestSimulateMarket:
                 if not row.indeterminate:
                     assert row.participated == row.compliant
             assert report.perfect
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), k=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_optimal_lp_market_is_perfect_on_random_hulls(self, seed, m, k):
+        # The theorem on random instances: hull members (mixtures, sub-hull
+        # mixtures, vertices) earn exactly C, up to the boundary band, and a
+        # type with a clear uncovered mass earns more and enters.
+        rng = np.random.default_rng(seed)
+        space = EvidenceSpace.of_size(m)
+        credal = random_credal(rng, space, k)
+        V = credal.vertex_matrix
+
+        def mix(rows):
+            probs = rng.dirichlet(np.ones(len(rows))) @ V[rows]
+            return Categorical(space, probs / probs.sum())
+
+        members = [mix(np.arange(k)) for _ in range(3)]
+        members += [mix(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
+                    for _ in range(3)]
+        members += list(credal.vertices)
+        others = [random_categorical(rng, space) for _ in range(12 - len(members))]
+        types = members + others
+        providers = [Provider(id=f"p{i:02d}", q=q) for i, q in enumerate(types)]
+        req = Requirement(kind="credal", credal=credal)
+        report = simulate_market(providers, req, credal, PARAMS)
+        uncovered = uncovered_masses(types, credal)
+        for i, (row, mass) in enumerate(zip(report.rows, uncovered)):
+            if i < len(members):
+                assert abs(row.sup_value - PARAMS.C) <= BOUNDARY_BAND and not row.participated
+            if mass >= 1e-4:
+                assert row.compliant and row.participated
+        assert report.perfect
 
     def test_classification_partition(self):
         rng = np.random.default_rng(35)
