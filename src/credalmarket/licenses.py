@@ -43,7 +43,9 @@ __all__ = [
     "neyman_pearson_license",
     "kappa",
     "minimize_kappa",
+    "minimize_kappas",
     "optimal_risk_averse_license",
+    "optimal_risk_averse_licenses",
 ]
 
 #: |sup_value - C| band of float residue around the fee: inside it, no gain is sure
@@ -217,7 +219,7 @@ def _project_rows_to_simplex(X: np.ndarray) -> np.ndarray:
 
 
 def _column_subset(X: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``X[:, mask]`` as a C-contiguous array.
+    """``X[..., mask]`` as a C-contiguous array.
 
     A fancy-indexed column subset comes back F-ordered, and ufuncs keep that
     layout.  BLAS then sums a strided row dot (``np.vecdot``, a stacked
@@ -225,7 +227,7 @@ def _column_subset(X: np.ndarray, mask: np.ndarray) -> np.ndarray:
     row, so a batched kernel that must match the one-row path to the bit
     takes its column subsets here.
     """
-    return np.ascontiguousarray(X[:, mask])
+    return np.ascontiguousarray(X[..., mask])
 
 
 #: seed of :func:`minimize_kappa`'s random Dirichlet starts
@@ -251,43 +253,85 @@ def minimize_kappa(
     Returns (best weights, kappa value, converged flag); the flag is that of
     the returned start, False when it stopped at ``KAPPA_MAX_ITER``.
 
-    All starts advance in lock-step as the rows of one weight matrix: one
-    batched gradient, projection and kappa evaluation per iteration, and a
-    backtracking line search over the rows still searching.  A row leaves
-    when it is stationary or when 40 halvings find no decrease.  The line
-    search takes the halvings in chunks: halving 0 alone, then from halving
-    h the next h (1, 2-3, 4-7, ..., capped at halving 39 and so that a chunk
-    stacks at most as many rows as the weight matrix has).  One projection
-    and one kappa evaluation cover every searching row at every halving of
-    the chunk, and a row moves to its first improving halving there.  Each
-    row takes exactly the steps, and gets exactly the bits, that the start
-    would get alone: the projection and P = wV (one gemv per row) work row
-    by row, and every dot product runs over C-contiguous rows (see
+    This is the one-type view of :func:`minimize_kappas`, which runs the
+    search for many types at once, each to the same bits.
+    """
+    W, values, converged = minimize_kappas([q], credal, params, n_starts)
+    return W[0], float(values[0]), bool(converged[0])
+
+
+def minimize_kappas(
+    qs: list[Categorical],
+    credal: CredalSet,
+    params: MechanismParams,
+    n_starts: int = 8,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`minimize_kappa` for many types in one lock-step search.
+
+    Returns the best weights (one row per type), the kappa values and the
+    converged flags, each type's to the bit of its one-type search.
+
+    Every (type, start) pair is a row of one weight matrix, and the row
+    carries its type's Q in arrays indexed like it.  All rows advance in
+    lock-step: one batched gradient, projection and kappa evaluation per
+    iteration, and a backtracking line search over the rows still
+    searching.  A row leaves when it is stationary or when 40 halvings find
+    no decrease.  The line search takes the halvings in chunks: halving 0
+    alone, then from halving h the next h (1, 2-3, 4-7, ..., capped at
+    halving 39 and so that a chunk stacks at most as many rows as one type
+    has starts, unless one halving already does).  One projection and one
+    kappa evaluation cover every searching row at every halving of the
+    chunk, and a row moves to its first improving halving there.  Each row
+    takes exactly the steps, and gets exactly the bits, that the start would
+    get alone: the projection and P = wV (one gemv per row) work row by row,
+    kappa sums over the type's support, so its rows are grouped by support
+    pattern, and every dot product runs over C-contiguous rows (see
     :func:`_column_subset`).
     """
+    require_same_space(credal, *qs)
     V = credal.vertex_matrix
-    k = V.shape[0]
-    qp = q.probs
-    support = qp > 0.0
-    qs = qp[support]
+    k, m = V.shape
+    n = max(n_starts, k + 1)  # starts per type
+    owner = np.repeat(np.arange(len(qs)), n)
+    Q = np.array([q.probs for q in qs]).reshape(len(qs), m)
+    patterns, pattern_of = np.unique(Q > 0.0, axis=0, return_inverse=True)
+    QP = Q[owner]
+    # Each type's Q on its support, left-aligned: kappa's row dot runs over it.
+    QS = np.zeros((len(qs), int(patterns.sum(axis=1).max(initial=0))))
+    for q, row in zip(QS, Q):
+        q[:np.count_nonzero(row)] = row[row > 0.0]
+    QS, row_pattern = QS[owner], pattern_of[owner]
     log_cap = math.log(params.cap_ratio)
 
     def probs_of(W: np.ndarray) -> np.ndarray:
         return np.matmul(W[:, None, :], V)[:, 0, :]
 
-    def kappa_of(P: np.ndarray) -> np.ndarray:
-        return np.vecdot(np.minimum(log_ratio(qs, _column_subset(P, support)), log_cap), qs)
+    def capped_kl(q: np.ndarray, P: np.ndarray, support: np.ndarray) -> np.ndarray:
+        return np.vecdot(np.minimum(log_ratio(q, _column_subset(P, support)), log_cap), q)
 
-    def row_gradients(P: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        X = qp[mask] / _column_subset(P, mask)
+    def kappa_of(P: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """kappa of ``rows`` at P, whose second-last axis runs over them."""
+        if len(patterns) == 1:  # one support for every type: no grouping
+            return capped_kl(QS[rows], P, patterns[0])
+        values = np.empty(P.shape[:-1])
+        for j, support in enumerate(patterns):
+            sel = np.flatnonzero(row_pattern[rows] == j)
+            if sel.size:  # a fancy row index and a slice give a C-contiguous copy
+                q = QS[rows[sel], :np.count_nonzero(support)]
+                values[..., sel] = capped_kl(q, P[..., sel, :], support)
+        return values
+
+    def row_gradients(P: np.ndarray, qp: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        X = _column_subset(qp, mask) / _column_subset(P, mask)
         return -np.matmul(V[:, mask], X[:, :, None])[:, :, 0]
 
-    def gradients(P: np.ndarray) -> np.ndarray:
+    def gradients(P: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        qp = QP[rows]
         # P = 0 < Q gives +inf, so the ratio test also drops vanishing P.
-        active = support & (log_ratio(qp, P) < log_cap)
+        active = (qp > 0.0) & (log_ratio(qp, P) < log_cap)
         mask = active[0]
         if (active == mask).all():  # one mask for every row: no grouping
-            return row_gradients(P, mask) if mask.any() else np.zeros((P.shape[0], k))
+            return row_gradients(P, qp, mask) if mask.any() else np.zeros((P.shape[0], k))
         # Group rows by mask.  One 1-D key per row, the mask's packed bytes,
         # sorts 2-3x faster than np.unique(axis=0) over the bool rows.
         packed = np.packbits(active, axis=1)
@@ -297,25 +341,26 @@ def minimize_kappa(
         for j, row in enumerate(first):
             mask = active[row]
             if mask.any():
-                rows = np.flatnonzero(group == j)
-                G[rows] = row_gradients(P[rows], mask)
+                sel = np.flatnonzero(group == j)
+                G[sel] = row_gradients(P[sel], qp[sel], mask)
         return G
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(KAPPA_SEED)))
-    W = np.empty((max(n_starts, k + 1), k))
-    W[:k] = np.eye(k)
-    W[k] = 1.0 / k
-    for i in range(k + 1, W.shape[0]):
-        W[i] = rng.dirichlet(np.ones(k))
+    W0 = np.empty((n, k))
+    W0[:k] = np.eye(k)
+    W0[k] = 1.0 / k
+    for i in range(k + 1, n):
+        W0[i] = rng.dirichlet(np.ones(k))
+    W = np.tile(W0, (len(qs), 1))
 
     P = probs_of(W)
-    vals = kappa_of(P)
-    converged = np.zeros(W.shape[0], dtype=bool)
     live = np.arange(W.shape[0])
+    vals = kappa_of(P, live)
+    converged = np.zeros(W.shape[0], dtype=bool)
     for _ in range(KAPPA_MAX_ITER):
         if live.size == 0:
             break
-        W_live, G = W[live], gradients(P[live])
+        W_live, G = W[live], gradients(P[live], live)
         # Projected-gradient stationarity on the simplex.  The projected point
         # is also the line search's full step: W - 1.0 * G is bitwise W - G.
         W_new = _project_rows_to_simplex(W_live - G)
@@ -327,29 +372,33 @@ def minimize_kappa(
         while searching.size and halving < 40:
             if halving:
                 # The next ``chunk`` halvings stacked chunk-major; 2**-h is exact.
-                chunk = min(halving, 40 - halving, W.shape[0] // searching.size)
+                chunk = min(halving, 40 - halving, max(1, n // searching.size))
                 etas = np.ldexp(1.0, -np.arange(halving, halving + chunk))
                 W_new = _project_rows_to_simplex(
                     (W[searching] - etas[:, None, None] * G).reshape(-1, k))
             P_new = probs_of(W_new)
-            val_new = kappa_of(P_new)
-            better = val_new.reshape(chunk, -1) < vals[searching] - 1e-14
+            val_new = kappa_of(P_new.reshape(chunk, -1, m), searching)
+            better = val_new < vals[searching] - 1e-14
             # Each row moves to its first improving halving in the chunk.
             found = better.any(axis=0)
             pick = better.argmax(axis=0)[found] * searching.size + np.flatnonzero(found)
             moved = searching[found]
-            W[moved], P[moved], vals[moved] = W_new[pick], P_new[pick], val_new[pick]
+            W[moved], P[moved], vals[moved] = W_new[pick], P_new[pick], val_new.reshape(-1)[pick]
             searching, G = searching[~found], G[~found]
             halving += chunk
         # A row that no step improves is stationary to line-search precision.
         converged[searching] = True
         live = live[~np.isin(live, searching)]
 
-    best_idx, best_val = -1, np.inf
-    for idx, val in enumerate(vals.tolist()):
-        if val < best_val - 1e-15:
-            best_idx, best_val = idx, val
-    return W[best_idx].copy(), best_val, bool(converged[best_idx])
+    # Per type, the lowest start index within 1e-15 of the least value.
+    best = np.empty(len(qs), dtype=np.intp)
+    for t, type_vals in enumerate(vals.reshape(len(qs), n).tolist()):
+        best_idx, best_val = n - 1, np.inf
+        for idx, val in enumerate(type_vals):
+            if val < best_val - 1e-15:
+                best_idx, best_val = idx, val
+        best[t] = t * n + best_idx
+    return W[best], vals[best], converged[best]
 
 
 def _truncated_payout(lr: np.ndarray, gamma: float, R: float) -> np.ndarray:
@@ -403,20 +452,35 @@ def optimal_risk_averse_license(
     that is not obedient (to within ``BOUNDARY_BAND``): a P* with
     no mass on a Q-supported outcome that another vertex charges pays R there
     for every gamma.
+
+    This is the one-type view of :func:`optimal_risk_averse_licenses`.
     """
-    require_same_space(q, credal)
-    w, kappa_val, converged = minimize_kappa(q, credal, params)
-    p_star = w @ credal.vertex_matrix
-    lr = ratio(q.probs, p_star)
-    gamma = _budget_exact_scale(lr, credal.vertex_matrix, params)
-    lic = License(q.space, _truncated_payout(lr, gamma, params.R))
-    # Renormalize the projection in case of simplex round-off.
-    p_star = np.clip(p_star, 0.0, None)
-    p_star = p_star / p_star.sum()
-    return OptimalLicenseResult(
-        license=lic,
-        value=q.expectation(lic.payout),
-        projection=Categorical(q.space, p_star),
-        converged=converged and is_obedient(lic, credal, params),
-        kappa_value=kappa_val,
-    )
+    return optimal_risk_averse_licenses([q], credal, params)[0]
+
+
+def optimal_risk_averse_licenses(
+    qs: list[Categorical], credal: CredalSet, params: MechanismParams
+) -> list[OptimalLicenseResult]:
+    """:func:`optimal_risk_averse_license` of each type, to the bit.
+
+    One :func:`minimize_kappas` call finds every type's P*.
+    """
+    W, kappa_vals, converged = minimize_kappas(qs, credal, params)
+    V = credal.vertex_matrix
+    results = []
+    for q, w, kappa_val, ok in zip(qs, W, kappa_vals.tolist(), converged.tolist()):
+        p_star = w @ V
+        lr = ratio(q.probs, p_star)
+        gamma = _budget_exact_scale(lr, V, params)
+        lic = License(q.space, _truncated_payout(lr, gamma, params.R))
+        # Renormalize the projection in case of simplex round-off.
+        p_star = np.clip(p_star, 0.0, None)
+        p_star = p_star / p_star.sum()
+        results.append(OptimalLicenseResult(
+            license=lic,
+            value=q.expectation(lic.payout),
+            projection=Categorical(q.space, p_star),
+            converged=ok and is_obedient(lic, credal, params),
+            kappa_value=kappa_val,
+        ))
+    return results

@@ -22,7 +22,7 @@ from .evidence import Categorical, draw_outcomes, frozen_vector, require_same_sp
 from .licenses import (
     BOUNDARY_BAND,
     MechanismParams,
-    optimal_risk_averse_license,
+    optimal_risk_averse_licenses,
     participation_decision,
     sup_values_over_obedient,
 )
@@ -157,6 +157,11 @@ def simulate_market(
     betting mechanism needs a threshold requirement (its score must be a
     per-outcome statistic) and decides participation ex ante via the Monte
     Carlo mean final license over ``BETTING_REPLICATES`` seeded replicates.
+    Every mechanism solves the whole population at once: the optimal-LP
+    values in lock-step LP blocks, the risk-averse ones in one kappa search
+    whose rows span every provider's starts, the betting ones as the rows of
+    one batch of paths.  Compliance is evaluated before any of them, so an
+    invalid requirement raises before any solve.
     """
     if mechanism not in ("optimal-LP", "risk-averse", "betting"):
         raise ValueError(f"unknown mechanism {mechanism!r}")
@@ -169,11 +174,13 @@ def simulate_market(
         if first.id == second.id:
             raise ValueError(f"provider id {first.id!r} is not unique")
     types = [pr.q for pr in ordered]
+    # Compliance first: an input error in the requirement raises before any solve.
+    compliance = req.complies(types).tolist()
     nonconverged: tuple[str, ...] = ()
     if mechanism == "optimal-LP":
         sup_values = sup_values_over_obedient(types, credal, params).tolist()
     elif mechanism == "risk-averse":
-        results = [optimal_risk_averse_license(q, credal, params) for q in types]
+        results = optimal_risk_averse_licenses(types, credal, params)
         sup_values = [r.value for r in results]
         nonconverged = tuple(pr.id for pr, r in zip(ordered, results) if not r.converged)
     elif ordered:
@@ -181,7 +188,7 @@ def simulate_market(
     else:
         sup_values = []
     rows = []
-    for provider, sup_value, compliant in zip(ordered, sup_values, req.complies(types).tolist()):
+    for provider, sup_value, compliant in zip(ordered, sup_values, compliance):
         participated = participation_decision(sup_value, params)
         rows.append(
             ProviderRow(

@@ -36,8 +36,10 @@ from credalmarket.licenses import (
     is_obedient,
     kappa,
     minimize_kappa,
+    minimize_kappas,
     neyman_pearson_license,
     optimal_risk_averse_license,
+    optimal_risk_averse_licenses,
     participation_decision,
     sup_value_over_obedient,
     sup_values_over_obedient,
@@ -807,6 +809,13 @@ def seeded_kappa_instance(seed, m, k, **kwargs):
     return q, credal, MechanismParams(C=2.0, R=60.0), kwargs
 
 
+def seeded_kappa_population(seed, m, k, n_types, **kwargs):
+    """:func:`seeded_kappa_instance` with ``n_types`` types on the one set."""
+    q, credal, params, _ = seeded_kappa_instance(seed, m, k)
+    others = [seeded_kappa_instance(seed + 100 * i, m, k)[0] for i in range(1, n_types)]
+    return [q, *others], credal, params, kwargs
+
+
 def market_kappa_instance(seed):
     """A hull mixture of the benchmark market's set: several starts run to KAPPA_MAX_ITER."""
     V = market_vertices()
@@ -816,10 +825,16 @@ def market_kappa_instance(seed):
     return Categorical(space, q / q.sum()), credal, MechanismParams(C=15.0, R=250.0), {}
 
 
+def market_kappa_population(seeds):
+    """The hull mixtures of :func:`market_kappa_instance` at ``seeds``, on the one set."""
+    _, credal, params, _ = market_kappa_instance(seeds[0])
+    return [market_kappa_instance(seed)[0] for seed in seeds], credal, params, {}
+
+
 @st.composite
-def kappa_instances(draw):
-    """A type and up to ten vertices over up to nine outcomes, zeros allowed anywhere."""
-    m, k = draw(st.integers(1, 9)), draw(st.integers(1, 10))
+def kappa_populations(draw, n_types=st.integers(1, 4), max_m=9, max_k=10):
+    """Types and up to ``max_k`` vertices over up to ``max_m`` outcomes, zeros allowed anywhere."""
+    m, k = draw(st.integers(1, max_m)), draw(st.integers(1, max_k))
 
     def sparse_vector():
         mass = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
@@ -829,12 +844,17 @@ def kappa_instances(draw):
         return w / w.sum()
 
     space = EvidenceSpace.of_size(m)
-    q = Categorical(space, sparse_vector())
+    types = [Categorical(space, sparse_vector()) for _ in range(draw(n_types))]
     credal = CredalSet(space, tuple(Categorical(space, sparse_vector()) for _ in range(k)))
     params = MechanismParams(C=draw(st.floats(0.5, 20.0)), R=draw(st.floats(25.0, 300.0)))
     kwargs = {"max_iter": draw(st.sampled_from((1, 2, 500))),  # patched in as KAPPA_MAX_ITER
               "n_starts": draw(st.sampled_from((8, k + 4)))}
-    return q, credal, params, kwargs
+    return types, credal, params, kwargs
+
+
+def kappa_instances():
+    """One type of :func:`kappa_populations`."""
+    return kappa_populations(n_types=st.just(1)).map(lambda inst: (inst[0][0], *inst[1:]))
 
 
 def assert_kappa_matches_the_loop(q, credal, params, max_iter=KAPPA_MAX_ITER, **kwargs):
@@ -847,8 +867,21 @@ def assert_kappa_matches_the_loop(q, credal, params, max_iter=KAPPA_MAX_ITER, **
     assert converged == converged_ref
 
 
+def assert_kappas_match_the_loop(types, credal, params, max_iter=KAPPA_MAX_ITER, **kwargs):
+    with patch.object(licenses, "KAPPA_MAX_ITER", max_iter):
+        W, vals, converged = minimize_kappas(types, credal, params, **kwargs)
+    assert W.shape == (len(types), len(credal.vertices))
+    assert vals.shape == converged.shape == (len(types),)
+    for q, w, val, flag in zip(types, W, vals.tolist(), converged.tolist()):
+        w_ref, val_ref, converged_ref = inline_minimize_kappa(
+            q.probs, credal.vertex_matrix, params, max_iter=max_iter, **kwargs)
+        assert np.array_equal(w, w_ref)
+        assert val == val_ref
+        assert flag == converged_ref
+
+
 class TestLockStepKappa:
-    """Every start of minimize_kappa takes the steps and bits it takes alone."""
+    """Every start of every type of minimize_kappas takes the steps and bits it takes alone."""
 
     @pytest.mark.parametrize("gamma, burn_in", [(0.4, False), (0.6, False), (0.4, True)],
                              ids=["gamma0.4", "gamma0.6", "burn_in_type"])
@@ -871,6 +904,35 @@ class TestLockStepKappa:
     def test_random_instances_bitwise(self, instance):
         q, credal, params, kwargs = instance
         assert_kappa_matches_the_loop(q, credal, params, **kwargs)
+
+    @given(kappa_populations(max_m=6, max_k=6))
+    @example(seeded_kappa_population(1, m=3, k=1, n_types=3))
+    @example(seeded_kappa_population(4, m=4, k=4, n_types=3, max_iter=1))
+    @example(seeded_kappa_population(5, m=4, k=4, n_types=3, max_iter=2))
+    @example(seeded_kappa_population(6, m=3, k=9, n_types=2, n_starts=13))
+    @example(market_kappa_population((0, 1, 2, 3)))
+    @settings(max_examples=40, deadline=None)
+    def test_types_in_one_call_match_the_loop_per_type_bitwise(self, population):
+        types, credal, params, kwargs = population
+        assert_kappas_match_the_loop(types, credal, params, **kwargs)
+
+    def test_types_with_different_supports_share_one_call(self):
+        types, credal, params, _ = seeded_kappa_population(3, m=8, k=5, n_types=4)
+        assert len({tuple(q.probs > 0) for q in types}) == 4
+        assert_kappas_match_the_loop(types, credal, params)
+        assert_kappas_match_the_loop(types[::-1], credal, params)
+
+    def test_no_types(self):
+        _, credal, params, _ = market_kappa_instance(1)
+        W, vals, converged = minimize_kappas([], credal, params)
+        assert W.shape == (0, 12) and vals.shape == converged.shape == (0,)
+        assert optimal_risk_averse_licenses([], credal, params) == []
+
+    def test_types_on_another_space_are_rejected(self):
+        q, credal, params, _ = market_kappa_instance(1)
+        other = Categorical(EvidenceSpace(tuple("abcdef")), q.probs)
+        with pytest.raises(ValueError, match="different evidence spaces"):
+            minimize_kappas([q, other], credal, params)
 
     def test_rows_sharing_one_mask_are_not_grouped(self):
         # On the market's set every live row has the same active mask at every

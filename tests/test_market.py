@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_categorical, random_credal
-from credalmarket import licenses
+from credalmarket import licenses, market
 from credalmarket.credal import CredalSet, membership, uncovered_masses
 from credalmarket.evidence import Categorical, EvidenceSpace
 from credalmarket._linprog import BLOCK_ENTRIES
 from credalmarket.licenses import (
     KAPPA_MAX_ITER,
     MechanismParams,
+    optimal_risk_averse_license,
+    optimal_risk_averse_licenses,
     participation_decision,
     sup_value_over_obedient,
 )
@@ -389,6 +391,64 @@ def test_risk_averse_market_names_the_providers_that_did_not_converge(max_iter, 
     with patch.object(licenses, "KAPPA_MAX_ITER", max_iter):
         report = simulate_market(providers, req, credal, PARAMS, mechanism="risk-averse")
     assert report.nonconverged == named
+
+
+def risk_averse_populations():
+    """The golden risk-averse providers, hull mixtures cut to different supports, and no providers."""
+    markets, credal = golden_market()
+    rng = np.random.default_rng(7)
+    mixed = []
+    for i, zeros in enumerate(([], [0, 1], [5])):
+        q = rng.dirichlet(np.ones(12)) @ credal.vertex_matrix
+        q[zeros] = 0.0
+        mixed.append(Provider(id=f"s{i}", q=Categorical(credal.space, q / q.sum())))
+    return {"golden": markets["risk-averse"][0], "mixed_supports": mixed, "empty": []}, credal
+
+
+@pytest.mark.parametrize("max_iter", [KAPPA_MAX_ITER, 2])
+@pytest.mark.parametrize("name", ["golden", "mixed_supports", "empty"])
+def test_risk_averse_market_matches_the_per_provider_loop(name, max_iter):
+    populations, credal = risk_averse_populations()
+    providers = populations[name]
+    ordered = sorted(providers, key=lambda pr: pr.id)
+    with patch.object(licenses, "KAPPA_MAX_ITER", max_iter):
+        report = simulate_market(providers[::-1], Requirement(kind="credal", credal=credal), credal,
+                                 PARAMS, mechanism="risk-averse")
+        loop = [optimal_risk_averse_license(pr.q, credal, PARAMS) for pr in ordered]
+        batch = optimal_risk_averse_licenses([pr.q for pr in ordered], credal, PARAMS)
+    assert len(batch) == len(loop)
+    for one, many in zip(loop, batch):
+        assert many.value == one.value and many.kappa_value == one.kappa_value
+        assert np.array_equal(many.projection.probs, one.projection.probs)
+        assert np.array_equal(many.license.payout, one.license.payout)
+        assert many.converged == one.converged
+    assert [r.provider_id for r in report.rows] == [pr.id for pr in ordered]
+    assert [r.sup_value for r in report.rows] == [r.value for r in loop]
+    assert report.nonconverged == tuple(pr.id for pr, r in zip(ordered, loop) if not r.converged)
+    if not providers:
+        assert report.rows == () and report.perfect
+
+
+def test_risk_averse_market_makes_one_kappa_search():
+    populations, credal = risk_averse_populations()
+    providers = populations["golden"] + populations["mixed_supports"]
+    with (patch.object(licenses, "minimize_kappas", wraps=licenses.minimize_kappas) as search,
+          patch.object(licenses, "minimize_kappa", wraps=licenses.minimize_kappa) as one_type):
+        simulate_market(providers, Requirement(kind="credal", credal=credal), credal, PARAMS,
+                        mechanism="risk-averse")
+    assert search.call_count == 1 and one_type.call_count == 0
+    assert len(search.call_args.args[0]) == len(providers)
+
+
+@pytest.mark.parametrize("mechanism, solver", [("risk-averse", (licenses, "minimize_kappas")),
+                                               ("optimal-LP", (market, "sup_values_over_obedient"))],
+                         ids=["risk-averse", "optimal-LP"])
+def test_requirement_is_checked_before_any_solve(mechanism, solver):
+    markets, credal = golden_market()
+    req = Requirement(kind="threshold", metric=[0.0, 0.5, 1.0], tau=0.5)  # 3 entries, 6 outcomes
+    with patch.object(*solver, side_effect=AssertionError("solved before the requirement")):
+        with pytest.raises(ValueError, match="payoff length does not match evidence space"):
+            simulate_market(markets["optimal-LP"][0], req, credal, PARAMS, mechanism=mechanism)
 
 
 def test_market_larger_than_one_lp_block_matches_the_per_provider_loop(tmp_path):
