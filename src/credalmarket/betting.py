@@ -41,6 +41,11 @@ KELLY_MAX_ITER = 200
 GRID_FALLBACK = 20001
 #: entry fee C, the starting wealth of every :func:`verify_supermartingale` run
 AUDIT_ENTRY_FEE = 15.0
+#: Rows of the largest :func:`kelly_bets` call a cold :func:`plugin_paths`
+#: makes: each call solves as many whole rounds as fit (at least one), which
+#: bounds its memory to a few arrays of that many count rows.  The market's
+#: 120 x 500 betting paths take 30 calls of 17 rounds instead of 499 of one.
+PATH_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +150,12 @@ def kelly_optimal_bet(dist: Categorical, b: BettingScore, cfg: KellyConfig) -> f
     return float(kelly_bets(dist.probs[None, :], b, cfg)[0])
 
 
-def _smoothed(counts, total: int, m: int) -> np.ndarray:
-    """(N, m) add-one-smoothed distributions from count rows summing to ``total``."""
+def _smoothed(counts, total, m: int) -> np.ndarray:
+    """Add-one-smoothed distributions from count rows (the last axis) summing to ``total``.
+
+    ``total`` is an int or an integer array broadcast against the leading
+    axes of ``counts``; either way each entry is (count + 1) / (total + m).
+    """
     return (np.atleast_2d(counts) + 1.0) / (total + m)
 
 
@@ -165,32 +174,53 @@ def plugin_paths(
     """(bets, log-wealth, licenses) of plug-in Kelly betting along each row of ``z``.
 
     Round t bets against the add-one-smoothed counts of the row's first t
-    outcomes (round 0 bets nothing), one :func:`kelly_bets` solve per round;
-    ``warm_start`` starts each solve from the row's previous bet.  A warm
-    start changes the Newton path, so its bets agree with cold starts only to
+    outcomes (round 0 bets nothing).  A cold bet depends only on those
+    counts, which ``z`` fixes in advance, so the cold path solves blocks of
+    whole rounds, at most ``PATH_BLOCK_ROWS`` rows, as one :func:`kelly_bets`
+    call each, with every block's counts from a cumulative one-hot sum carried
+    across blocks.  ``warm_start`` starts each solve from the row's previous
+    bet instead, so that path solves one round per call.  A warm start
+    changes the Newton path, so its bets agree with cold starts only to
     ``NEWTON_TOL``, not bit for bit; the fairness scenario's CSV depends on
     its warm starts (turning them off moves 11,098 fairness cells, at most
-    9.1e-11 relative, 4 of them at 10 significant digits).  Wealth
-    starts at C and is summed in round order from ``math.log1p`` factors, so
-    rows match a scalar loop bit for bit.  The issued license is R once
-    log-wealth reaches ln R, else the wealth.
+    9.1e-11 relative, 4 of them at 10 significant digits).  Wealth starts at
+    C and is summed in round order from ``math.log1p`` factors, in the same
+    blocks of rounds, so rows match a scalar loop bit for bit.  The issued
+    license is R once log-wealth reaches ln R, else the wealth.
     """
     runs, n = z.shape
     m = b.space.size
+    span = max(1, PATH_BLOCK_ROWS // max(runs, 1))  # rounds per block
     lams = np.zeros((runs, n))
-    counts = np.zeros((runs, m), dtype=np.int64)
-    rows = np.arange(runs)
-    for t in range(1, n):
-        counts[rows, z[:, t - 1]] += 1
-        init = lams[:, t - 1] if warm_start else None
-        lams[:, t] = kelly_bets(_smoothed(counts, t, m), b, cfg, init=init)
-    log_wealth = np.full((runs, n + 1), math.log(params.C))
-    steps = np.fromiter(map(math.log1p, (lams * b.score[z]).flat), float, runs * n)
-    log_wealth[:, 1:] = steps.reshape(runs, n)
-    log_wealth = np.cumsum(log_wealth, axis=1, out=log_wealth)[:, 1:]
-    licenses = np.full((runs, n), params.R)
-    below = log_wealth < math.log(params.R)
-    licenses[below] = np.fromiter(map(math.exp, log_wealth[below]), float)
+    if warm_start:
+        counts = np.zeros((runs, m), dtype=np.int64)
+        rows = np.arange(runs)
+        for t in range(1, n):
+            counts[rows, z[:, t - 1]] += 1
+            lams[:, t] = kelly_bets(_smoothed(counts, t, m), b, cfg, init=lams[:, t - 1])
+    else:
+        counts = np.zeros((runs, 1, m), dtype=np.int64)
+        for t0 in range(1, n, span):
+            t1 = min(n, t0 + span)
+            counts = counts[:, -1:] + np.cumsum(z[:, t0 - 1:t1 - 1, None] == np.arange(m), axis=1)
+            probs = _smoothed(counts, np.arange(t0, t1)[:, None], m)
+            lams[:, t0:t1] = kelly_bets(probs.reshape(-1, m), b, cfg).reshape(runs, t1 - t0)
+    log_wealth = np.empty((runs, n))
+    licenses = np.empty((runs, n))
+    wealth_so_far = np.full(runs, math.log(params.C))
+    log_cap = math.log(params.R)
+    for t0 in range(0, n, span):
+        t1 = min(n, t0 + span)
+        steps = lams[:, t0:t1] * b.score[z[:, t0:t1]]
+        block = np.fromiter(map(math.log1p, steps.flat), float, steps.size).reshape(steps.shape)
+        block[:, 0] += wealth_so_far
+        np.cumsum(block, axis=1, out=block)
+        log_wealth[:, t0:t1] = block
+        wealth_so_far = block[:, -1]
+        issued = licenses[:, t0:t1]
+        issued[...] = params.R
+        below = block < log_cap
+        issued[below] = np.fromiter(map(math.exp, block[below]), float)
     return lams, log_wealth, licenses
 
 

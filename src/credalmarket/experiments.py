@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
@@ -99,12 +100,26 @@ def _capped_exp(log_values: np.ndarray, cap: float) -> np.ndarray:
     return np.exp(np.minimum(log_values, math.log(cap)))
 
 
-def _config_distribution(cfg, name: str, space: EvidenceSpace) -> Categorical:
-    """The distribution in config field ``name``; an invalid one is a ValueError naming the field."""
+@contextmanager
+def _naming_field(cfg, name: str):
+    """Re-raise a ValueError of the block as one naming config field ``name``."""
     try:
-        return Categorical(space, getattr(cfg, name))
+        yield
     except ValueError as err:
         raise ValueError(f"{cfg.scenario} config field {name!r}: {err}") from err
+
+
+def _config_distribution(cfg, name: str, space: EvidenceSpace) -> Categorical:
+    """The distribution in config field ``name``; an invalid one is a ValueError naming the field."""
+    with _naming_field(cfg, name):
+        return Categorical(space, getattr(cfg, name))
+
+
+def _check_burn_in(cfg) -> None:
+    """A burn-in must leave at least one step for the cumulative license to accumulate."""
+    if cfg.burn_in >= cfg.n:
+        raise ValueError(f"{cfg.scenario} config field 'burn_in' must be below n = {cfg.n}, "
+                         f"got {cfg.burn_in}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +257,8 @@ def _cumulative_trajectories(
 ) -> np.ndarray:
     """Cumulative likelihood-ratio licenses, held at C through the burn-in prefix."""
     step_log = log_ratio(q.probs, p_star)
-    runs, n = z.shape
-    logs = np.zeros((runs, n))
-    active = step_log[z[:, burn_in:]] if burn_in < n else np.zeros((runs, 0))
-    logs[:, burn_in:] = np.cumsum(active, axis=1)
+    logs = np.zeros(z.shape)
+    logs[:, burn_in:] = np.cumsum(step_log[z[:, burn_in:]], axis=1)
     return _capped_exp(math.log(params.C) + logs, params.R)
 
 
@@ -266,18 +279,19 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
     run as rows of one batched call.  The explicit route uses the
     provider's exact type when burn_in = 0; with a positive burn-in the type
     is re-estimated from the burn-in prefix (add-one smoothed) before the
-    cumulative license starts accumulating.
+    cumulative license starts accumulating.  An invalid field (a gamma out of
+    range, a burn-in of n or more, a tau above every gap) is a ``ValueError``
+    naming it, raised before any draw.
     """
-    try:  # every gamma is checked before the first draw
+    with _naming_field(cfg, "gammas"):  # every field is checked before the first draw
         types = [paired_fairness_distribution(gamma) for gamma in cfg.gammas]
-    except ValueError as err:
-        raise ValueError(f"{cfg.scenario} config field 'gammas': {err}") from err
-    try:
+    with _naming_field(cfg, "kelly_margin"):
         kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
-    except ValueError as err:
-        raise ValueError(f"{cfg.scenario} config field 'kelly_margin': {err}") from err
+    _check_burn_in(cfg)
     score = parity_betting_score(cfg.tau)
-    credal = parity_credal_set(cfg.tau, cfg.grid_resolution)
+    # Past the resolution check, only a tau above every gap leaves the set empty.
+    with _naming_field(cfg, "grid_resolution" if cfg.grid_resolution < 2 else "tau"):
+        credal = parity_credal_set(cfg.tau, cfg.grid_resolution)
     paths = [_draw_outcomes(q, cfg.runs, cfg.n, cfg.seed + g_idx) for g_idx, q in enumerate(types)]
     if cfg.bet_zero_control or not paths:
         bettings = [np.full(z.shape, cfg.params.C) for z in paths]
@@ -442,10 +456,18 @@ def run_synthetic_spurious(cfg: SpuriousConfig) -> ResultTable:
 
     Emits a tidy table: series "license" rows hold (agent, step, mean, se)
     trajectories; series "ratio" rows hold the per-outcome and per-group
-    compliant/non-compliant license ratios at step 0.
+    compliant/non-compliant license ratios at step 0.  A ``q_compliant``
+    with no mass on the easy or on the hard outcomes (its group ratios would
+    be 0/0) and a burn-in of n or more are ``ValueError``s naming the field,
+    raised before any draw.
     """
     q_dro, q_erm, p_rand = (_config_distribution(cfg, name, SPURIOUS_SPACE)
                             for name in ("q_compliant", "q_noncompliant", "p_random"))
+    qd = q_dro.probs
+    if not (qd[:2].sum() > 0.0 and qd[2:].sum() > 0.0):  # each group ratio is a mean under it
+        raise ValueError(f"{cfg.scenario} config field 'q_compliant' must put mass on the easy "
+                         f"(0-1) and on the hard (2-3) outcomes, got {qd.tolist()}")
+    _check_burn_in(cfg)
     hull = CredalSet(SPURIOUS_SPACE, (q_erm, p_rand))
 
     rows = []
@@ -464,7 +486,6 @@ def run_synthetic_spurious(cfg: SpuriousConfig) -> ResultTable:
     payout_ratio = payouts["compliant"] / payouts["non_compliant"]
     for j, label in enumerate(SPURIOUS_SPACE.labels):
         rows.append(("ratio", label, 0, float(payout_ratio[j]), 0.0))
-    qd = q_dro.probs
     easy = float((qd[:2] @ payout_ratio[:2]) / qd[:2].sum())
     hard = float((qd[2:] @ payout_ratio[2:]) / qd[2:].sum())
     rows.append(("ratio", "easy_group", 0, easy, 0.0))

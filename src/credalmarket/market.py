@@ -160,7 +160,8 @@ def simulate_market(
     Every mechanism solves the whole population at once: the optimal-LP
     values in lock-step LP blocks, the risk-averse ones in one kappa search
     whose rows span every provider's starts, the betting ones as the rows of
-    one batch of paths.  Compliance is evaluated before any of them, so an
+    one batch of cold-start paths, whose Kelly solves run a block of rounds
+    per :func:`betting.kelly_bets` call.  Compliance is evaluated before any of them, so an
     invalid requirement raises before any solve.
     """
     if mechanism not in ("optimal-LP", "risk-averse", "betting"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -32,6 +33,10 @@ from credalmarket.licenses import MechanismParams
 from credalmarket.market import Provider, Requirement, _betting_sup_values
 
 PARAMS = MechanismParams(C=15.0, R=250.0)
+#: tracemalloc peak of one cold plug-in call on the market's shape, above its
+#: three output arrays: measured 157-160 kB at n = 500 and 99 kB at n = 5,000
+#: (a loop with full-size temporaries: 0.66 MB and 5.5 MB)
+PEAK_ABOVE_OUTPUTS = 256 * 1024
 
 
 def scalar_kelly(probs, score, cfg, init=None):
@@ -70,20 +75,27 @@ def scalar_kelly(probs, score, cfg, init=None):
     return float(grid[int(np.argmax(values))])
 
 
-def scalar_license_path(z, score, cfg, params, warm_start=False):
-    """Per-round license values of one plug-in Kelly trajectory, one scalar solve per round."""
+def scalar_paths(z, score, cfg, params, warm_start=False):
+    """(bets, log-wealth, licenses) of one plug-in Kelly trajectory, one scalar solve per round."""
     m = score.space.size
     counts = np.zeros(m, dtype=np.int64)
     log_wealth, log_cap = math.log(params.C), math.log(params.R)
-    lam, out = 0.0, np.empty(len(z))
+    lam = 0.0
+    lams, log_wealths, licenses = (np.empty(len(z)) for _ in range(3))
     for t, zt in enumerate(z):
         if t > 0:
             lam = scalar_kelly((counts + 1.0) / (counts.sum() + m), score.score, cfg,
                                init=lam if warm_start else None)
         log_wealth += math.log1p(lam * float(score.score[zt]))
         counts[zt] += 1
-        out[t] = params.R if log_wealth >= log_cap else math.exp(log_wealth)
-    return out
+        lams[t], log_wealths[t] = lam, log_wealth
+        licenses[t] = params.R if log_wealth >= log_cap else math.exp(log_wealth)
+    return lams, log_wealths, licenses
+
+
+def scalar_license_path(z, score, cfg, params, warm_start=False):
+    """Per-round license values of one plug-in Kelly trajectory: :func:`scalar_paths`' third array."""
+    return scalar_paths(z, score, cfg, params, warm_start)[2]
 
 
 def lexsort_supermartingale(null_dist, b, cfg, runs, n, seed, params=PARAMS, solve=kelly_bets):
@@ -235,6 +247,48 @@ class TestKellyBets:
 
 
 class TestBatchedPaths:
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), runs=st.integers(1, 5),
+           n=st.integers(0, 80), no_loss=st.booleans(),
+           block=st.sampled_from(["1", "runs-1", "runs+1", "short-last"]),
+           max_iter=st.sampled_from([1, 2, 200]))
+    @settings(max_examples=150, deadline=None)
+    def test_cold_blocks_match_per_row_scalar_loop_bitwise(self, seed, m, runs, n, no_loss,
+                                                           block, max_iter):
+        rng = np.random.default_rng(seed)
+        score = rng.uniform(-2.0, 2.0, size=m)
+        if no_loss:
+            score = np.abs(score)  # no losing outcome: the default ceiling applies
+        b = BettingScore(EvidenceSpace.of_size(m), score)
+        z = rng.choice(m, size=(runs, n), p=rng.dirichlet(np.ones(m)))
+        # Rounds 1..n-1 in blocks of k leave a short last block for every n >= 4.
+        k = next((j for j in range(2, n - 1) if (n - 1) % j), 2)
+        rows = {"1": 1, "runs-1": runs - 1, "runs+1": runs + 1, "short-last": runs * k}[block]
+        cfg = KellyConfig()
+        with patch.object(betting, "PATH_BLOCK_ROWS", rows), \
+                patch.object(betting, "KELLY_MAX_ITER", max_iter):
+            got = plugin_paths(z, b, cfg, PARAMS)
+            want = [scalar_paths(row, b, cfg, PARAMS) for row in z]
+        for got_array, want_arrays in zip(got, zip(*want)):
+            assert got_array.shape == (runs, n)
+            assert np.array_equal(got_array, np.reshape(want_arrays, (runs, n)))
+
+    def test_cold_path_peak_memory_does_not_grow_with_n(self):
+        # The market's shape: 4 providers x 30 replicates over 6 outcomes.
+        space = EvidenceSpace.of_size(6)
+        b = BettingScore.from_metric(space, [0.4, 1.0, 0.0, 0.8, 0.2, 0.6], 0.5)
+        q = Categorical(space, [0.1, 0.3, 0.1, 0.25, 0.1, 0.15])
+        above_outputs = []
+        for n in (500, 5000):
+            z = _draw_outcomes(q, 120, n, 0)
+            tracemalloc.start()
+            try:
+                plugin_paths(z, b, KellyConfig(), PARAMS)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above_outputs.append(peak - 3 * z.size * 8)  # bets, log-wealth, licenses
+        assert max(above_outputs) <= PEAK_ABOVE_OUTPUTS, above_outputs
+
     def test_fairness_loop_matches_per_run_scalar_loop(self):
         cfg = FairnessConfig(runs=4, n=300)
         score = parity_betting_score(cfg.tau)

@@ -512,6 +512,14 @@ class TestScenarioRangesCheckedFirst:
         ("fairness", {"gammas": [0.4, 0.95]}, "gammas"),
         ("fairness", {"runs": 2, "n": 50, "kelly_margin": 1.5}, "kelly_margin"),
         ("fairness", {"runs": 2, "n": 5, "kelly_margin": 2}, "kelly_margin"),
+        ("fairness", {"burn_in": 50, "n": 20}, "burn_in"),
+        ("fairness", {"burn_in": 20, "n": 20}, "burn_in"),
+        ("fairness", {"tau": 1.2}, "tau"),
+        ("fairness", {"grid_resolution": 1}, "grid_resolution"),
+        ("synthetic_spurious", {"burn_in": 2000, "n": 100}, "burn_in"),
+        ("synthetic_spurious", {"burn_in": 100, "n": 100}, "burn_in"),
+        ("synthetic_spurious", {"q_compliant": [0.5, 0.5, 0, 0]}, "q_compliant"),
+        ("synthetic_spurious", {"q_compliant": [0, 0, 0.5, 0.5]}, "q_compliant"),
     ])
     def test_value_out_of_range_exits_2_before_drawing(self, capsys, tmp_path, monkeypatch,
                                                         scenario, payload, field):

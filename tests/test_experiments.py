@@ -131,6 +131,11 @@ class TestFairness:
         with pytest.raises(ValueError, match="'gammas'.*0.95"):
             run_fairness(FairnessConfig(gammas=(0.4, 0.95), runs=2, n=10))
 
+    def test_burn_in_one_below_n_accumulates_one_step(self):
+        cfg = FairnessConfig(runs=2, n=20, burn_in=19, gammas=(0.4,))
+        explicit = run_fairness(cfg).column("explicit_mean")
+        assert np.all(explicit[:19] == cfg.params.C) and explicit[19] != cfg.params.C
+
     def test_bet_zero_control_is_flat(self):
         cfg = FairnessConfig(runs=2, n=50, bet_zero_control=True)
         table = run_fairness(cfg)
@@ -352,7 +357,7 @@ class TestSpurious:
     def test_ratio_rows_are_truncated_payout_ratios(self):
         # The ratio rows do not depend on runs, n or burn_in: these are the
         # default config's rows.
-        cfg = SpuriousConfig(runs=2, n=50)
+        cfg = SpuriousConfig(runs=2, n=50, burn_in=10)
         hull = CredalSet(SPURIOUS_SPACE, (Categorical(SPURIOUS_SPACE, cfg.q_noncompliant),
                                           Categorical(SPURIOUS_SPACE, cfg.p_random)))
         payouts = {}
