@@ -8,15 +8,15 @@ solver (one LP for :func:`membership`, many for :func:`uncovered_masses`).
 A threshold set {P : E_P[score] >= tau}, such as the fairness scenario's
 non-compliant set, is built from the probability grid points it contains.
 
-scipy is a runtime dependency of :func:`maximize_over_mixtures` only: its
-Nelder-Mead polish imports ``scipy.optimize`` on the first call.  Importing
-the package, the CLI or a scenario runner loads numpy and the standard
-library alone, which keeps each command's start-up short.
+The mixture search :func:`maximize_over_mixtures` polishes its best grid
+point with a NumPy copy of scipy's Nelder-Mead, so the package needs numpy
+and the standard library alone at runtime; scipy serves only the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -217,8 +217,73 @@ def sequential_glr_value(
 
 
 def _weight_grid(k: int, resolution: float) -> np.ndarray:
-    steps = max(1, round(1.0 / resolution))
+    steps = round(1.0 / resolution)
     return _grid_compositions(steps, k) / steps
+
+
+def _check_grid_resolution(resolution) -> None:
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Real) \
+            or not 0.0 < resolution <= 1.0:
+        raise ValueError(f"grid_resolution must be a finite number in (0, 1], got {resolution!r}")
+
+
+def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray) -> np.ndarray:
+    """The best vertex Nelder & Mead's simplex method (Computer J., 1965) reaches from ``x0``.
+
+    A step-for-step copy of ``scipy.optimize.minimize(func, x0,
+    method="Nelder-Mead", options={"maxiter": 400, "xatol": 1e-8, "fatol":
+    1e-12})``, its non-adaptive and unbounded branch: the same initial simplex,
+    coefficients (reflect 1, expand 2, contract and shrink 1/2), sorts and
+    centroid sum, so it evaluates the same points and returns scipy's ``x``
+    to the bit.
+    """
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([func(x) for x in sim], dtype=float)
+    for _ in range(2):  # scipy sorts twice after the first evaluations
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < 400:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-8
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = 1.5 * xbar - 0.5 * sim[-1]
+            fxc = func(xc)
+            shrink = not fxc <= fxr
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+        else:
+            xcc = 0.5 * xbar + 0.5 * sim[-1]
+            fxcc = func(xcc)
+            shrink = not fxcc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xcc, fxcc
+        if shrink:
+            for j in range(1, N + 1):
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0]
 
 
 def maximize_over_mixtures(
@@ -229,10 +294,10 @@ def maximize_over_mixtures(
     """Grid-plus-local-refinement search of a value function over mixtures.
 
     The points are stacked once; each candidate mixture is ``w @ P``, the
-    product :func:`evidence.mixture` forms, so the bits are the same.
+    product :func:`evidence.mixture` forms, so the bits are the same.  The
+    grid steps the weights by ``grid_resolution``, a number in (0, 1].
     """
-    from scipy.optimize import minimize  # here, so importing the package loads no scipy
-
+    _check_grid_resolution(grid_resolution)
     space = require_same_space(*points)
     P = np.stack([p.probs for p in points])
     grid = _weight_grid(len(points), grid_resolution)
@@ -248,10 +313,7 @@ def maximize_over_mixtures(
     def neg_value(logits: np.ndarray) -> float:
         return -value_fn(Categorical(space, softmax(logits) @ P))
 
-    start = np.log(np.clip(best_w, 1e-9, None))
-    res = minimize(neg_value, start, method="Nelder-Mead",
-                   options={"maxiter": 400, "xatol": 1e-8, "fatol": 1e-12})
-    w_ref = softmax(res.x)
+    w_ref = softmax(_nelder_mead(neg_value, np.log(np.clip(best_w, 1e-9, None))))
     v_ref = value_fn(Categorical(space, w_ref @ P))
     if v_ref > best_v:
         best_w, best_v = w_ref, v_ref
@@ -292,6 +354,7 @@ def gaming_witness(
     """
     from .licenses import participation_decision  # licenses imports this module
 
+    _check_grid_resolution(grid_resolution)
     if len(points) < 2:
         return None
     builder = naive_license_builder or sequential_glr_value

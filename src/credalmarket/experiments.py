@@ -483,7 +483,7 @@ def run_synthetic_spurious(cfg: SpuriousConfig) -> ResultTable:
         finals[agent] = float(mean[-1])
         payouts[agent] = _truncated_payout(ratio(q.probs, p_star), cfg.params.C, cfg.params.R)
 
-    payout_ratio = payouts["compliant"] / payouts["non_compliant"]
+    payout_ratio = ratio(payouts["compliant"], payouts["non_compliant"])
     for j, label in enumerate(SPURIOUS_SPACE.labels):
         rows.append(("ratio", label, 0, float(payout_ratio[j]), 0.0))
     easy = float((qd[:2] @ payout_ratio[:2]) / qd[:2].sum())

@@ -557,7 +557,7 @@ class TestScenarioRangesCheckedFirst:
 
 
 class TestScipyIsLoadedLazily:
-    """Only the Nelder-Mead polish of ``maximize_over_mixtures`` loads scipy."""
+    """No runtime path loads scipy; only the tests' oracles need it."""
 
     SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -583,7 +583,7 @@ class TestScipyIsLoadedLazily:
         assert "scipy []" in proc.stdout
         assert out.exists()
 
-    def test_mixture_search_loads_scipy_optimize(self):
+    def test_mixture_search_loads_no_scipy(self):
         proc = self.run_python(
             "import sys\n"
             "from credalmarket.credal import maximize_over_mixtures\n"
@@ -597,7 +597,71 @@ class TestScipyIsLoadedLazily:
         )
         assert proc.returncode == 0, proc.stderr
         assert "before False" in proc.stdout
-        assert "after True" in proc.stdout
+        assert "after False" in proc.stdout
+
+    #: small configs of the four scenarios
+    SMOKE = {
+        "simplex_gaming": {"runs": 5, "n": 100},
+        "fairness": {"runs": 2, "n": 300, "grid_resolution": 5},
+        "chi2_strategic": {"mc_calibration": 2000, "mc_power": 2000, "n_per_test": 200},
+        "synthetic_spurious": {"runs": 2, "n": 50, "burn_in": 10},
+    }
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        inputs = {"license": LICENSE_CONFIG, "singleton": SINGLETON_CREDAL, "hull": HULL_CREDAL,
+                  "betting": BETTING_CONFIG}
+        inputs.update((f"market-{m}", dict(MARKET_CONFIG, mechanism=m))
+                      for m in ("optimal-LP", "risk-averse", "betting"))
+        inputs.update(self.SMOKE)
+        for name, payload in inputs.items():
+            write_json(tmp_path / f"{name}.json", payload)
+        proc = self.run_python(
+            "import importlib.abc, json, sys\n"
+            "class BlockScipy(importlib.abc.MetaPathFinder):\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy' or name.startswith('scipy.'):\n"
+            "            raise ModuleNotFoundError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, BlockScipy())\n"
+            "try:\n"
+            "    import scipy.optimize\n"
+            "except ModuleNotFoundError:\n"
+            "    print('scipy blocked')\n"
+            "from pathlib import Path\n"
+            "from credalmarket.cli import main\n"
+            "from credalmarket.credal import gaming_witness, strategic_mixture_best_response\n"
+            "from credalmarket.evidence import Categorical, EvidenceSpace\n"
+            "from credalmarket.experiments import SIMPLEX_POINTS, SimplexGamingConfig\n"
+            f"d = Path({str(tmp_path)!r})\n"
+            "runs = {}\n"
+            f"for s in {sorted(self.SMOKE)!r}:\n"
+            "    runs[s] = main(['experiment', s, '--config', str(d / f'{s}.json'),\n"
+            "                    '--out', str(d / f'{s}.csv')])\n"
+            "runs['license'] = main(['license', 'optimal', '--credal', str(d / 'singleton.json'),\n"
+            "                        '--config', str(d / 'license.json'),\n"
+            "                        '--out', str(d / 'license-out.json')])\n"
+            "runs['betting'] = main(['betting', 'run', '--config', str(d / 'betting.json'),\n"
+            "                        '--out', str(d / 'trajectory.csv')])\n"
+            "for m in ('optimal-LP', 'risk-averse', 'betting'):\n"
+            "    runs[f'market {m}'] = main(['market', 'simulate',\n"
+            "                                '--credal', str(d / 'hull.json'),\n"
+            "                                '--config', str(d / f'market-{m}.json'),\n"
+            "                                '--out', str(d / f'report-{m}.csv')])\n"
+            "print('exits', json.dumps(runs))\n"
+            "points = [Categorical(EvidenceSpace.of_size(3), p) for p in SIMPLEX_POINTS]\n"
+            "params = SimplexGamingConfig().params\n"
+            "print('gamed', gaming_witness(points, params, grid_resolution=0.1) is not None)\n"
+            "w, v = strategic_mixture_best_response(points, params, grid_resolution=0.1)\n"
+            "print('best response beats C', v > params.C)\n"
+            "print('scipy', [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "scipy blocked" in lines
+        exits = json.loads(next(line[6:] for line in lines if line.startswith("exits ")))
+        assert exits == dict.fromkeys([*self.SMOKE, "license", "betting", "market optimal-LP",
+                                       "market risk-averse", "market betting"], 0)
+        assert "gamed True" in lines and "best response beats C True" in lines
+        assert "scipy []" in lines
 
 
 # ---------------------------------------------------------------------------

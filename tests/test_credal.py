@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from conftest import random_categorical, random_credal
 from credalmarket import credal, market
@@ -14,6 +14,7 @@ from credalmarket.credal import (
     MEMBERSHIP_TOL,
     CredalSet,
     _grid_compositions,
+    _nelder_mead,
     _weight_grid,
     approximate_constraint_set,
     gaming_witness,
@@ -375,6 +376,94 @@ class TestMixtureSearch:
         other = Categorical(EvidenceSpace(("a", "b", "c")), [0.2, 0.3, 0.5])
         with pytest.raises(ValueError, match="different evidence spaces"):
             maximize_over_mixtures([simplex_points[0], other], lambda q: 0.0)
+
+
+class TestGridResolution:
+    """The mixture search's weight step is a number in (0, 1]."""
+
+    @pytest.mark.parametrize("resolution", [-0.5, 0.0, 2.0, np.inf, np.nan, True, "0.1"])
+    def test_bad_grid_resolution_rejected(self, simplex_points, resolution):
+        # -0.5, 2.0 and inf once searched the vertices alone and missed the gaming
+        params = MechanismParams(15.0, 250.0)
+        for search in (lambda: maximize_over_mixtures(simplex_points, lambda q: 0.0, resolution),
+                       lambda: strategic_mixture_best_response(simplex_points, params,
+                                                               grid_resolution=resolution),
+                       lambda: gaming_witness(simplex_points, params, grid_resolution=resolution),
+                       lambda: gaming_witness(simplex_points[:1], params,
+                                              grid_resolution=resolution)):
+            with pytest.raises(ValueError, match="grid_resolution"):
+                search()
+
+    def test_a_whole_step_searches_the_vertices(self, simplex_points):
+        w, v = maximize_over_mixtures(simplex_points, lambda q: float(q.probs[0]), 1.0)
+        assert v == pytest.approx(max(p.probs[0] for p in simplex_points))
+
+
+NELDER_MEAD_OPTIONS = {"maxiter": 400, "xatol": 1e-8, "fatol": 1e-12}
+
+
+def nelder_mead_test_function(family: str, seed: int, n: int):
+    """A smooth, non-smooth, capped or plateau objective on R^n."""
+    rng = np.random.default_rng(seed)
+    c, a = rng.normal(size=n), rng.uniform(0.5, 3.0, size=n)
+
+    def quadratic(x):
+        return float(((x - c) ** 2 * a).sum())
+
+    return {
+        "quadratic": quadratic,
+        "abs": lambda x: float((np.abs(x - c) * a).sum()),
+        "wavy": lambda x: float(np.sin(5.0 * x).sum()) + 0.1 * quadratic(x),
+        # the negated GLR value: flat at -R wherever the cap binds
+        "capped": lambda x: -min(15.0 * np.exp(min(40.0 * quadratic(x), 700.0)), 250.0),
+        "steps": lambda x: float(np.floor(4.0 * quadratic(x))) / 4.0,
+        "flat": lambda x: max(quadratic(x), 1.0),
+    }[family]
+
+
+def evaluated_points(minimizer, f, x0):
+    seen = []
+
+    def recorded(x):
+        seen.append(np.array(x, copy=True))
+        return f(x)
+
+    x = minimizer(recorded, x0)
+    return np.stack(seen), np.asarray(x)
+
+
+def scipy_nelder_mead(f, x0):
+    return minimize(f, x0, method="Nelder-Mead", options=NELDER_MEAD_OPTIONS).x
+
+
+class TestNelderMeadPort:
+    """``_nelder_mead`` evaluates scipy's Nelder-Mead points and returns its ``x``, to the bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(family=st.sampled_from(["quadratic", "abs", "wavy", "capped", "steps", "flat"]),
+           seed=st.integers(0, 2**32 - 1),
+           x0=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0), st.just(np.log(1e-9))),
+                       min_size=1, max_size=6))
+    @example(family="capped", seed=0, x0=[0.0, 0.0, 0.0])
+    def test_matches_scipy_bitwise(self, family, seed, x0):
+        f = nelder_mead_test_function(family, seed, len(x0))
+        x0 = np.array(x0)
+        ours, x = evaluated_points(_nelder_mead, f, x0)
+        theirs, x_scipy = evaluated_points(scipy_nelder_mead, f, x0)
+        assert ours.tobytes() == theirs.tobytes()
+        assert x.tobytes() == x_scipy.tobytes()
+
+    @pytest.mark.parametrize("family,x0", [("flat", [0.1, 0.0, -0.2]), ("capped", [4.0, 0.0])])
+    def test_plateaus_force_shrink_steps(self, family, x0):
+        # Without a shrink an iteration costs at most two evaluations; a tie
+        # on a plateau fails both contractions, so scipy shrinks the simplex.
+        f = nelder_mead_test_function(family, 1, len(x0))
+        res = minimize(f, x0, method="Nelder-Mead", options=NELDER_MEAD_OPTIONS)
+        assert res.nfev > len(x0) + 1 + 2 * (res.nit - 1)
+        ours, x = evaluated_points(_nelder_mead, f, np.array(x0))
+        theirs, _ = evaluated_points(scipy_nelder_mead, f, np.array(x0))
+        assert len(ours) == res.nfev and ours.tobytes() == theirs.tobytes()
+        assert x.tobytes() == res.x.tobytes()
 
 
 def test_json_round_trip(tmp_path, simplex_hull):

@@ -372,6 +372,25 @@ class TestSpurious:
         assert [rows[label] for label in SPURIOUS_SPACE.labels] == want.tolist()
         assert rows["hard_correct"] == 2.5370648378231873
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("overrides,want", [
+        # the non-compliant surrogate has no hard mass: only the compliant license pays there
+        ({"q_noncompliant": [0.5, 0.5, 0, 0], "p_random": [0.5, 0.5, 0, 0]},
+         {"hard_correct": math.inf, "hard_wrong": math.inf, "hard_group": math.inf}),
+        # neither surrogate has mass on hard_wrong: neither license pays there
+        ({"q_compliant": [0.72, 0.08, 0.2, 0], "q_noncompliant": [0.7, 0.1, 0.2, 0],
+          "p_random": [0.7, 0.1, 0.2, 0]},
+         {"hard_correct": 1.0, "hard_wrong": 0.0, "hard_group": 1.0}),
+    ])
+    def test_a_license_paying_nothing_follows_the_ratio_rule(self, overrides, want):
+        # once inf or nan rows and a divide-by-zero RuntimeWarning
+        cfg = load_config("synthetic_spurious", dict(overrides, runs=2, n=40, burn_in=10))
+        table = run_synthetic_spurious(cfg)
+        rows = {r[1]: r[3] for r in table.rows if r[0] == "ratio"}
+        assert {label: rows[label] for label in want} == want
+        assert not any(map(math.isnan, rows.values()))
+        assert table.headline["hard_group_ratio"] == want["hard_group"]
+
 
 class TestConfigLoading:
     def test_defaults(self):
