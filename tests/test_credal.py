@@ -395,7 +395,7 @@ class TestGridResolution:
                 search()
 
     def test_a_whole_step_searches_the_vertices(self, simplex_points):
-        w, v = maximize_over_mixtures(simplex_points, lambda q: float(q.probs[0]), 1.0)
+        _, v = maximize_over_mixtures(simplex_points, lambda q: float(q.probs[0]), 1.0)
         assert v == pytest.approx(max(p.probs[0] for p in simplex_points))
 
 
