@@ -27,7 +27,7 @@ PIVOT_TOL = 1e-10
 #: once (1 MB: 275 license or 222 membership LPs of the benchmark's market),
 #: which bounds its memory to a few copies of one block.  On 1,000 such LPs
 #: one call's tracemalloc peak is 2.7 MB, against 9-11 MB with no blocks, and
-#: the benchmark's optimal-LP market peaks at 43.2-43.8 MB RSS.  Four times
+#: the benchmark's optimal-LP market peaks at 42.4-42.7 MB RSS.  Four times
 #: smaller blocks make the solve about twice as slow.
 BLOCK_ENTRIES = 1 << 17
 

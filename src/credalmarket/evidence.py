@@ -314,8 +314,11 @@ class SampleStream:
 
     def __post_init__(self) -> None:
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-        cdf = np.cumsum(self.source.probs)
-        cdf[-1] = 1.0  # guard the last bin against rounding
+        probs = self.source.probs
+        cdf = np.cumsum(probs)
+        # The probabilities sum to 1 only within PROB_ATOL: close the cdf at the
+        # last outcome with positive mass, so no uniform in [0, 1) lands after it.
+        cdf[np.flatnonzero(probs)[-1]:] = 1.0
         self._cdf = cdf
 
 

@@ -230,6 +230,17 @@ class TestSampling:
         stream = SampleStream(Categorical(space3, [1.0, 0.0, 0.0]), seed=0)
         assert sample(stream, 5).tolist() == [0, 0, 0, 0, 0]
 
+    def test_trailing_zero_outcome_is_never_drawn(self, space3):
+        # The probabilities sum to 1 - 5e-13, inside PROB_ATOL; the largest
+        # uniform below 1 must still land on the last outcome with mass.
+        class LargestUniform:
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        stream = SampleStream(Categorical(space3, [0.5, 0.5 - 5e-13, 0.0]), seed=0)
+        stream._gen = LargestUniform()
+        assert sample(stream, 3).tolist() == [1, 1, 1]
+
     def test_uniform_frequencies_regression(self, uniform3):
         # seeded run recorded: counts at seed 42 over 30000 draws
         stream = SampleStream(uniform3, seed=42)

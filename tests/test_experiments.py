@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import loggamma
 
 from credalmarket import experiments
 from credalmarket.credal import CredalSet
@@ -208,7 +211,7 @@ class TestChi2:
 
 
 def _batch_loglik_ratio_reference(d0, df, batches, n, seed):
-    """The allocate-per-chunk loop that the in-place buffer replaced."""
+    """A loop that allocates each chunk of 2M cells, the oracle for the reused block."""
     const = 0.5 * math.log(2.0) + math.lgamma((d0 + 1) / 2.0) - math.lgamma(d0 / 2.0)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     out = np.empty(batches)
@@ -238,15 +241,72 @@ def _chi2_rows_reference(cfg):
     return tuple(rows)
 
 
+def _sum_log_chi2_cdf(s, df, n):
+    """P(S <= s) for S a sum of n i.i.d. ln chi^2_df, and quad's error bound.
+
+    Gil-Pelaez inversion (Biometrika 1951) of the characteristic function
+    E exp(iuS) = (2^(iu) Gamma(df/2 + iu) / Gamma(df/2))^n.
+    """
+    a = df / 2.0
+
+    def integrand(u):
+        log_cf = n * (1j * u * math.log(2.0) + loggamma(a + 1j * u) - loggamma(a)) - 1j * u * s
+        return np.exp(log_cf).imag / u
+
+    value, err = quad(integrand, 0.0, np.inf, limit=200)
+    return 0.5 - value / math.pi, err / math.pi
+
+
+class TestChi2ExactPower:
+    def test_monte_carlo_curve_matches_the_exact_one_at_its_thresholds(self):
+        # Evaluating the exact tails at the Monte Carlo thresholds leaves only
+        # binomial error: the quantile error of a threshold cancels out.
+        cfg = Chi2Config(n_per_test=200, mc_calibration=20_000, mc_power=20_000, seed=5)
+        table = run_chi2_strategic(cfg)
+        null = experiments._batch_loglik_ratio(cfg.d0, cfg.d0 + 1, cfg.mc_calibration,
+                                               cfg.n_per_test, spawn_seeds(cfg.seed, 2)[0])
+        n = cfg.n_per_test
+        # log f_d0(x) - log f_(d0+1)(x) = const - ln(x) / 2 for chi^2 densities f_d
+        const = 0.5 * math.log(2.0) + math.lgamma((cfg.d0 + 1) / 2.0) - math.lgamma(cfg.d0 / 2.0)
+        exact_powers = []
+        for alpha, power, *_ in table.rows[1:]:  # alpha = 0 has no threshold
+            threshold = float(np.quantile(null, 1.0 - alpha))
+            s = 2.0 * (n * const - threshold)  # T > threshold iff the sum of ln x is below s
+            exact_power, power_err = _sum_log_chi2_cdf(s, cfg.d0, n)
+            exact_size, size_err = _sum_log_chi2_cdf(s, cfg.d0 + 1, n)
+            assert max(power_err, size_err) < 1e-6
+            assert abs(power - exact_power) <= 4 * math.sqrt(power * (1 - power) / cfg.mc_power), alpha
+            assert abs(exact_size - alpha) <= 4 * math.sqrt(alpha * (1 - alpha) / cfg.mc_calibration), alpha
+            exact_powers.append(exact_power)
+        assert len(exact_powers) == 13 and np.all(np.diff(exact_powers) > 0)
+
+
 class TestChi2Streams:
+    # Blocks of DRAW_BLOCK_CELLS = 65,536 cells; the allocating loop's chunks hold
+    # 2M, so equal bits also show that no statistic depends on the block height.
     @pytest.mark.parametrize("d0, df, batches, n", [
-        (50, 51, 100, 400),       # fewer batches than one chunk (5000 rows)
-        (50, 50, 2001, 3000),     # three full chunks of 666 rows and a partial one
-        (3, 4, 3, 2_000_001),     # one row per chunk
+        (50, 51, 100, 400),       # fewer batches than one block (163 rows)
+        (50, 50, 2001, 3000),     # 95 full blocks of 21 rows and a partial one of 6
+        (3, 4, 3, 70_000),        # n above the block: one row per block
     ])
     def test_buffered_draws_equal_the_allocating_loop(self, d0, df, batches, n):
         got = experiments._batch_loglik_ratio(d0, df, batches, n, seed=5)
         assert np.array_equal(got, _batch_loglik_ratio_reference(d0, df, batches, n, seed=5))
+
+    def test_peak_memory_does_not_grow_with_the_batch_count(self):
+        experiments._batch_loglik_ratio(50, 51, 1, 10, seed=0)  # the first call imports numpy.random
+        above_out = []
+        for batches in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                experiments._batch_loglik_ratio(50, 51, batches, 2000, seed=5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            above_out.append(peak - 8 * batches)
+        # one block of 32 rows x 2000 draws is 512 kB; a 2M-cell buffer is 16 MB
+        assert abs(above_out[1] - above_out[0]) <= 4096, above_out
+        assert max(above_out) < 1 << 20, above_out
 
     def test_rows_equal_the_sequential_streams(self, small_table):
         cfg, table = small_table
