@@ -41,9 +41,9 @@ KELLY_MAX_ITER = 200
 GRID_FALLBACK = 20001
 #: entry fee C, the starting wealth of every :func:`verify_supermartingale` run
 AUDIT_ENTRY_FEE = 15.0
-#: Rows of the largest :func:`kelly_bets` call a cold :func:`plugin_paths`
-#: makes: each call solves as many whole rounds as fit (at least one), which
-#: bounds its memory to a few arrays of that many count rows.  The market's
+#: Count rows of one :func:`plugin_paths` block: as many whole rounds as fit
+#: (at least one), which bounds its memory to a few arrays of that many rows.
+#: A cold path solves a block per :func:`kelly_bets` call, so the market's
 #: 120 x 500 betting paths take 30 calls of 17 rounds instead of 499 of one.
 PATH_BLOCK_ROWS = 2048
 
@@ -174,12 +174,12 @@ def plugin_paths(
     """(bets, log-wealth, licenses) of plug-in Kelly betting along each row of ``z``.
 
     Round t bets against the add-one-smoothed counts of the row's first t
-    outcomes (round 0 bets nothing).  A cold bet depends only on those
-    counts, which ``z`` fixes in advance, so the cold path solves blocks of
-    whole rounds, at most ``PATH_BLOCK_ROWS`` rows, as one :func:`kelly_bets`
-    call each, with every block's counts from a cumulative one-hot sum carried
-    across blocks.  ``warm_start`` starts each solve from the row's previous
-    bet instead, so that path solves one round per call.  A warm start
+    outcomes (round 0 bets nothing).  Those counts depend only on ``z``, so
+    every path takes them in blocks of whole rounds, at most
+    ``PATH_BLOCK_ROWS`` rows, from a cumulative one-hot sum carried across
+    blocks.  A cold path solves each block as one :func:`kelly_bets` call.
+    ``warm_start`` starts each solve from the row's previous bet instead, so
+    a warm path solves its blocks one round per call.  A warm start
     changes the Newton path, so its bets agree with cold starts only to
     ``NEWTON_TOL``, not bit for bit; the fairness scenario's CSV depends on
     its warm starts (turning them off moves 11,098 fairness cells, at most
@@ -192,18 +192,15 @@ def plugin_paths(
     m = b.space.size
     span = max(1, PATH_BLOCK_ROWS // max(runs, 1))  # rounds per block
     lams = np.zeros((runs, n))
-    if warm_start:
-        counts = np.zeros((runs, m), dtype=np.int64)
-        rows = np.arange(runs)
-        for t in range(1, n):
-            counts[rows, z[:, t - 1]] += 1
-            lams[:, t] = kelly_bets(_smoothed(counts, t, m), b, cfg, init=lams[:, t - 1])
-    else:
-        counts = np.zeros((runs, 1, m), dtype=np.int64)
-        for t0 in range(1, n, span):
-            t1 = min(n, t0 + span)
-            counts = counts[:, -1:] + np.cumsum(z[:, t0 - 1:t1 - 1, None] == np.arange(m), axis=1)
-            probs = _smoothed(counts, np.arange(t0, t1)[:, None], m)
+    counts = np.zeros((runs, 1, m), dtype=np.int64)
+    for t0 in range(1, n, span):
+        t1 = min(n, t0 + span)
+        counts = counts[:, -1:] + np.cumsum(z[:, t0 - 1:t1 - 1, None] == np.arange(m), axis=1)
+        probs = _smoothed(counts, np.arange(t0, t1)[:, None], m)
+        if warm_start:
+            for t in range(t0, t1):
+                lams[:, t] = kelly_bets(probs[:, t - t0], b, cfg, init=lams[:, t - 1])
+        else:
             lams[:, t0:t1] = kelly_bets(probs.reshape(-1, m), b, cfg).reshape(runs, t1 - t0)
     log_wealth = np.empty((runs, n))
     licenses = np.empty((runs, n))

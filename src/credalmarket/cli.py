@@ -62,6 +62,8 @@ NONCONVERGED = ("the risk-averse optimizer hit its iteration cap or returned a l
 
 
 def _check_out(path: str, force: bool) -> None:
+    if not str(path):  # Path("") is the working directory
+        raise ValueError("output path --out is empty")
     target = Path(path)
     if target.is_dir():
         raise ValueError(f"output {path} is a directory")
@@ -79,7 +81,7 @@ def cmd_license(args: argparse.Namespace) -> int:
                           required=fields)
     params = MechanismParams.from_json(payload["params"], "license config field 'params'")
     q = json_categorical(payload["provider"], "license config field 'provider'", credal.space)
-    if args.out:
+    if args.out is not None:
         _check_out(args.out, args.force)
 
     neutral = sup_value_over_obedient(q, credal, params)
@@ -94,7 +96,7 @@ def cmd_license(args: argparse.Namespace) -> int:
         np_license = neyman_pearson_license(q, credal.vertices[0], params)
         print(f"neyman_pearson_payout={np_license.payout.tolist()!r}")
 
-    if args.out:
+    if args.out is not None:
         write_json(args.out, {
             "risk_neutral": neutral.license.to_json(params),
             "risk_averse": averse.license.to_json(params),
@@ -130,14 +132,14 @@ def cmd_market(args: argparse.Namespace) -> int:
                                   metric=req.get("metric"), tau=req.get("tau"))
     n = json_integer(payload.get("n", 500), "market config field 'n'", 0)
     seed = json_integer(args.seed if args.seed is not None else payload.get("seed", 0), "seed", 0)
-    if args.out:
-        summary = Path(args.out).with_suffix(".summary.json")
+    if args.out is not None:
         _check_out(args.out, args.force)
+        summary = Path(args.out).with_suffix(".summary.json")
         _check_out(summary, args.force)
     report = simulate_market(providers, requirement, credal, params,
                              mechanism=payload.get("mechanism", "optimal-LP"), n=n, seed=seed)
 
-    if args.out:
+    if args.out is not None:
         report.to_csv(args.out)
         report.save_summary(summary)
         print(f"wrote={args.out}")
@@ -163,7 +165,7 @@ def cmd_betting(args: argparse.Namespace) -> int:
                                      json_number(payload["tau"], "betting config field 'tau'"))
     n = json_integer(payload.get("n", 500), "betting config field 'n'", 1)
     seed = json_integer(args.seed if args.seed is not None else payload.get("seed", 0), "seed", 0)
-    if not args.out:
+    if args.out is None:
         raise ValueError("betting run needs --out for the trajectory CSV")
     _check_out(args.out, args.force)
     stream = SampleStream(source, seed=seed)
@@ -176,9 +178,9 @@ def cmd_betting(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    payload = load_json(args.config, "experiment config") if args.config else {}
+    payload = load_json(args.config, "experiment config") if args.config is not None else {}
     cfg = load_config(args.scenario, payload, seed=args.seed)
-    out = args.out or f"{args.scenario}.csv"
+    out = f"{args.scenario}.csv" if args.out is None else args.out
     _check_out(out, args.force)
     table = run_scenario(cfg)  # raises on a value out of its range before the first draw
     table.to_csv(out)

@@ -168,7 +168,7 @@ def run_simplex_gaming(cfg: SimplexGamingConfig) -> ResultTable:
     space = EvidenceSpace.of_size(3)
     points = [Categorical(space, p) for p in SIMPLEX_POINTS]
     hull = CredalSet(space, tuple(points))
-    q = (_config_distribution(cfg, "provider_q", space) if cfg.provider_q
+    q = (_config_distribution(cfg, "provider_q", space) if cfg.provider_q is not None
          else Categorical(space, np.mean(SIMPLEX_POINTS, axis=0)))
     z = _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed)
     log_num = _empirical_loglik(z, space.size)

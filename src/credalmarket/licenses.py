@@ -266,72 +266,76 @@ def minimize_kappas(
     params: MechanismParams,
     n_starts: int = 8,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`minimize_kappa` for many types in one lock-step search.
+    """:func:`minimize_kappa` for many types, one lock-step search per support pattern.
 
     Returns the best weights (one row per type), the kappa values and the
-    converged flags, each type's to the bit of its one-type search.
+    converged flags, in the order of ``qs``, each type's to the bit of its
+    one-type search.
 
-    Every (type, start) pair is a row of one weight matrix, and the row
-    carries its type's Q in arrays indexed like it.  All rows advance in
-    lock-step: one batched gradient, projection and kappa evaluation per
-    iteration, and a backtracking line search over the rows still
-    searching.  A row leaves when it is stationary or when 40 halvings find
-    no decrease.  The line search takes the halvings in chunks: halving 0
-    alone, then from halving h the next h (1, 2-3, 4-7, ..., capped at
-    halving 39 and so that a chunk stacks at most as many rows as one type
-    has starts, unless one halving already does).  One projection and one
-    kappa evaluation cover every searching row at every halving of the
-    chunk, and a row moves to its first improving halving there.  Each row
-    takes exactly the steps, and gets exactly the bits, that the start would
-    get alone: the projection and P = wV (one gemv per row) work row by row,
-    kappa sums over the type's support, so its rows are grouped by support
-    pattern, and every dot product runs over C-contiguous rows (see
-    :func:`_column_subset`).
+    kappa sums over Q's support only, so the types are split by support
+    pattern once, and each pattern's types run one search whose results are
+    scattered back to their positions.  In a search every (type, start) pair
+    is a row of one weight matrix, and the only per-row copy of Q is on the
+    support.  All rows advance in lock-step: one batched gradient,
+    projection and kappa evaluation per iteration, and a backtracking line
+    search over the rows still searching.  A row leaves when it is
+    stationary or when 40 halvings find no decrease.  The line search takes
+    the halvings in chunks: halving 0 alone, then from halving h the next h
+    (1, 2-3, 4-7, ..., capped at halving 39 and so that a chunk stacks at
+    most as many rows as one type has starts, unless one halving already
+    does).  One projection and one kappa evaluation cover every searching
+    row at every halving of the chunk, and a row moves to its first
+    improving halving there.  Each row takes exactly the steps, and gets
+    exactly the bits, that the start would get alone: the projection and
+    P = wV (one gemv per row) work row by row, kappa and the gradient work
+    on the support columns, and every dot product runs over C-contiguous
+    rows (see :func:`_column_subset`).
     """
     require_same_space(credal, *qs)
     V = credal.vertex_matrix
     k, m = V.shape
-    n = max(n_starts, k + 1)  # starts per type
-    owner = np.repeat(np.arange(len(qs)), n)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(KAPPA_SEED)))
+    W0 = np.empty((max(n_starts, k + 1), k))  # every type's starts
+    W0[:k] = np.eye(k)
+    W0[k] = 1.0 / k
+    for i in range(k + 1, W0.shape[0]):
+        W0[i] = rng.dirichlet(np.ones(k))
     Q = np.array([q.probs for q in qs]).reshape(len(qs), m)
+    W, values, converged = np.empty((len(qs), k)), np.empty(len(qs)), np.empty(len(qs), bool)
     patterns, pattern_of = np.unique(Q > 0.0, axis=0, return_inverse=True)
-    QP = Q[owner]
-    # Each type's Q on its support, left-aligned: kappa's row dot runs over it.
-    QS = np.zeros((len(qs), int(patterns.sum(axis=1).max(initial=0))))
-    for q, row in zip(QS, Q):
-        q[:np.count_nonzero(row)] = row[row > 0.0]
-    QS, row_pattern = QS[owner], pattern_of[owner]
-    log_cap = math.log(params.cap_ratio)
+    for j, support in enumerate(patterns):
+        types = np.flatnonzero(pattern_of == j)
+        W[types], values[types], converged[types] = _kappa_search(
+            Q[types], support, V, W0, math.log(params.cap_ratio))
+    return W, values, converged
+
+
+def _kappa_search(Q: np.ndarray, support: np.ndarray, V: np.ndarray, W0: np.ndarray,
+                  log_cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`minimize_kappas`' search for the types ``Q`` of one ``support``, from starts ``W0``."""
+    (k, m), n = V.shape, W0.shape[0]  # n starts per type
+    VS = _column_subset(V, support)
+    QS = np.repeat(_column_subset(Q, support), n, axis=0)
 
     def probs_of(W: np.ndarray) -> np.ndarray:
         return np.matmul(W[:, None, :], V)[:, 0, :]
 
-    def capped_kl(q: np.ndarray, P: np.ndarray, support: np.ndarray) -> np.ndarray:
-        return np.vecdot(np.minimum(log_ratio(q, _column_subset(P, support)), log_cap), q)
-
     def kappa_of(P: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """kappa of ``rows`` at P, whose second-last axis runs over them."""
-        if len(patterns) == 1:  # one support for every type: no grouping
-            return capped_kl(QS[rows], P, patterns[0])
-        values = np.empty(P.shape[:-1])
-        for j, support in enumerate(patterns):
-            sel = np.flatnonzero(row_pattern[rows] == j)
-            if sel.size:  # a fancy row index and a slice give a C-contiguous copy
-                q = QS[rows[sel], :np.count_nonzero(support)]
-                values[..., sel] = capped_kl(q, P[..., sel, :], support)
-        return values
+        q = QS[rows]
+        return np.vecdot(np.minimum(log_ratio(q, _column_subset(P, support)), log_cap), q)
 
-    def row_gradients(P: np.ndarray, qp: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        X = _column_subset(qp, mask) / _column_subset(P, mask)
-        return -np.matmul(V[:, mask], X[:, :, None])[:, :, 0]
+    def row_gradients(PS: np.ndarray, q: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        X = _column_subset(q, mask) / _column_subset(PS, mask)
+        return -np.matmul(VS[:, mask], X[:, :, None])[:, :, 0]
 
     def gradients(P: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        qp = QP[rows]
+        q, PS = QS[rows], _column_subset(P, support)
         # P = 0 < Q gives +inf, so the ratio test also drops vanishing P.
-        active = (qp > 0.0) & (log_ratio(qp, P) < log_cap)
+        active = log_ratio(q, PS) < log_cap
         mask = active[0]
         if (active == mask).all():  # one mask for every row: no grouping
-            return row_gradients(P, qp, mask) if mask.any() else np.zeros((P.shape[0], k))
+            return row_gradients(PS, q, mask) if mask.any() else np.zeros((P.shape[0], k))
         # Group rows by mask.  One 1-D key per row, the mask's packed bytes,
         # sorts 2-3x faster than np.unique(axis=0) over the bool rows.
         packed = np.packbits(active, axis=1)
@@ -342,17 +346,10 @@ def minimize_kappas(
             mask = active[row]
             if mask.any():
                 sel = np.flatnonzero(group == j)
-                G[sel] = row_gradients(P[sel], qp[sel], mask)
+                G[sel] = row_gradients(PS[sel], q[sel], mask)
         return G
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(KAPPA_SEED)))
-    W0 = np.empty((n, k))
-    W0[:k] = np.eye(k)
-    W0[k] = 1.0 / k
-    for i in range(k + 1, n):
-        W0[i] = rng.dirichlet(np.ones(k))
-    W = np.tile(W0, (len(qs), 1))
-
+    W = np.tile(W0, (Q.shape[0], 1))
     P = probs_of(W)
     live = np.arange(W.shape[0])
     vals = kappa_of(P, live)
@@ -391,8 +388,8 @@ def minimize_kappas(
         live = live[~np.isin(live, searching)]
 
     # Per type, the lowest start index within 1e-15 of the least value.
-    best = np.empty(len(qs), dtype=np.intp)
-    for t, type_vals in enumerate(vals.reshape(len(qs), n).tolist()):
+    best = np.empty(Q.shape[0], dtype=np.intp)
+    for t, type_vals in enumerate(vals.reshape(-1, n).tolist()):
         best_idx, best_val = n - 1, np.inf
         for idx, val in enumerate(type_vals):
             if val < best_val - 1e-15:

@@ -250,10 +250,12 @@ class TestBatchedPaths:
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), runs=st.integers(1, 5),
            n=st.integers(0, 80), no_loss=st.booleans(),
            block=st.sampled_from(["1", "runs-1", "runs+1", "short-last"]),
-           max_iter=st.sampled_from([1, 2, 200]))
+           max_iter=st.sampled_from([1, 2, 200]), warm_start=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_cold_blocks_match_per_row_scalar_loop_bitwise(self, seed, m, runs, n, no_loss,
-                                                           block, max_iter):
+                                                           block, max_iter, warm_start):
+        # Warm paths take their counts from the same blocks, so a patched
+        # block size makes their warm starts cross block boundaries too.
         rng = np.random.default_rng(seed)
         score = rng.uniform(-2.0, 2.0, size=m)
         if no_loss:
@@ -266,8 +268,8 @@ class TestBatchedPaths:
         cfg = KellyConfig()
         with patch.object(betting, "PATH_BLOCK_ROWS", rows), \
                 patch.object(betting, "KELLY_MAX_ITER", max_iter):
-            got = plugin_paths(z, b, cfg, PARAMS)
-            want = [scalar_paths(row, b, cfg, PARAMS) for row in z]
+            got = plugin_paths(z, b, cfg, PARAMS, warm_start=warm_start)
+            want = [scalar_paths(row, b, cfg, PARAMS, warm_start=warm_start) for row in z]
         for got_array, want_arrays in zip(got, zip(*want)):
             assert got_array.shape == (runs, n)
             assert np.array_equal(got_array, np.reshape(want_arrays, (runs, n)))

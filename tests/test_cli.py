@@ -144,6 +144,18 @@ class TestExperimentCommand:
         )
         assert code == 2
 
+    def test_empty_config_path_exits_2_before_running(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setattr("credalmarket.cli.run_scenario", fail)
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(capsys, "experiment", "simplex_gaming", "--config", "",
+                                    "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert "cannot read experiment config file" in err  # "" names the working directory
+        assert not out.exists()
+
     def test_config_for_another_scenario_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "chi2_strategic", "runs": 2}))
@@ -401,6 +413,22 @@ class TestOutputCheckedFirst:
         assert (tmp_path / existing).read_text() == "keep"
         assert not (tmp_path / absent).exists()
 
+    @pytest.mark.parametrize("command", ["license", "market", "betting", "experiment"])
+    def test_empty_output_path_exits_2_before_computing(self, capsys, tmp_path, monkeypatch,
+                                                       command):
+        def fail(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("sup_value_over_obedient", "simulate_market", "write_trajectory_csv",
+                     "run_scenario"):
+            monkeypatch.setattr(f"credalmarket.cli.{name}", fail)
+        argv = command_argv(tmp_path, command)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert code == 2 and out == "" and "--out" in err and "empty" in err
+        assert sorted(tmp_path.iterdir()) == before
+
 
 def test_license_that_is_not_obedient_exits_1(capsys, tmp_path):
     credal = write_json(tmp_path / "credal.json", {
@@ -538,6 +566,7 @@ class TestScenarioRangesCheckedFirst:
     @pytest.mark.parametrize("scenario, field, value", [
         ("simplex_gaming", "provider_q", [0.5, 0.5]),
         ("simplex_gaming", "provider_q", [0.5, 0.5, 0.5]),
+        ("simplex_gaming", "provider_q", []),
         ("synthetic_spurious", "q_compliant", [0.5, 0.5, 0.5, 0.5]),
         ("synthetic_spurious", "q_noncompliant", [1.5, -0.5, 0.0, 0.0]),
         ("synthetic_spurious", "p_random", [0.4, 0.4, 0.2]),
@@ -797,21 +826,26 @@ def test_input_that_is_a_directory_exits_2(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["license", "market", "betting", "experiment"])
-def test_output_that_is_a_directory_exits_2(capsys, tmp_path, command):
-    out_dir = tmp_path / "out"
-    out_dir.mkdir()
+def command_argv(tmp_path, command):
+    """Valid arguments of ``command`` without ``--out``, its input files written to ``tmp_path``."""
     path = {name: str(write_json(tmp_path / f"{name}.json", payload)) for name, payload in [
         ("license", LICENSE_CONFIG), ("singleton", SINGLETON_CREDAL), ("market", MARKET_CONFIG),
         ("hull", HULL_CREDAL), ("betting", BETTING_CONFIG)]}
-    argv = {
+    return {
         "license": ["license", "optimal", "--config", path["license"],
                     "--credal", path["singleton"]],
         "market": ["market", "simulate", "--config", path["market"], "--credal", path["hull"]],
         "betting": ["betting", "run", "--config", path["betting"]],
         "experiment": ["experiment", "synthetic_spurious"],
     }[command]
-    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir), "--force")
+
+
+@pytest.mark.parametrize("command", ["license", "market", "betting", "experiment"])
+def test_output_that_is_a_directory_exits_2(capsys, tmp_path, command):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run_cli(capsys, *command_argv(tmp_path, command), "--out", str(out_dir),
+                             "--force")
     assert code == 2 and out == "" and "is a directory" in err
     assert list(out_dir.iterdir()) == []
 

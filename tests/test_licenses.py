@@ -922,6 +922,23 @@ class TestLockStepKappa:
         assert_kappas_match_the_loop(types, credal, params)
         assert_kappas_match_the_loop(types[::-1], credal, params)
 
+    def test_interleaved_supports_scatter_back_to_input_order(self):
+        # Two types on each of two supports, interleaved: each support's search
+        # returns its types in its own order, and the scatter restores the input's.
+        (a1, b1), credal, params, _ = seeded_kappa_population(3, m=8, k=5, n_types=2)
+
+        def same_support(q, seed):
+            w = q.probs * np.random.default_rng(seed).uniform(0.5, 1.5, q.space.size)
+            return Categorical(q.space, w / w.sum())
+
+        types = [a1, b1, same_support(a1, 1), same_support(b1, 2)]
+        assert [tuple(q.probs > 0) for q in types[:2]] == [tuple(q.probs > 0) for q in types[2:]]
+        assert tuple(a1.probs > 0) != tuple(b1.probs > 0)
+        W, _, _ = minimize_kappas(types, credal, params)
+        assert not np.array_equal(W[0], W[2]) and not np.array_equal(W[1], W[3])
+        assert_kappas_match_the_loop(types, credal, params)
+        assert_kappas_match_the_loop(types[::-1], credal, params)
+
     def test_no_types(self):
         _, credal, params, _ = market_kappa_instance(1)
         W, vals, converged = minimize_kappas([], credal, params)
