@@ -8,9 +8,10 @@ solver (one LP for :func:`membership`, many for :func:`uncovered_masses`).
 A threshold set {P : E_P[score] >= tau}, such as the fairness scenario's
 non-compliant set, is built from the probability grid points it contains.
 
-The mixture search :func:`maximize_over_mixtures` polishes its best grid
-point with a NumPy copy of scipy's Nelder-Mead, so the package needs numpy
-and the standard library alone at runtime; scipy serves only the tests.
+The mixture search :func:`maximize_over_mixtures` returns the first best
+point of a weight grid.  The grid holds every point as a unit weight, so a
+convex value function, such as an obedient LP mechanism's (a maximum of
+functions linear in Q), reaches its maximum over the hull there.
 """
 
 from __future__ import annotations
@@ -222,68 +223,10 @@ def _weight_grid(k: int, resolution: float) -> np.ndarray:
 
 
 def _check_grid_resolution(resolution) -> None:
+    """Reject a step the weight grid would not take: ``_weight_grid`` steps by 1 / round(1 / r)."""
     if isinstance(resolution, bool) or not isinstance(resolution, numbers.Real) \
-            or not 0.0 < resolution <= 1.0:
-        raise ValueError(f"grid_resolution must be a finite number in (0, 1], got {resolution!r}")
-
-
-def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray) -> np.ndarray:
-    """The best vertex Nelder & Mead's simplex method (Computer J., 1965) reaches from ``x0``.
-
-    A step-for-step copy of ``scipy.optimize.minimize(func, x0,
-    method="Nelder-Mead", options={"maxiter": 400, "xatol": 1e-8, "fatol":
-    1e-12})``, its non-adaptive and unbounded branch: the same initial simplex,
-    coefficients (reflect 1, expand 2, contract and shrink 1/2), sorts and
-    centroid sum, so it evaluates the same points and returns scipy's ``x``
-    to the bit.
-    """
-    N = len(x0)
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
-    for k in range(N):
-        y = np.array(x0, copy=True)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.array([func(x) for x in sim], dtype=float)
-    for _ in range(2):  # scipy sorts twice after the first evaluations
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    iterations = 1
-    while iterations < 400:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-8
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = 2 * xbar - sim[-1]
-        fxr = func(xr)
-        shrink = False
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = func(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = 1.5 * xbar - 0.5 * sim[-1]
-            fxc = func(xc)
-            shrink = not fxc <= fxr
-            if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
-        else:
-            xcc = 0.5 * xbar + 0.5 * sim[-1]
-            fxcc = func(xcc)
-            shrink = not fxcc < fsim[-1]
-            if not shrink:
-                sim[-1], fsim[-1] = xcc, fxcc
-        if shrink:
-            for j in range(1, N + 1):
-                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                fsim[j] = func(sim[j])
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0]
+            or not 0.0 < resolution <= 1.0 or abs(1.0 / resolution - round(1.0 / resolution)) > 1e-9:
+        raise ValueError(f"grid_resolution must be 1/n for a whole number n >= 1, got {resolution!r}")
 
 
 def maximize_over_mixtures(
@@ -291,11 +234,15 @@ def maximize_over_mixtures(
     value_fn: Callable[[Categorical], float],
     grid_resolution: float = 0.02,
 ) -> tuple[np.ndarray, float]:
-    """Grid-plus-local-refinement search of a value function over mixtures.
+    """The first weight-grid mixture of the points with the largest value, and that value.
 
-    The points are stacked once; each candidate mixture is ``w @ P``, the
-    product :func:`evidence.mixture` forms, so the bits are the same.  The
-    grid steps the weights by ``grid_resolution``, a number in (0, 1].
+    The grid steps the weights by ``grid_resolution``, 1/n for a whole
+    number n, so it holds every point as a unit weight: a convex value
+    function, an obedient LP mechanism's among them, peaks there over the
+    hull.  A value that is not convex, such as the naive regulator's, may
+    peak off the grid; any grid mixture that beats the fee still witnesses
+    the gaming.  The points are stacked once; each mixture is ``w @ P``, the
+    product :func:`evidence.mixture` forms, so the bits are the same.
     """
     _check_grid_resolution(grid_resolution)
     space = require_same_space(*points)
@@ -303,21 +250,7 @@ def maximize_over_mixtures(
     grid = _weight_grid(len(points), grid_resolution)
     values = [value_fn(Categorical(space, w @ P)) for w in grid]
     best = int(np.argmax(values))  # the first grid point of the largest value
-    best_w, best_v = grid[best], values[best]
-
-    def softmax(logits: np.ndarray) -> np.ndarray:
-        e = np.exp(logits - logits.max())
-        return e / e.sum()
-
-    # Nelder-Mead on softmax logits keeps iterates on the simplex.
-    def neg_value(logits: np.ndarray) -> float:
-        return -value_fn(Categorical(space, softmax(logits) @ P))
-
-    w_ref = softmax(_nelder_mead(neg_value, np.log(np.clip(best_w, 1e-9, None))))
-    v_ref = value_fn(Categorical(space, w_ref @ P))
-    if v_ref > best_v:
-        best_w, best_v = w_ref, v_ref
-    return np.asarray(best_w), float(best_v)
+    return grid[best], float(values[best])
 
 
 def strategic_mixture_best_response(
@@ -328,10 +261,12 @@ def strategic_mixture_best_response(
 ) -> tuple[np.ndarray, float]:
     """Best mixture of base models against a mechanism's value function.
 
+    The first best point of :func:`maximize_over_mixtures`' weight grid.
     Defaults to the naive per-point sequential regulator (the gaming target of
     the simplex experiment); pass the credal mechanism's value function, e.g.
     ``lambda q: sup_value_over_obedient(q, credal, params).value``, to confirm
-    that no mixture beats an obedient mechanism.
+    that no mixture beats an obedient mechanism: the grid holds every base
+    model, so that convex value reaches its maximum over the hull there.
     """
     if len(base_models) < 2:
         raise ValueError("strategic mixing needs at least two base models")

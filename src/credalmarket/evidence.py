@@ -81,6 +81,8 @@ class EvidenceSpace:
 
 def load_json(path: str | Path, what: str):
     """The parsed JSON of file ``path``; any read or parse failure is a ValueError naming it."""
+    if path == "":  # Path("") would read the working directory
+        raise ValueError(f"cannot read {what} file: the path is empty")
     try:
         return json.loads(Path(path).read_text())
     except OSError as err:  # missing, a directory, unreadable

@@ -153,7 +153,7 @@ class TestExperimentCommand:
         code, stdout, err = run_cli(capsys, "experiment", "simplex_gaming", "--config", "",
                                     "--out", str(out))
         assert code == 2 and stdout == ""
-        assert "cannot read experiment config file" in err  # "" names the working directory
+        assert "cannot read experiment config file: the path is empty" in err
         assert not out.exists()
 
     def test_config_for_another_scenario_exits_2(self, capsys, tmp_path):
@@ -164,6 +164,20 @@ class TestExperimentCommand:
         assert code == 2
         assert "'scenario'" in err and "chi2_strategic" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, what", [("license", "--credal", "credal set"),
+                                                 ("market", "--config", "market config")])
+def test_an_empty_input_path_is_named(capsys, tmp_path, singleton_credal, license_config,
+                                      command, flag, what):
+    # Path("") is the working directory, a read that named no file
+    argv = {"license": ["license", "optimal", "--config", str(license_config)],
+            "market": ["market", "simulate", "--credal", str(singleton_credal)]}[command]
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, *argv, flag, "", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert f"cannot read {what} file: the path is empty" in err
+    assert not out.exists()
 
 
 class TestMarketCommand:

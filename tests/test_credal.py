@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from conftest import random_categorical, random_credal
 from credalmarket import credal, market
@@ -14,7 +14,6 @@ from credalmarket.credal import (
     MEMBERSHIP_TOL,
     CredalSet,
     _grid_compositions,
-    _nelder_mead,
     _weight_grid,
     approximate_constraint_set,
     gaming_witness,
@@ -366,11 +365,34 @@ class TestMixtureSearch:
 
         w, v = maximize_over_mixtures(points, value, grid_resolution=resolution)
         grid = _weight_grid(k, resolution)
-        assert len(seen) > len(grid)  # the grid, then the Nelder-Mead evaluations
+        assert len(seen) == len(grid)  # the search evaluates exactly the grid
         for got, wg in zip(seen, grid):
             assert np.array_equal(got, mixture(points, wg).probs)
-        # the returned weights reproduce the returned value, grid point or refined
+        # the returned weights are a grid point and reproduce the returned value
+        assert any(np.array_equal(w, wg) for wg in grid)
         assert float(mixture(points, w).probs @ h) == v
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 4), m=st.integers(3, 5), ratio=st.sampled_from([1.2, 2.0, 16.7]),
+           resolution=st.sampled_from([0.25, 0.1]), seed=st.integers(0, 2**32 - 1))
+    def test_an_obedient_lp_value_peaks_at_a_point(self, k, m, ratio, resolution, seed):
+        # E_Q pi is linear in Q, so the LP value max_pi E_Q pi is convex in Q and
+        # peaks over the hull at a point, a unit weight of the grid: the grid
+        # search finds the largest point LP, and no mixture games the mechanism.
+        rng = np.random.default_rng(seed)
+        hull = random_credal(rng, EvidenceSpace.of_size(m), k)
+        points = list(hull.vertices)
+        params = MechanismParams(C=15.0, R=15.0 * ratio)
+
+        def builder(points, C, R, horizon):
+            return lambda q: sup_value_over_obedient(q, hull, params).value
+
+        _, v = strategic_mixture_best_response(
+            points, params, value_fn=builder(points, params.C, params.R, GAMING_HORIZON),
+            grid_resolution=resolution)
+        best_point = max(sup_value_over_obedient(p, hull, params).value for p in points)
+        assert abs(v - best_point) <= 1e-9
+        assert gaming_witness(points, params, builder, grid_resolution=resolution) is None
 
     def test_points_on_different_spaces_rejected(self, simplex_points):
         other = Categorical(EvidenceSpace(("a", "b", "c")), [0.2, 0.3, 0.5])
@@ -379,11 +401,13 @@ class TestMixtureSearch:
 
 
 class TestGridResolution:
-    """The mixture search's weight step is a number in (0, 1]."""
+    """The mixture search's weight step is 1/n for a whole number n."""
 
-    @pytest.mark.parametrize("resolution", [-0.5, 0.0, 2.0, np.inf, np.nan, True, "0.1"])
+    @pytest.mark.parametrize("resolution",
+                             [-0.5, 0.0, 2.0, np.inf, np.nan, True, "0.1", 0.3, 0.4, 0.7])
     def test_bad_grid_resolution_rejected(self, simplex_points, resolution):
-        # -0.5, 2.0 and inf once searched the vertices alone and missed the gaming
+        # -0.5, 2.0, inf and 0.7 once searched the vertices alone and missed the
+        # gaming; 0.3 and 0.4 searched thirds and halves
         params = MechanismParams(15.0, 250.0)
         for search in (lambda: maximize_over_mixtures(simplex_points, lambda q: 0.0, resolution),
                        lambda: strategic_mixture_best_response(simplex_points, params,
@@ -397,73 +421,6 @@ class TestGridResolution:
     def test_a_whole_step_searches_the_vertices(self, simplex_points):
         _, v = maximize_over_mixtures(simplex_points, lambda q: float(q.probs[0]), 1.0)
         assert v == pytest.approx(max(p.probs[0] for p in simplex_points))
-
-
-NELDER_MEAD_OPTIONS = {"maxiter": 400, "xatol": 1e-8, "fatol": 1e-12}
-
-
-def nelder_mead_test_function(family: str, seed: int, n: int):
-    """A smooth, non-smooth, capped or plateau objective on R^n."""
-    rng = np.random.default_rng(seed)
-    c, a = rng.normal(size=n), rng.uniform(0.5, 3.0, size=n)
-
-    def quadratic(x):
-        return float(((x - c) ** 2 * a).sum())
-
-    return {
-        "quadratic": quadratic,
-        "abs": lambda x: float((np.abs(x - c) * a).sum()),
-        "wavy": lambda x: float(np.sin(5.0 * x).sum()) + 0.1 * quadratic(x),
-        # the negated GLR value: flat at -R wherever the cap binds
-        "capped": lambda x: -min(15.0 * np.exp(min(40.0 * quadratic(x), 700.0)), 250.0),
-        "steps": lambda x: float(np.floor(4.0 * quadratic(x))) / 4.0,
-        "flat": lambda x: max(quadratic(x), 1.0),
-    }[family]
-
-
-def evaluated_points(minimizer, f, x0):
-    seen = []
-
-    def recorded(x):
-        seen.append(np.array(x, copy=True))
-        return f(x)
-
-    x = minimizer(recorded, x0)
-    return np.stack(seen), np.asarray(x)
-
-
-def scipy_nelder_mead(f, x0):
-    return minimize(f, x0, method="Nelder-Mead", options=NELDER_MEAD_OPTIONS).x
-
-
-class TestNelderMeadPort:
-    """``_nelder_mead`` evaluates scipy's Nelder-Mead points and returns its ``x``, to the bit."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(family=st.sampled_from(["quadratic", "abs", "wavy", "capped", "steps", "flat"]),
-           seed=st.integers(0, 2**32 - 1),
-           x0=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0), st.just(np.log(1e-9))),
-                       min_size=1, max_size=6))
-    @example(family="capped", seed=0, x0=[0.0, 0.0, 0.0])
-    def test_matches_scipy_bitwise(self, family, seed, x0):
-        f = nelder_mead_test_function(family, seed, len(x0))
-        x0 = np.array(x0)
-        ours, x = evaluated_points(_nelder_mead, f, x0)
-        theirs, x_scipy = evaluated_points(scipy_nelder_mead, f, x0)
-        assert ours.tobytes() == theirs.tobytes()
-        assert x.tobytes() == x_scipy.tobytes()
-
-    @pytest.mark.parametrize("family,x0", [("flat", [0.1, 0.0, -0.2]), ("capped", [4.0, 0.0])])
-    def test_plateaus_force_shrink_steps(self, family, x0):
-        # Without a shrink an iteration costs at most two evaluations; a tie
-        # on a plateau fails both contractions, so scipy shrinks the simplex.
-        f = nelder_mead_test_function(family, 1, len(x0))
-        res = minimize(f, x0, method="Nelder-Mead", options=NELDER_MEAD_OPTIONS)
-        assert res.nfev > len(x0) + 1 + 2 * (res.nit - 1)
-        ours, x = evaluated_points(_nelder_mead, f, np.array(x0))
-        theirs, _ = evaluated_points(scipy_nelder_mead, f, np.array(x0))
-        assert len(ours) == res.nfev and ours.tobytes() == theirs.tobytes()
-        assert x.tobytes() == res.x.tobytes()
 
 
 def test_json_round_trip(tmp_path, simplex_hull):
@@ -510,6 +467,12 @@ def test_load_errors_are_value_errors_naming_the_file(tmp_path, name, content, m
     with pytest.raises(ValueError, match=message) as err:
         CredalSet.load(path)
     assert str(path) in str(err.value)
+
+
+def test_an_empty_path_is_rejected_before_reading():
+    # Path("") is the working directory, a read that named no file
+    with pytest.raises(ValueError, match="cannot read credal set file: the path is empty"):
+        CredalSet.load("")
 
 
 def test_vertex_matrix_is_built_once_and_read_only(simplex_hull):

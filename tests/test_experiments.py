@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -532,3 +533,32 @@ class TestRunExperimentsCheck:
             "--outdir", str(tmp_path / "again"), "--check", str(tmp_path / "changed"))
         assert against_changed.returncode == 1, against_changed.stderr
         assert "differs" in against_changed.stdout
+        # the flipped byte turns the last row's "\r" into "\f", which float() reads as space
+        assert "stderr: 1 moved cells, largest change 0 absolute, 0 relative" in against_changed.stdout
+
+    def moved_cells(self, tmp_path, new_text):
+        spec = importlib.util.spec_from_file_location(
+            "run_experiments", self.ROOT / "scripts" / "run_experiments.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("# seed=0\nrun,power,label\n0,0.5,a\n1,0.25,b\n2,0.0,c\n")
+        new.write_text(new_text)
+        return script.moved_cells(new, old)
+
+    def test_moved_cells_names_each_moved_column(self, tmp_path):
+        lines = self.moved_cells(tmp_path, "# seed=1\nrun,power,label\n0,0.5,a\n1,0.3,x\n2,0.1,c\n")
+        assert lines == ["power: 2 moved cells, largest change 0.1 absolute, inf relative, "
+                         "first rows [2, 3]",
+                         "label: 1 moved cells, text cells, first rows [2]"]
+        lines = self.moved_cells(tmp_path, "# seed=0\nrun,power,label\n0,0.5,a\n1,0.3,b\n2,0.0,c\n")
+        assert lines == ["power: 1 moved cells, largest change 0.05 absolute, 0.2 relative, "
+                         "first rows [2]"]
+
+    def test_moved_cells_reports_a_changed_shape_in_one_line(self, tmp_path):
+        added = self.moved_cells(tmp_path, "run,power,label\n0,0.5,a\n1,0.25,b\n2,0.0,c\n3,1.0,d\n")
+        assert added == ["row count changed: 3 -> 4"]
+        renamed = self.moved_cells(tmp_path, "run,power,tag\n0,0.5,a\n1,0.25,b\n2,0.0,c\n")
+        assert renamed == ["header changed: [['run', 'power', 'label']] -> [['run', 'power', 'tag']]"]
+        same_cells = self.moved_cells(tmp_path, "run,power,label\r\n0,0.5,a\r\n1,0.25,b\r\n2,0.0,c\r\n")
+        assert same_cells == ["no cell moved: the comment line or the line endings differ"]
