@@ -76,14 +76,15 @@ def looped_box_lp(c, A, b, u):
         if entering < 0:
             break
         col, rhs = T[:m_rows, entering], T[:m_rows, -1]
-        best_ratio, leaving = np.inf, -1
+        least = np.inf
         for i in range(m_rows):
             if col[i] > PIVOT_TOL:
-                r = rhs[i] / col[i]
-                if r < best_ratio - PIVOT_TOL or (
-                    abs(r - best_ratio) <= PIVOT_TOL and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio, leaving = r, i
+                least = min(least, rhs[i] / col[i])
+        leaving = -1
+        for i in range(m_rows):
+            if col[i] > PIVOT_TOL and rhs[i] / col[i] <= least + PIVOT_TOL:
+                if leaving < 0 or basis[i] < basis[leaving]:
+                    leaving = i
         pivot = T[leaving, entering]
         T[leaving] /= pivot
         for i in range(m_rows + 1):
@@ -119,8 +120,29 @@ def fixed_box_lps():
     return lps
 
 
+def near_tie_box_lp(rng):
+    """A box LP whose ratios tie within a few PIVOT_TOL: integer A, b near 1 or 2."""
+    n, k = int(rng.integers(2, 4)), int(rng.integers(3, 7))
+    A = rng.integers(0, 3, size=(k, n)).astype(float)
+    b = 1.0 + rng.integers(0, 2, size=k) + rng.integers(-3, 4, size=k) * 0.45e-10
+    return rng.integers(1, 4, size=n).astype(float), A, b, np.full(n, 5.0)
+
+
+def witness_box_lps():
+    """Near-tie LPs on which a row-by-row ratio scan's x broke A x <= b by 1.35e-10."""
+    return [
+        ([1.0, 3.0], [[1, 2], [0, 2], [0, 2], [1, 0]],
+         [2.0, 1.999999999955, 1.999999999865, 1.999999999865], [5.0, 5.0]),
+        ([3.0, 2.0], [[0, 1], [0, 2], [0, 1], [1, 1], [0, 0], [2, 1]],
+         [1.0, 1.999999999955, 0.99999999991, 1.000000000045, 0.999999999955, 1.000000000045],
+         [5.0, 5.0]),
+        ([3.0, 2.0, 3.0], [[1, 0, 2], [2, 1, 2], [2, 1, 1]],
+         [1.999999999955, 1.999999999955, 1.000000000045], [5.0, 5.0, 5.0]),
+    ]
+
+
 def random_box_lps():
-    """300 license-shaped (sparse objective), membership-shaped and generic box LPs."""
+    """300 license-shaped (sparse objective), membership-shaped and generic box LPs, then 100 near-tie LPs."""
     rng = np.random.default_rng(6)
     lps = []
     for trial in range(300):
@@ -135,7 +157,7 @@ def random_box_lps():
         else:
             lps.append((rng.normal(size=m), rng.uniform(0.0, 1.0, size=(k, m)),
                         rng.uniform(0.2, 2.0, size=k), rng.uniform(0.2, 3.0, size=m)))
-    return lps
+    return lps + [near_tie_box_lp(rng) for _ in range(100)]
 
 
 def assert_lock_step_rows_equal_single_solves(c, A, b, u):
@@ -157,30 +179,31 @@ def assert_lock_step_rows_equal_single_solves(c, A, b, u):
 
 class TestSimplexSolver:
     def test_bitwise_equal_to_the_looped_tableau(self):
-        for lp in random_box_lps() + fixed_box_lps():
+        for lp in random_box_lps() + fixed_box_lps() + witness_box_lps():
             sol = solve_box_lp(*lp)
             x, value, duals, iterations = looped_box_lp(*lp)
             assert sol.x.tobytes() == x.tobytes() and sol.duals.tobytes() == duals.tobytes()
             assert sol.value == value and sol.iterations == iterations
 
     def test_near_tie_ratios_follow_bland_row_order(self):
-        # Scanning rows in order, the third ratio beats the first by more than
-        # PIVOT_TOL and leaves; the minimum-then-lowest-basic-index rule would
-        # take the second, which ties with the minimum.
+        # Of the rows within PIVOT_TOL of the least ratio (the third), the one
+        # whose basic variable has the lowest index leaves: the second, whose
+        # ratio is 0.7e-10 above the least.  The first is 1.4e-10 above it.
         b = np.array([1.0, 1.0 - 0.7e-10, 1.0 - 1.4e-10])
         lp = ([1.0], np.ones((3, 1)), b, [10.0])
         sol = solve_box_lp(*lp)
-        assert sol.x[0] == b[2]
+        assert sol.x[0] == b[1]
         x, value, duals, iterations = looped_box_lp(*lp)
         assert sol.x.tobytes() == x.tobytes() and sol.duals.tobytes() == duals.tobytes()
         assert sol.value == value and sol.iterations == iterations
 
     def test_lock_step_rows_equal_single_solves_by_shape(self):
         # Each shape group shares its first LP's A and upper bounds and keeps
-        # every member's objective and right-hand side.
+        # every member's objective and right-hand side.  Integer A (the
+        # near-tie LPs) groups apart, so its groups keep their near-ties.
         groups = {}
         for c, A, b, u in random_box_lps():
-            groups.setdefault((c.size, b.size), []).append((c, A, b, u))
+            groups.setdefault((c.size, b.size, not (A % 1).any()), []).append((c, A, b, u))
         assert len(groups) > 20 and max(map(len, groups.values())) > 5
         for lps in groups.values():
             A, u = lps[0][1], lps[0][3]
@@ -199,14 +222,25 @@ class TestSimplexSolver:
             assert_lock_step_rows_equal_single_solves(c, A, b, u)
             assert_lock_step_rows_equal_single_solves(
                 c0 if np.array_equal(c0, c1) else c, A, b0 if np.array_equal(b0, b1) else b, u)
-        for c, A, b, u in lps:
-            assert_lock_step_rows_equal_single_solves(c[None], A, b, u)
+        for c, A, b, u in lps + witness_box_lps():
+            assert_lock_step_rows_equal_single_solves(np.atleast_2d(c), A, b, u)
 
     def test_lock_step_near_tie_among_other_lps(self):
+        # Each near-tie LP takes, of the constraints within PIVOT_TOL of its
+        # least ratio, the one of lowest basic index: LP 1 its second
+        # (1 - 0.7e-10) and LP 3, the reversed near-tie, its first (1 - 1.4e-10).
         near_tie = np.array([1.0, 1.0 - 0.7e-10, 1.0 - 1.4e-10])
         b = np.array([[1.0, 2.0, 3.0], near_tie, [3.0, 2.0, 1.0], near_tie[::-1], [0.0, 1.0, 1.0]])
         batch = assert_lock_step_rows_equal_single_solves([1.0], np.ones((3, 1)), b, [10.0])
-        assert batch.x[1, 0] == near_tie[2] and batch.x[3, 0] == near_tie[2]
+        assert batch.x[1, 0] == near_tie[1] and batch.x[3, 0] == near_tie[2]
+
+    @pytest.mark.parametrize("lp", witness_box_lps())
+    def test_near_tie_witnesses_stay_within_pivot_tol(self, lp):
+        # Both solvers' x keep A x <= b + PIVOT_TOL and 0 <= x <= u.
+        c, A, b, u = (np.asarray(v, dtype=float) for v in lp)
+        for x in (solve_box_lp(c, A, b, u).x, solve_box_lps(c[None], A, b, u).x[0]):
+            assert (A @ x <= b + PIVOT_TOL).all()
+            assert (x >= 0.0).all() and (x <= u).all()
 
     @pytest.mark.parametrize("lps_per_block", [1, 3, None])
     def test_lock_step_batch_larger_than_one_block(self, monkeypatch, lps_per_block):
