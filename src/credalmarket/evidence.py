@@ -4,9 +4,9 @@ Everything downstream (credal sets, licenses, betting, markets) works over a
 finite outcome space, so expectations and optimization problems stay exact.
 
 Randomness: all sampling uses numpy's PCG64 generator seeded through
-``SeedSequence``; outcome draws go through an explicit inverse-CDF lookup so
-sequences are reproducible bit-for-bit at a fixed seed.  Replicate seeds are
-derived with :func:`spawn_seeds`.
+``SeedSequence``; outcome draws invert the cdf by counting the boundaries at
+or below each uniform, so sequences are reproducible bit-for-bit at a fixed
+seed.  Replicate seeds are derived with :func:`spawn_seeds`.
 
 All types are immutable after construction except :class:`SampleStream`,
 which each draw advances; pure operations are safe to share across threads.
@@ -325,18 +325,30 @@ class SampleStream:
 
 
 def sample(stream: SampleStream, n: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. outcome indices, advancing the stream."""
+    """Draw ``n`` i.i.d. outcome indices, advancing the stream.
+
+    A uniform u in [0, 1) draws the number of interior cdf boundaries at or
+    below it, ``sum_j [u >= cdf[j]]`` over j < m - 1.  That is the binary
+    search ``searchsorted(cdf, u, side="right")``, which counts the entries
+    at or below u: the cdf is closed to 1.0 from the last outcome with mass
+    on, so the last entry, and any entry that rounding lifts above 1, lies
+    above every u.  Ties u == cdf[j] count alike, an outcome of mass 0 is
+    never drawn, and m = 1 (no boundaries) draws 0.  On the small spaces
+    sampled here one comparison pass per boundary is faster than the binary
+    search, and the sum needs no int64 copy.
+    """
     if n < 0:
         raise ValueError("sample count must be non-negative")
     u = stream._gen.random(n)
-    outcomes = np.searchsorted(stream._cdf, u, side="right")
-    return outcomes.astype(np.int64)
+    return (u >= stream._cdf[:-1, None]).sum(axis=0, dtype=np.int64)
 
 
 def draw_outcomes(dist: Categorical, runs: int, n: int, seed: int) -> np.ndarray:
     """(runs, n) int64 outcome matrix, row r from the r-th :func:`spawn_seeds` child of ``seed``."""
-    return np.array([sample(SampleStream(dist, seed=s), n) for s in spawn_seeds(seed, runs)],
-                    dtype=np.int64).reshape(runs, n)
+    z = np.empty((runs, n), dtype=np.int64)
+    for row, s in zip(z, spawn_seeds(seed, runs)):
+        row[:] = sample(SampleStream(dist, seed=s), n)
+    return z
 
 
 def spawn_seeds(seed: int, n: int) -> list[int]:

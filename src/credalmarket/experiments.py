@@ -279,11 +279,13 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
     run as rows of one batched call.  The explicit route uses the
     provider's exact type when burn_in = 0; with a positive burn-in the type
     is re-estimated from the burn-in prefix (add-one smoothed) before the
-    cumulative license starts accumulating.  An invalid field (a gamma out of
-    range, a burn-in of n or more, a tau above every gap) is a ``ValueError``
-    naming it, raised before any draw.
+    cumulative license starts accumulating.  An invalid field (no gamma, a
+    gamma out of range, a burn-in of n or more, a tau above every gap) is a
+    ``ValueError`` naming it, raised before any draw.
     """
     with _naming_field(cfg, "gammas"):  # every field is checked before the first draw
+        if not cfg.gammas:
+            raise ValueError("needs at least one gamma")
         types = [paired_fairness_distribution(gamma) for gamma in cfg.gammas]
     with _naming_field(cfg, "kelly_margin"):
         kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
@@ -293,7 +295,7 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
     with _naming_field(cfg, "grid_resolution" if cfg.grid_resolution < 2 else "tau"):
         credal = parity_credal_set(cfg.tau, cfg.grid_resolution)
     paths = [_draw_outcomes(q, cfg.runs, cfg.n, cfg.seed + g_idx) for g_idx, q in enumerate(types)]
-    if cfg.bet_zero_control or not paths:
+    if cfg.bet_zero_control:
         bettings = [np.full(z.shape, cfg.params.C) for z in paths]
     else:  # rows are solved independently, so every gamma's paths share one call
         stacked = _betting_trajectories(np.vstack(paths), score, kelly_cfg, cfg.params)
@@ -402,9 +404,11 @@ def run_chi2_strategic(cfg: Chi2Config) -> ResultTable:
     draws in the same order as it would alone, so the table does not depend
     on the number of cores.  Each stream draws through a buffer of
     max(``DRAW_BLOCK_CELLS``, n_per_test) cells, and the table does not depend
-    on that size either.  A level in ``alpha_grid`` outside [0, 1] is a
-    ``ValueError`` raised before any draw.
+    on that size either.  An empty ``alpha_grid``, or a level in it outside
+    [0, 1], is a ``ValueError`` raised before any draw.
     """
+    if not cfg.alpha_grid:
+        raise ValueError(f"{cfg.scenario} config field 'alpha_grid' needs at least one level")
     bad = [alpha for alpha in cfg.alpha_grid if not 0.0 <= alpha <= 1.0]
     if bad:
         raise ValueError(f"{cfg.scenario} config field 'alpha_grid' must hold levels in [0, 1], got {bad}")

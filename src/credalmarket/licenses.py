@@ -41,7 +41,6 @@ __all__ = [
     "sup_value_over_obedient",
     "sup_values_over_obedient",
     "neyman_pearson_license",
-    "kappa",
     "minimize_kappa",
     "minimize_kappas",
     "optimal_risk_averse_license",
@@ -192,19 +191,6 @@ def neyman_pearson_license(q: Categorical, p: Categorical,
                 budget = 0.0
             break
     return License(q.space, payout)
-
-
-def kappa(q: Categorical, p: Categorical, params: MechanismParams) -> float:
-    """Capped-KL functional kappa_Q(P) = E_Q[min{ln(Q/P), ln(R/C)}].
-
-    Algebraically equal to KL(Q||P) minus the tail correction over the region
-    where the likelihood ratio exceeds R/C, but stays finite even when P
-    vanishes on Q's support.
-    """
-    require_same_space(q, p)
-    support = q.probs > 0.0
-    qs = q.probs[support]
-    return float(qs @ np.minimum(log_ratio(qs, p.probs[support]), math.log(params.cap_ratio)))
 
 
 def _project_rows_to_simplex(X: np.ndarray) -> np.ndarray:

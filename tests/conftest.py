@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from credalmarket.credal import CredalSet
-from credalmarket.evidence import Categorical, EvidenceSpace
+from credalmarket.evidence import Categorical, EvidenceSpace, log_ratio
 from credalmarket.licenses import MechanismParams
 
 
@@ -47,3 +49,15 @@ def random_categorical(rng: np.random.Generator, space: EvidenceSpace) -> Catego
 
 def random_credal(rng: np.random.Generator, space: EvidenceSpace, k: int) -> CredalSet:
     return CredalSet(space, tuple(random_categorical(rng, space) for _ in range(k)))
+
+
+def kappa(q: Categorical, p: Categorical, params: MechanismParams) -> float:
+    """Capped-KL functional kappa_Q(P) = E_Q[min{ln(Q/P), ln(R/C)}], which minimize_kappa minimizes.
+
+    Algebraically equal to KL(Q||P) minus the tail correction over the region
+    where the likelihood ratio exceeds R/C, but stays finite even when P
+    vanishes on Q's support.
+    """
+    support = q.probs > 0.0
+    qs = q.probs[support]
+    return float(qs @ np.minimum(log_ratio(qs, p.probs[support]), math.log(params.cap_ratio)))

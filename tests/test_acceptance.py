@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_categorical, random_credal
+from conftest import kappa, random_categorical, random_credal
 from credalmarket.betting import (
     BettingScore,
     KellyConfig,
@@ -35,7 +35,6 @@ from credalmarket.licenses import (
     License,
     MechanismParams,
     is_obedient,
-    kappa,
     minimize_kappa,
     neyman_pearson_license,
     optimal_risk_averse_license,

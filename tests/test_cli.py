@@ -551,7 +551,9 @@ class TestScenarioRangesCheckedFirst:
     @pytest.mark.parametrize("scenario, payload, field", [
         ("chi2_strategic", {"alpha_grid": [0.05, -0.2]}, "alpha_grid"),
         ("chi2_strategic", {"alpha_grid": [0.05, 1.5]}, "alpha_grid"),
+        ("chi2_strategic", {"alpha_grid": []}, "alpha_grid"),
         ("fairness", {"gammas": [0.4, 0.95]}, "gammas"),
+        ("fairness", {"gammas": []}, "gammas"),
         ("fairness", {"runs": 2, "n": 50, "kelly_margin": 1.5}, "kelly_margin"),
         ("fairness", {"runs": 2, "n": 5, "kelly_margin": 2}, "kelly_margin"),
         ("fairness", {"burn_in": 50, "n": 20}, "burn_in"),

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credalmarket.betting import BettingScore, KellyConfig, kelly_optimal_bet, verify_supermartingale
 from credalmarket.credal import CredalSet, membership
 from credalmarket.evidence import (
+    PROB_ATOL,
     Categorical,
     EvidenceSpace,
     SampleStream,
+    draw_outcomes,
     json_integer,
     json_labels,
     json_number,
@@ -30,7 +32,7 @@ from credalmarket.licenses import (
     License,
     MechanismParams,
     is_obedient,
-    kappa,
+    minimize_kappa,
     neyman_pearson_license,
     optimal_risk_averse_license,
     sup_value_over_obedient,
@@ -74,7 +76,7 @@ SPACE_CHECKS = {
                                             PARAMS),
     "sup_value_over_obedient": lambda q, p: sup_value_over_obedient(q, CredalSet.singleton(p), PARAMS),
     "neyman_pearson_license": lambda q, p: neyman_pearson_license(q, p, PARAMS),
-    "kappa": lambda q, p: kappa(q, p, PARAMS),
+    "minimize_kappa": lambda q, p: minimize_kappa(q, CredalSet.singleton(p), PARAMS),
     "optimal_risk_averse_license": lambda q, p: optimal_risk_averse_license(
         q, CredalSet.singleton(p), PARAMS),
     "membership": lambda q, p: membership(q, CredalSet.singleton(p)),
@@ -225,6 +227,42 @@ class TestKlDivergence:
             assert kl > 0.0
 
 
+class FixedUniforms:
+    """A stand-in generator whose ``random(n)`` returns the given uniforms."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def random(self, n: int) -> np.ndarray:
+        assert n == self.u.size
+        return self.u
+
+
+#: sources that the sampling properties must cover, whatever hypothesis draws
+SOURCES = {
+    "one-outcome": (1.0,),
+    "interior-and-trailing-zeros": (0.25, 0.0, 0.5, 0.0, 0.25, 0.0, 0.0),
+    "sum-below-one": (0.0, 0.3, 0.7 - 0.9 * PROB_ATOL, 0.0),
+    # The cdf reaches 1 + 9e-13 before the last outcome with mass, which the
+    # cdf's closing then lowers back to 1.
+    "prefix-above-one": (0.5, 0.5 + 0.9 * PROB_ATOL, 1e-300, 0.0),
+}
+
+
+@st.composite
+def sampling_sources(draw) -> tuple[float, ...]:
+    """1 to 12 probabilities, some zero, that sum to 1 within PROB_ATOL."""
+    m = draw(st.integers(1, 12))
+    weights = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=m, max_size=m)))
+    if not weights.any():
+        weights[draw(st.integers(0, m - 1))] = 1.0
+    probs = weights / weights.sum()
+    # Move the sum off 1 by up to 0.9 PROB_ATOL through one outcome with mass.
+    j = draw(st.sampled_from(np.flatnonzero(probs).tolist()))
+    probs[j] += draw(st.sampled_from([-0.9, 0.0, 0.9])) * PROB_ATOL + (1.0 - probs.sum())
+    return tuple(probs.tolist())
+
+
 class TestSampling:
     def test_degenerate_source(self, space3):
         stream = SampleStream(Categorical(space3, [1.0, 0.0, 0.0]), seed=0)
@@ -233,12 +271,8 @@ class TestSampling:
     def test_trailing_zero_outcome_is_never_drawn(self, space3):
         # The probabilities sum to 1 - 5e-13, inside PROB_ATOL; the largest
         # uniform below 1 must still land on the last outcome with mass.
-        class LargestUniform:
-            def random(self, n):
-                return np.full(n, np.nextafter(1.0, 0.0))
-
         stream = SampleStream(Categorical(space3, [0.5, 0.5 - 5e-13, 0.0]), seed=0)
-        stream._gen = LargestUniform()
+        stream._gen = FixedUniforms(np.full(3, np.nextafter(1.0, 0.0)))
         assert sample(stream, 3).tolist() == [1, 1, 1]
 
     def test_uniform_frequencies_regression(self, uniform3):
@@ -260,6 +294,48 @@ class TestSampling:
         assert np.concatenate([head, tail]).tolist() == whole.tolist()
         with pytest.raises(ValueError):
             sample(stream, -1)
+
+    @given(sampling_sources(), st.integers(0, 2**32 - 1), st.integers(0, 300))
+    @settings(max_examples=150, deadline=None)
+    @example(SOURCES["one-outcome"], 0, 50)
+    @example(SOURCES["interior-and-trailing-zeros"], 1, 0)
+    @example(SOURCES["sum-below-one"], 2, 200)
+    @example(SOURCES["prefix-above-one"], 3, 200)
+    def test_boundary_count_is_the_binary_search(self, probs, seed, n):
+        dist = Categorical(EvidenceSpace.of_size(len(probs)), probs)
+        stream, twin = SampleStream(dist, seed), SampleStream(dist, seed)
+        z = sample(stream, n)
+        expected = np.searchsorted(twin._cdf, twin._gen.random(n), side="right")
+        assert z.dtype == np.int64 and z.shape == (n,)
+        assert np.array_equal(z, expected)
+        assert np.all(dist.probs[z] > 0.0)
+
+    @given(sampling_sources())
+    @settings(max_examples=150, deadline=None)
+    @example(SOURCES["one-outcome"])
+    @example(SOURCES["interior-and-trailing-zeros"])
+    @example(SOURCES["sum-below-one"])
+    @example(SOURCES["prefix-above-one"])
+    def test_uniforms_on_cdf_values_draw_as_the_binary_search(self, probs):
+        # Every cdf value below 1 and its float neighbours, plus both ends of [0, 1).
+        stream = SampleStream(Categorical(EvidenceSpace.of_size(len(probs)), probs), seed=0)
+        cdf = stream._cdf[stream._cdf < 1.0]
+        largest = np.nextafter(1.0, 0.0)
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.minimum(np.nextafter(cdf, 1.0), largest),
+                            [0.0, largest]])
+        stream._gen = FixedUniforms(u)
+        z = sample(stream, u.size)
+        assert z.dtype == np.int64
+        assert np.array_equal(z, np.searchsorted(stream._cdf, u, side="right"))
+        assert np.all(stream.source.probs[z] > 0.0)
+
+    @pytest.mark.parametrize("runs, n", [(0, 0), (0, 7), (3, 0), (1, 1), (5, 40)])
+    def test_draw_outcomes_is_the_row_wise_sample(self, runs, n):
+        dist = Categorical(EvidenceSpace.of_size(4), [0.1, 0.0, 0.6, 0.3])
+        z = draw_outcomes(dist, runs, n, seed=17)
+        rows = [sample(SampleStream(dist, s), n) for s in spawn_seeds(17, runs)]
+        assert z.dtype == np.int64 and z.shape == (runs, n) and z.flags.c_contiguous
+        assert z.tobytes() == np.array(rows, dtype=np.int64).reshape(runs, n).tobytes()
 
     def test_spawn_seeds_deterministic(self):
         assert spawn_seeds(5, 4) == spawn_seeds(5, 4)

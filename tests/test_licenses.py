@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import random_categorical, random_credal
+from conftest import kappa, random_categorical, random_credal
 from credalmarket import licenses
 from credalmarket import _linprog
 from credalmarket._linprog import PIVOT_TOL, LpSolution, solve_box_lp, solve_box_lps
@@ -34,7 +34,6 @@ from credalmarket.licenses import (
     MechanismParams,
     _project_rows_to_simplex,
     is_obedient,
-    kappa,
     minimize_kappa,
     minimize_kappas,
     neyman_pearson_license,
