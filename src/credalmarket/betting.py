@@ -46,6 +46,11 @@ AUDIT_ENTRY_FEE = 15.0
 #: A cold path solves a block per :func:`kelly_bets` call, so the market's
 #: 120 x 500 betting paths take 30 calls of 17 rounds instead of 499 of one.
 PATH_BLOCK_ROWS = 2048
+#: Stashed key cells of one :func:`verify_supermartingale` block: as many
+#: whole rounds of ``runs`` keys as fit (at least one), so its keys take at
+#: most 512 KiB (or one round's) whatever n is.  The audit's 10^4 runs x 500
+#: rounds take 84 :func:`kelly_bets` calls of 6 rounds instead of 499 of one.
+AUDIT_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,18 +256,26 @@ def verify_supermartingale(
     0 by ``PROB_ATOL * max(1, max|b|)``, the round-off of a zero-drift null.
 
     Bets are the same plug-in Kelly rule as :func:`plugin_paths`; since the
-    rule depends on history only through outcome counts, each round solves
-    the distinct count rows once, in one :func:`kelly_bets` call, and shares
-    the bets across trajectories.
+    rule depends on history only through outcome counts, each round's bets
+    are those of its distinct count rows, shared across trajectories.
 
     The distinct rows live in a small state table, sorted by count vector,
     and each run holds an index into it.  After a round's draw, run r moves
     to child key ``state[r] * m + z[r]``: its row plus one count at z.  Only
     the keys some run reached are built, two parents reaching the same row
     are merged by one sort of those few children, and each run's index is
-    remapped through its key.  The table, the draws and the order of the
-    log-wealth sums are those of a per-run count matrix, so the result is
-    the same to the bit.
+    remapped through its key.
+
+    Rounds go in blocks of ``AUDIT_BLOCK_CELLS // runs`` (at least one).  A
+    block stashes each round's table and keys, solves every table row of
+    its rounds in one :func:`kelly_bets` call (each row smoothed by its own
+    round), and builds one log-factor table ``log1p(lam * b(z))`` per state
+    and outcome.  Round by round, each run then adds its key's entry of that
+    table to its log-wealth.  The bits are those of a per-run count matrix:
+    the draws and the tables are the same, :func:`kelly_bets` solves each
+    row as it would alone, the smoothing takes the same float steps, each
+    factor is the same product and ``np.log1p``, and every run sums its
+    factors in round order.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
@@ -272,29 +285,42 @@ def verify_supermartingale(
     if float(null_dist.probs @ b.score) > PROB_ATOL * max(1.0, float(np.max(np.abs(b.score)))):
         raise ValueError("verify_supermartingale needs a null with E[b] <= 0")
     m = b.space.size
+    span = max(1, AUDIT_BLOCK_CELLS // runs)  # rounds per block
     stream = SampleStream(null_dist, seed=seed)
     states = np.zeros((1, m), dtype=np.int64)  # distinct count rows, sorted
     state = np.zeros(runs, dtype=np.intp)  # each run's row in ``states``
     log_wealth = np.full(runs, math.log(AUDIT_ENTRY_FEE))
-    for t in range(n):
-        z = sample(stream, runs)
-        if t > 0:
-            lams = kelly_bets(_smoothed(states, t, m), b, cfg)
-            log_wealth += np.log1p(lams[state] * b.score[z])
-        key = state * m + z
-        reached = np.flatnonzero(np.bincount(key))
-        children = states[reached // m]
-        children[np.arange(reached.size), reached % m] += 1
-        order = np.lexsort(children.T[::-1])  # children sorted by count vector
-        ordered = children[order]
-        first = np.ones(reached.size, dtype=bool)
-        first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-        merged = np.empty(reached.size, dtype=np.intp)
-        merged[order] = np.cumsum(first) - 1
-        remap = np.empty(states.shape[0] * m, dtype=np.intp)
-        remap[reached] = merged
-        states = ordered[first]
-        state = remap[key]
+    for t0 in range(0, n, span):
+        rounds, tables, keys = [], [], []  # the block's rounds that bet: all but round 0
+        for t in range(t0, min(n, t0 + span)):
+            key = state * m + sample(stream, runs)
+            if t > 0:
+                rounds.append(t)
+                tables.append(states)
+                keys.append(key)
+            reached = np.flatnonzero(np.bincount(key))
+            children = states[reached // m]
+            children[np.arange(reached.size), reached % m] += 1
+            order = np.lexsort(children.T[::-1])  # children sorted by count vector
+            ordered = children[order]
+            first = np.ones(reached.size, dtype=bool)
+            first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+            merged = np.empty(reached.size, dtype=np.intp)
+            merged[order] = np.cumsum(first) - 1
+            remap = np.empty(states.shape[0] * m, dtype=np.intp)
+            remap[reached] = merged
+            states = ordered[first]
+            state = remap[key]
+        if not rounds:
+            continue
+        sizes = [table.shape[0] for table in tables]
+        lams = kelly_bets(_smoothed(np.concatenate(tables), np.repeat(rounds, sizes)[:, None], m),
+                          b, cfg)
+        factors = np.log1p(lams[:, None] * b.score).ravel()  # row-major: a key indexes its rows
+        offset = 0
+        for key, size in zip(keys, sizes):
+            log_wealth += factors[offset * m:][key]
+            offset += size
     return tuple(map(float, _mean_se(np.exp(log_wealth))))
 
 

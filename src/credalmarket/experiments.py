@@ -115,6 +115,13 @@ def _config_distribution(cfg, name: str, space: EvidenceSpace) -> Categorical:
         return Categorical(space, getattr(cfg, name))
 
 
+def _check_distinct(values, what: str) -> None:
+    """A grid value may appear once: a repeat would write its rows twice under one key."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"repeats {what} {value!r}")
+
+
 def _check_burn_in(cfg) -> None:
     """A burn-in must leave at least one step for the cumulative license to accumulate."""
     if cfg.burn_in >= cfg.n:
@@ -280,13 +287,14 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
     provider's exact type when burn_in = 0; with a positive burn-in the type
     is re-estimated from the burn-in prefix (add-one smoothed) before the
     cumulative license starts accumulating.  An invalid field (no gamma, a
-    gamma out of range, a burn-in of n or more, a tau above every gap) is a
-    ``ValueError`` naming it, raised before any draw.
+    gamma out of range or repeated, a burn-in of n or more, a tau above
+    every gap) is a ``ValueError`` naming it, raised before any draw.
     """
     with _naming_field(cfg, "gammas"):  # every field is checked before the first draw
         if not cfg.gammas:
             raise ValueError("needs at least one gamma")
         types = [paired_fairness_distribution(gamma) for gamma in cfg.gammas]
+        _check_distinct(cfg.gammas, "gamma")
     with _naming_field(cfg, "kelly_margin"):
         kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
     _check_burn_in(cfg)
@@ -405,13 +413,15 @@ def run_chi2_strategic(cfg: Chi2Config) -> ResultTable:
     on the number of cores.  Each stream draws through a buffer of
     max(``DRAW_BLOCK_CELLS``, n_per_test) cells, and the table does not depend
     on that size either.  An empty ``alpha_grid``, or a level in it outside
-    [0, 1], is a ``ValueError`` raised before any draw.
+    [0, 1] or repeated, is a ``ValueError`` raised before any draw.
     """
     if not cfg.alpha_grid:
         raise ValueError(f"{cfg.scenario} config field 'alpha_grid' needs at least one level")
     bad = [alpha for alpha in cfg.alpha_grid if not 0.0 <= alpha <= 1.0]
     if bad:
         raise ValueError(f"{cfg.scenario} config field 'alpha_grid' must hold levels in [0, 1], got {bad}")
+    with _naming_field(cfg, "alpha_grid"):
+        _check_distinct(cfg.alpha_grid, "level")
     seeds = spawn_seeds(cfg.seed, 2)
     # The gamma draws and the array passes release the GIL, so the streams
     # overlap; result() re-raises an error of the helper thread here.  (The

@@ -579,6 +579,26 @@ class TestScenarioRangesCheckedFirst:
         assert code == 2 and out == "" and repr(field) in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("scenario, payload, field, repeated", [
+        ("fairness", {"gammas": [0.4, 0.4], "runs": 2, "n": 30}, "gammas", "0.4"),
+        ("chi2_strategic", {"alpha_grid": [0.05, 0.1, 0.05, 0.1]}, "alpha_grid", "0.05"),
+    ])
+    def test_repeated_grid_value_exits_2_before_drawing(self, capsys, tmp_path, monkeypatch,
+                                                        scenario, payload, field, repeated):
+        # A repeat would write its rows twice under one key, from different draws.
+        def fail(*args, **kwargs):
+            raise AssertionError("the scenario drew before checking its config")
+
+        monkeypatch.setattr("credalmarket.experiments._batch_loglik_ratio", fail)
+        monkeypatch.setattr("credalmarket.experiments._draw_outcomes", fail)
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "experiment", scenario, "--config", str(cfg),
+                                 "--out", str(out_path))
+        assert code == 2 and out == "" and repr(field) in err and "repeats" in err
+        assert f" {repeated}" in err and "np.float64" not in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("scenario, field, value", [
         ("simplex_gaming", "provider_q", [0.5, 0.5]),
         ("simplex_gaming", "provider_q", [0.5, 0.5, 0.5]),
