@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -41,10 +42,12 @@ KELLY_MAX_ITER = 200
 GRID_FALLBACK = 20001
 #: entry fee C, the starting wealth of every :func:`verify_supermartingale` run
 AUDIT_ENTRY_FEE = 15.0
-#: Count rows of one :func:`plugin_paths` block: as many whole rounds as fit
-#: (at least one), which bounds its memory to a few arrays of that many rows.
-#: A cold path solves a block per :func:`kelly_bets` call, so the market's
-#: 120 x 500 betting paths take 30 calls of 17 rounds instead of 499 of one.
+#: Path rows of one block of rounds of :func:`plugin_paths` and of the
+#: scenarios' explicit and naive routes: as many whole rounds as fit (at
+#: least one), which bounds a block's memory to a few arrays of that many
+#: rows.  A cold path solves a block per :func:`kelly_bets` call, so the
+#: market's 120 x 500 betting paths take 30 calls of at most 17 rounds
+#: instead of 499 of one.
 PATH_BLOCK_ROWS = 2048
 #: Stashed key cells of one :func:`verify_supermartingale` block: as many
 #: whole rounds of ``runs`` keys as fit (at least one), so its keys take at
@@ -164,12 +167,72 @@ def _smoothed(counts, total, m: int) -> np.ndarray:
     return (np.atleast_2d(counts) + 1.0) / (total + m)
 
 
-def _mean_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error over the runs, the rows of ``x``."""
-    runs = x.shape[0]
-    mean = x.mean(axis=0)
-    se = x.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros_like(mean)
+def _mean_se(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over the runs, axis ``axis`` of ``x`` (by default its rows)."""
+    runs = x.shape[axis]
+    mean = x.mean(axis=axis)
+    se = x.std(axis=axis, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros_like(mean)
     return mean, se
+
+
+def _round_blocks(n: int, rows: int) -> Iterator[tuple[int, int]]:
+    """Blocks [t0, t1) of rounds 0..n-1 of paths with ``rows`` rows: as many whole rounds as fit
+    in ``PATH_BLOCK_ROWS`` rows, at least one."""
+    span = max(1, PATH_BLOCK_ROWS // max(rows, 1))
+    return ((t0, min(n, t0 + span)) for t0 in range(0, n, span))
+
+
+def _bet_blocks(
+    z: np.ndarray, b: BettingScore, cfg: KellyConfig, warm_start: bool = False,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(t0, bets) of :func:`plugin_paths`, one block of rounds t0, t0 + 1, ... at a time."""
+    runs, n = z.shape
+    m = b.space.size
+    seen = np.zeros((runs, m), dtype=np.int64)  # outcome counts before the block
+    bets = np.zeros(runs)  # the last round's bets, a warm solve's starts
+    for t0, t1 in _round_blocks(n, runs):
+        lams = np.zeros((runs, t1 - t0))
+        first = max(t0, 1)  # round 0 bets nothing
+        if first < t1:
+            counts = seen[:, None] + np.cumsum(z[:, first - 1:t1 - 1, None] == np.arange(m), axis=1)
+            seen = counts[:, -1]
+            probs = _smoothed(counts, np.arange(first, t1)[:, None], m)
+            if warm_start:
+                for t in range(first, t1):
+                    bets = lams[:, t - t0] = kelly_bets(probs[:, t - first], b, cfg, init=bets)
+            else:
+                lams[:, first - t0:] = kelly_bets(probs.reshape(-1, m), b, cfg).reshape(runs, t1 - first)
+        yield t0, lams
+
+
+def _wealth_blocks(
+    z: np.ndarray, b: BettingScore, params: MechanismParams,
+    bet_blocks: Iterator[tuple[int, np.ndarray]],
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(t0, bets, log-wealth, licenses) of each block of rounds of ``bet_blocks``, in order."""
+    wealth_so_far = np.full(z.shape[0], math.log(params.C))
+    log_cap = math.log(params.R)
+    for t0, lams in bet_blocks:
+        steps = lams * b.score[z[:, t0:t0 + lams.shape[1]]]
+        block = np.fromiter(map(math.log1p, steps.flat), float, steps.size).reshape(steps.shape)
+        block[:, 0] += wealth_so_far  # ln C enters before the first cumsum
+        np.cumsum(block, axis=1, out=block)
+        wealth_so_far = block[:, -1]
+        issued = np.full(block.shape, float(params.R))
+        below = block < log_cap
+        issued[below] = np.fromiter(map(math.exp, block[below]), float)
+        yield t0, lams, block, issued
+
+
+def _plugin_blocks(
+    z: np.ndarray, b: BettingScore, cfg: KellyConfig, params: MechanismParams,
+    warm_start: bool = False,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(t0, bets, log-wealth, licenses) of :func:`plugin_paths`, one block of rounds at a time.
+
+    The three arrays hold rounds t0, t0 + 1, ... of every row, one per column.
+    """
+    return _wealth_blocks(z, b, params, _bet_blocks(z, b, cfg, warm_start))
 
 
 def plugin_paths(
@@ -180,49 +243,34 @@ def plugin_paths(
 
     Round t bets against the add-one-smoothed counts of the row's first t
     outcomes (round 0 bets nothing).  Those counts depend only on ``z``, so
-    every path takes them in blocks of whole rounds, at most
-    ``PATH_BLOCK_ROWS`` rows, from a cumulative one-hot sum carried across
-    blocks.  A cold path solves each block as one :func:`kelly_bets` call.
+    every path runs in blocks of whole rounds, at most ``PATH_BLOCK_ROWS``
+    rows (at least one round), with the counts carried across blocks as a
+    cumulative one-hot sum.  ``_plugin_blocks`` yields the blocks; a caller
+    that reads less than the full arrays, such as a per-step mean or the
+    final licenses, takes them itself and holds no (runs, n) float array.
+    This function solves every block's bets first, then allocates the
+    log-wealth and license arrays and fills them from the same blocks of
+    bets, so the solver's temporaries never coexist with all three outputs.
+    A cold path solves each block as one :func:`kelly_bets` call.
     ``warm_start`` starts each solve from the row's previous bet instead, so
-    a warm path solves its blocks one round per call.  A warm start
-    changes the Newton path, so its bets agree with cold starts only to
+    a warm path solves its blocks one round per call.  A warm start changes
+    the Newton path, so its bets agree with cold starts only to
     ``NEWTON_TOL``, not bit for bit; the fairness scenario's CSV depends on
     its warm starts (turning them off moves 11,098 fairness cells, at most
     9.1e-11 relative, 4 of them at 10 significant digits).  Wealth starts at
-    C and is summed in round order from ``math.log1p`` factors, in the same
-    blocks of rounds, so rows match a scalar loop bit for bit.  The issued
-    license is R once log-wealth reaches ln R, else the wealth.
+    C: ln C is added to each row's first ``math.log1p`` factor before the
+    running sum, which carries across blocks in round order, so rows match
+    a scalar loop bit for bit whatever the blocks.  The issued license is R
+    once log-wealth reaches ln R, else the wealth.
     """
-    runs, n = z.shape
-    m = b.space.size
-    span = max(1, PATH_BLOCK_ROWS // max(runs, 1))  # rounds per block
-    lams = np.zeros((runs, n))
-    counts = np.zeros((runs, 1, m), dtype=np.int64)
-    for t0 in range(1, n, span):
-        t1 = min(n, t0 + span)
-        counts = counts[:, -1:] + np.cumsum(z[:, t0 - 1:t1 - 1, None] == np.arange(m), axis=1)
-        probs = _smoothed(counts, np.arange(t0, t1)[:, None], m)
-        if warm_start:
-            for t in range(t0, t1):
-                lams[:, t] = kelly_bets(probs[:, t - t0], b, cfg, init=lams[:, t - 1])
-        else:
-            lams[:, t0:t1] = kelly_bets(probs.reshape(-1, m), b, cfg).reshape(runs, t1 - t0)
-    log_wealth = np.empty((runs, n))
-    licenses = np.empty((runs, n))
-    wealth_so_far = np.full(runs, math.log(params.C))
-    log_cap = math.log(params.R)
-    for t0 in range(0, n, span):
-        t1 = min(n, t0 + span)
-        steps = lams[:, t0:t1] * b.score[z[:, t0:t1]]
-        block = np.fromiter(map(math.log1p, steps.flat), float, steps.size).reshape(steps.shape)
-        block[:, 0] += wealth_so_far
-        np.cumsum(block, axis=1, out=block)
-        log_wealth[:, t0:t1] = block
-        wealth_so_far = block[:, -1]
-        issued = licenses[:, t0:t1]
-        issued[...] = params.R
-        below = block < log_cap
-        issued[below] = np.fromiter(map(math.exp, block[below]), float)
+    lams = np.empty(z.shape)
+    for t0, block in _bet_blocks(z, b, cfg, warm_start):
+        lams[:, t0:t0 + block.shape[1]] = block
+    log_wealth, licenses = np.empty(z.shape), np.empty(z.shape)
+    bet_blocks = ((t0, lams[:, t0:t1]) for t0, t1 in _round_blocks(z.shape[1], z.shape[0]))
+    for t0, _, block, issued in _wealth_blocks(z, b, params, bet_blocks):
+        log_wealth[:, t0:t0 + block.shape[1]] = block
+        licenses[:, t0:t0 + block.shape[1]] = issued
     return lams, log_wealth, licenses
 
 

@@ -28,11 +28,11 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
-from typing import ClassVar, Optional, get_args, get_type_hints
+from typing import ClassVar, Iterable, Iterator, Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .betting import BettingScore, KellyConfig, _mean_se, _smoothed, plugin_paths
+from .betting import BettingScore, KellyConfig, _mean_se, _plugin_blocks, _round_blocks, _smoothed
 from .credal import CredalSet, approximate_constraint_set
 from .evidence import (
     Categorical,
@@ -100,6 +100,30 @@ def _capped_exp(log_values: np.ndarray, cap: float) -> np.ndarray:
     return np.exp(np.minimum(log_values, math.log(cap)))
 
 
+def _per_step_mean_se(
+    blocks: Iterable[tuple[int, np.ndarray]], n: int, groups: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step :func:`_mean_se` of each of ``groups`` equal row groups of paths given by block.
+
+    ``blocks`` yields (t0, x), the values of rounds t0, t0 + 1, ... as the
+    columns of x; the result is two (groups, n) arrays.  Each step gets the
+    bits of a column of the whole (rows, n) matrix.  numpy sums the rows of
+    a block of two or more columns one after another, as it does for the
+    whole matrix (and for each group of a (groups, runs, width) view), but
+    a lone column pairwise, which differs from 9 rows on; so a one-round
+    block is reduced beside a copy of itself unless it is the whole path
+    (n = 1).
+    """
+    mean, se = np.empty((groups, n)), np.empty((groups, n))
+    for t0, x in blocks:
+        t1 = t0 + x.shape[1]
+        if x.shape[1] == 1 < n:
+            x = np.repeat(x, 2, axis=1)
+        block_mean, block_se = _mean_se(x.reshape(groups, -1, x.shape[1]), axis=1)
+        mean[:, t0:t1], se[:, t0:t1] = block_mean[:, :t1 - t0], block_se[:, :t1 - t0]
+    return mean, se
+
+
 @contextmanager
 def _naming_field(cfg, name: str):
     """Re-raise a ValueError of the block as one naming config field ``name``."""
@@ -153,13 +177,33 @@ class SimplexGamingConfig:
     POSITIVE: ClassVar[tuple[str, ...]] = ("runs",)
 
 
-def _empirical_loglik(z: np.ndarray, m: int) -> np.ndarray:
-    """Running maximized log-likelihood sum_z k_z(t) * ln(k_z(t)/t) per run."""
-    counts = np.cumsum(z[:, :, None] == np.arange(m), axis=1, dtype=float)
-    t = np.arange(1, z.shape[1] + 1, dtype=float)[None, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0, counts * np.log(np.where(counts > 0, counts / t, 1.0)), 0.0)
-    return terms.sum(axis=2)
+def _naive_glr_blocks(
+    z: np.ndarray, points: list[Categorical], params: MechanismParams
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(t0, licenses) of the naive regulator along the rows of ``z``, one block of rounds at a time.
+
+    A license is min{C * L_max(t) / max_i L_i(t), R}: L_max(t) is the
+    maximized likelihood, whose log is sum_z k_z(t) ln(k_z(t) / t), and L_i
+    the likelihood under point i.  The counts k_z and each point's running
+    log-likelihood carry across blocks, so the blocks do not move a bit.
+    """
+    runs, n = z.shape
+    m = points[0].space.size
+    log_points = np.log(np.stack([p.probs for p in points]))  # (k, m)
+    seen = np.zeros((runs, 1, m))  # counts before the block, as floats
+    points_so_far = None
+    for t0, t1 in _round_blocks(n, runs):
+        counts = seen + np.cumsum(z[:, t0:t1, None] == np.arange(m), axis=1, dtype=float)
+        seen = counts[:, -1:]
+        t = np.arange(t0 + 1, t1 + 1, dtype=float)[None, :, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(counts > 0, counts * np.log(np.where(counts > 0, counts / t, 1.0)), 0.0)
+        loglik = log_points[:, z[:, t0:t1]]  # (k, runs, rounds)
+        if t0:
+            loglik[..., 0] += points_so_far
+        np.cumsum(loglik, axis=2, out=loglik)
+        points_so_far = loglik[..., -1]
+        yield t0, _capped_exp(math.log(params.C) + terms.sum(axis=2) - loglik.max(axis=0), params.R)
 
 
 def run_simplex_gaming(cfg: SimplexGamingConfig) -> ResultTable:
@@ -170,7 +214,9 @@ def run_simplex_gaming(cfg: SimplexGamingConfig) -> ResultTable:
     (empirical) likelihood over the GLR's free alternative divided by the
     best-fitting single P_i, scaled by C and capped at R.  The credal
     regulator pays the cumulative truncated likelihood ratio against the
-    capped-KL projection onto the hull of the same points.
+    capped-KL projection onto the hull of the same points.  Both routes
+    reduce their licenses to the per-step mean and SE one block of rounds
+    at a time, so the only (runs x n) array held is the outcome matrix.
     """
     space = EvidenceSpace.of_size(3)
     points = [Categorical(space, p) for p in SIMPLEX_POINTS]
@@ -178,11 +224,7 @@ def run_simplex_gaming(cfg: SimplexGamingConfig) -> ResultTable:
     q = (_config_distribution(cfg, "provider_q", space) if cfg.provider_q is not None
          else Categorical(space, np.mean(SIMPLEX_POINTS, axis=0)))
     z = _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed)
-    log_num = _empirical_loglik(z, space.size)
-    log_points = np.stack([np.log(p.probs)[z].cumsum(axis=1) for p in points])
-    naive_log = math.log(cfg.params.C) + log_num - log_points.max(axis=0)
-
-    naive_mean, naive_se = _mean_se(_capped_exp(naive_log, cfg.params.R))
+    (naive_mean,), (naive_se,) = _per_step_mean_se(_naive_glr_blocks(z, points, cfg.params), cfg.n)
     _, credal_mean, credal_se = _explicit_route(z, q, hull, cfg.params, 0)
     rows = zip(range(1, cfg.n + 1), naive_mean.tolist(), naive_se.tolist(),
                credal_mean.tolist(), credal_se.tolist())
@@ -253,42 +295,90 @@ def parity_credal_set(tau: float, grid_resolution: int) -> CredalSet:
 
 
 def _betting_trajectories(
-    z: np.ndarray, score: BettingScore, cfg_kelly: KellyConfig, params: MechanismParams
-) -> np.ndarray:
-    """Warm-started plug-in Kelly license paths, one per row of ``z``."""
-    return plugin_paths(z, score, cfg_kelly, params, warm_start=True)[2]
+    z: np.ndarray, score: BettingScore, cfg_kelly: KellyConfig, params: MechanismParams,
+    groups: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step mean and SE, as two (groups, n) arrays, of the warm-started plug-in Kelly
+    licenses of each of ``groups`` equal row groups of ``z``, reduced block by block."""
+    blocks = ((t0, issued) for t0, _, _, issued in
+              _plugin_blocks(z, score, cfg_kelly, params, warm_start=True))
+    return _per_step_mean_se(blocks, z.shape[1], groups)
+
+
+def _cumulative_blocks(
+    z: np.ndarray, q: Categorical, p_star: np.ndarray, params: MechanismParams, burn_in: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(t0, licenses) of the cumulative likelihood-ratio licenses along the rows of ``z``, held
+    at C through the burn-in prefix, one block of rounds at a time.
+
+    The log ratios are summed from 0 at ``burn_in``, that sum carrying across
+    blocks, and ln C is added afterwards, so every block has the bits of one
+    cumsum over the whole matrix.
+    """
+    step_log = log_ratio(q.probs, p_star)
+    log_c = math.log(params.C)
+    logs_so_far = None
+    for t0, t1 in _round_blocks(z.shape[1], z.shape[0]):
+        logs = np.zeros((z.shape[0], t1 - t0))
+        first = max(t0, burn_in)
+        if first < t1:
+            summed = step_log[z[:, first:t1]]
+            if first > burn_in:
+                summed[:, 0] += logs_so_far
+            np.cumsum(summed, axis=1, out=summed)
+            logs_so_far = summed[:, -1]
+            logs[:, first - t0:] = summed
+        yield t0, _capped_exp(log_c + logs, params.R)
 
 
 def _cumulative_trajectories(
     z: np.ndarray, q: Categorical, p_star: np.ndarray, params: MechanismParams, burn_in: int
-) -> np.ndarray:
-    """Cumulative likelihood-ratio licenses, held at C through the burn-in prefix."""
-    step_log = log_ratio(q.probs, p_star)
-    logs = np.zeros(z.shape)
-    logs[:, burn_in:] = np.cumsum(step_log[z[:, burn_in:]], axis=1)
-    return _capped_exp(math.log(params.C) + logs, params.R)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step mean and SE over the rows of ``z`` of :func:`_cumulative_blocks`' licenses."""
+    (mean,), (se,) = _per_step_mean_se(_cumulative_blocks(z, q, p_star, params, burn_in), z.shape[1])
+    return mean, se
 
 
 def _explicit_route(z: np.ndarray, q: Categorical, credal: CredalSet, params: MechanismParams,
                     burn_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P* = w* V, the capped-KL projection of ``q`` onto ``credal``, and the mean and SE of
-    the cumulative likelihood-ratio licenses against it along the rows of ``z``."""
+    """P* = w* V, the capped-KL projection of ``q`` onto ``credal``, and the per-step mean and
+    SE of the cumulative likelihood-ratio licenses against it along the rows of ``z``.
+
+    The licenses are reduced one block of ``PATH_BLOCK_ROWS`` path cells at a
+    time, so only the two per-step arrays grow with n.  The log ratios are
+    summed from 0 and ln C added afterwards (where the betting route adds ln
+    C before its running sum), and a one-round block is reduced as a column
+    of the whole matrix; so the bits are those of the full (runs, n) matrix.
+    """
     w_star, _, _ = minimize_kappa(q, credal, params)
     p_star = w_star @ credal.vertex_matrix
-    mean, se = _mean_se(_cumulative_trajectories(z, q, p_star, params, burn_in))
+    mean, se = _cumulative_trajectories(z, q, p_star, params, burn_in)
     return p_star, mean, se
 
 
 def run_fairness(cfg: FairnessConfig) -> ResultTable:
     """Mean license trajectories per fairness gap, betting and explicit routes.
 
-    Both routes see the same paired sample paths; every gamma's betting paths
-    run as rows of one batched call.  The explicit route uses the
-    provider's exact type when burn_in = 0; with a positive burn-in the type
-    is re-estimated from the burn-in prefix (add-one smoothed) before the
-    cumulative license starts accumulating.  An invalid field (no gamma, a
-    gamma out of range or repeated, a burn-in of n or more, a tau above
-    every gap) is a ``ValueError`` naming it, raised before any draw.
+    Both routes see the same paired sample paths, drawn into one stacked
+    (gammas x runs, n) outcome matrix; every gamma's betting paths run as
+    rows of one warm-started batch, so each round is one :func:`kelly_bets`
+    call for every gamma.  The explicit route uses the provider's exact type
+    when burn_in = 0; with a positive burn-in the type is re-estimated from
+    the burn-in prefix (add-one smoothed) before the cumulative license
+    starts accumulating.
+
+    Both routes reduce each block of rounds (``betting.PATH_BLOCK_ROWS``
+    path cells) to its per-step mean and SE per gamma, so the only (runs x
+    n) arrays held are the int64 outcomes.  The bits are those of reducing
+    the full license matrices: each route carries its running log sum across
+    blocks in the order of the whole-matrix formula (ln C before the
+    betting route's first sum, after the explicit route's), and a block of
+    one round is reduced as a column of a wider block would be.
+
+    An invalid field (no gamma, a gamma out of range or repeated, a burn-in
+    of n or more, a tau above every gap, a non-default ``kelly_margin``
+    with ``bet_zero_control``, which bets nothing) is a ``ValueError``
+    naming it, raised before any draw.
     """
     with _naming_field(cfg, "gammas"):  # every field is checked before the first draw
         if not cfg.gammas:
@@ -297,20 +387,26 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
         _check_distinct(cfg.gammas, "gamma")
     with _naming_field(cfg, "kelly_margin"):
         kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
+        if cfg.bet_zero_control and cfg.kelly_margin != FairnessConfig.kelly_margin:
+            raise ValueError(f"must stay at its default {FairnessConfig.kelly_margin} with "
+                             f"'bet_zero_control': true, which places no bet; got {cfg.kelly_margin!r}")
     _check_burn_in(cfg)
     score = parity_betting_score(cfg.tau)
     # Past the resolution check, only a tau above every gap leaves the set empty.
     with _naming_field(cfg, "grid_resolution" if cfg.grid_resolution < 2 else "tau"):
         credal = parity_credal_set(cfg.tau, cfg.grid_resolution)
-    paths = [_draw_outcomes(q, cfg.runs, cfg.n, cfg.seed + g_idx) for g_idx, q in enumerate(types)]
-    if cfg.bet_zero_control:
-        bettings = [np.full(z.shape, cfg.params.C) for z in paths]
+    stacked = np.empty((len(types) * cfg.runs, cfg.n), dtype=np.int64)
+    paths = np.split(stacked, len(types))  # each gamma's rows, as views
+    for g_idx, (q, part) in enumerate(zip(types, paths)):
+        part[...] = _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed + g_idx)
+    if cfg.bet_zero_control:  # every license stays at C, so every step reduces alike
+        mean, se = _mean_se(np.full((cfg.runs, 2 if cfg.n > 1 else 1), float(cfg.params.C)))
+        b_means, b_ses = (np.full((len(types), cfg.n), x[0]) for x in (mean, se))
     else:  # rows are solved independently, so every gamma's paths share one call
-        stacked = _betting_trajectories(np.vstack(paths), score, kelly_cfg, cfg.params)
-        bettings = np.split(stacked, len(paths))
+        b_means, b_ses = _betting_trajectories(stacked, score, kelly_cfg, cfg.params, len(types))
     rows = []
     headline: dict[str, float] = {}
-    for gamma, q, z, betting in zip(cfg.gammas, types, paths, bettings):
+    for gamma, q, z, b_mean, b_se in zip(cfg.gammas, types, paths, b_means, b_ses):
         if cfg.burn_in == 0:
             q_used = q
         else:
@@ -318,7 +414,6 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
             counts = np.bincount(pooled, minlength=q.space.size)
             q_used = Categorical(q.space, _smoothed(counts, pooled.size, q.space.size)[0])
         _, e_mean, e_se = _explicit_route(z, q_used, credal, cfg.params, cfg.burn_in)
-        b_mean, b_se = _mean_se(betting)
         rows += zip(repeat(gamma), range(1, cfg.n + 1), b_mean.tolist(), b_se.tolist(),
                     e_mean.tolist(), e_se.tolist())
         headline[f"betting_final_mean_gamma={gamma}"] = float(b_mean[-1])

@@ -15,7 +15,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .betting import BettingScore, KellyConfig, plugin_paths
+from .betting import BettingScore, KellyConfig, _plugin_blocks
 from .credal import MEMBERSHIP_TOL, CredalSet, uncovered_masses
 from .credal import strategic_mixture_best_response  # re-exported: its callers import it from here
 from .evidence import Categorical, draw_outcomes, frozen_vector, require_same_space, write_csv, write_json
@@ -133,12 +133,14 @@ def _betting_sup_values(providers: list[Provider], req: Requirement, params: Mec
     """Mean final betting license of each provider over ``BETTING_REPLICATES`` seeded replicates.
 
     Rows are solved independently, so every provider's replicates run as the
-    rows of one :func:`plugin_paths` call.
+    rows of one batch of cold-start paths, taken block by block, of which only
+    the last round's licenses are kept.
     """
     space = require_same_space(*(pr.q for pr in providers))
     score = BettingScore.from_metric(space, req.metric, req.tau)
     z = np.vstack([draw_outcomes(pr.q, BETTING_REPLICATES, n, seed) for pr in providers])
-    finals = plugin_paths(z, score, KellyConfig(), params)[2][:, -1]
+    for *_, licenses in _plugin_blocks(z, score, KellyConfig(), params):
+        finals = licenses[:, -1]  # the last block's is the final round
     return [float(np.mean(row)) for row in finals.reshape(len(providers), BETTING_REPLICATES)]
 
 

@@ -34,7 +34,8 @@ from credalmarket.market import Provider, Requirement, _betting_sup_values
 
 PARAMS = MechanismParams(C=15.0, R=250.0)
 #: tracemalloc peak of one cold plug-in call on the market's shape, above its
-#: three output arrays: measured 157-160 kB at n = 500 and 99 kB at n = 5,000
+#: three output arrays: measured 123 kB at n = 500 and 119 kB at n = 5,000,
+#: since every bet is solved before the log-wealth and license arrays exist
 #: (a loop with full-size temporaries: 0.66 MB and 5.5 MB)
 PEAK_ABOVE_OUTPUTS = 256 * 1024
 #: tracemalloc peak of one supermartingale audit at 10^4 runs x 500 rounds,
@@ -299,10 +300,12 @@ class TestBatchedPaths:
         score = parity_betting_score(cfg.tau)
         kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
         z = _draw_outcomes(paired_fairness_distribution(0.4), cfg.runs, cfg.n, cfg.seed)
-        got = _betting_trajectories(z, score, kelly_cfg, cfg.params)
         want = np.stack([scalar_license_path(row, score, kelly_cfg, cfg.params, warm_start=True)
                          for row in z])
-        assert np.array_equal(got, want)
+        assert np.array_equal(plugin_paths(z, score, kelly_cfg, cfg.params, warm_start=True)[2], want)
+        (mean,), (se,) = _betting_trajectories(z, score, kelly_cfg, cfg.params, 1)
+        assert np.array_equal(mean, want.mean(axis=0))
+        assert np.array_equal(se, want.std(axis=0, ddof=1) / 2.0)
 
     def test_integer_params_give_the_float_params_paths(self):
         # A JSON config can give C and R as integers; licenses below R must
@@ -311,10 +314,14 @@ class TestBatchedPaths:
         score = parity_betting_score(cfg.tau)
         kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
         z = _draw_outcomes(paired_fairness_distribution(0.4), cfg.runs, cfg.n, cfg.seed)
-        got = _betting_trajectories(z, score, kelly_cfg, MechanismParams(C=15, R=250))
-        want = _betting_trajectories(z, score, kelly_cfg, MechanismParams(C=15.0, R=250.0))
+        ints, floats = MechanismParams(C=15, R=250), MechanismParams(C=15.0, R=250.0)
+        got = plugin_paths(z, score, kelly_cfg, ints, warm_start=True)[2]
+        want = plugin_paths(z, score, kelly_cfg, floats, warm_start=True)[2]
         assert got.dtype == float and np.array_equal(got, want)
         assert np.any(got != np.round(got))
+        for a, b in zip(_betting_trajectories(z, score, kelly_cfg, ints, 1),
+                        _betting_trajectories(z, score, kelly_cfg, floats, 1)):
+            assert a.dtype == float and np.array_equal(a, b)
 
     def test_sequential_license_matches_scalar_loop(self):
         space = EvidenceSpace.of_size(3)
@@ -340,6 +347,22 @@ class TestBatchedPaths:
                       for s in spawn_seeds(9, 7)]
             assert value == float(np.mean(finals))
 
+    @pytest.mark.parametrize("block_rows", [1, 20, 22, 63])  # 21 rows: 1 round, 1 round, 1, 3
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_market_final_licenses_at_block_edges(self, block_rows, n):
+        # The market keeps only the last block's last round of the cold paths.
+        space = EvidenceSpace.of_size(3)
+        req = Requirement(kind="threshold", metric=np.array([1.0, 0.4, 0.0]), tau=0.5)
+        providers = [Provider(id=f"p{i}", q=Categorical(space, q))
+                     for i, q in enumerate([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.7, 0.2, 0.1]])]
+        score = BettingScore.from_metric(space, req.metric, req.tau)
+        z = np.vstack([_draw_outcomes(pr.q, 7, n, 9) for pr in providers])
+        finals = plugin_paths(z, score, KellyConfig(), PARAMS)[2][:, -1].reshape(3, 7)
+        with patch("credalmarket.market.BETTING_REPLICATES", 7), \
+                patch.object(betting, "PATH_BLOCK_ROWS", block_rows):
+            got = _betting_sup_values(providers, req, PARAMS, n=n, seed=9)
+        assert got == [float(np.mean(row)) for row in finals]
+
     def test_market_providers_must_share_a_space(self):
         req = Requirement(kind="threshold", metric=np.array([1.0, 0.0]), tau=0.5)
         providers = [Provider(id="a", q=Categorical(EvidenceSpace(("x", "y")), [0.5, 0.5])),
@@ -355,7 +378,7 @@ class TestBatchedPaths:
         kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
         for g_idx, gamma in enumerate(cfg.gammas):
             z = _draw_outcomes(paired_fairness_distribution(gamma), cfg.runs, cfg.n, cfg.seed + g_idx)
-            mean, se = _mean_se(_betting_trajectories(z, score, kelly_cfg, cfg.params))
+            mean, se = _mean_se(plugin_paths(z, score, kelly_cfg, cfg.params, warm_start=True)[2])
             rows = table.column("gamma") == gamma
             assert np.array_equal(table.column("betting_mean")[rows], mean)
             assert np.array_equal(table.column("betting_se")[rows], se)

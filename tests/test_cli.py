@@ -579,6 +579,25 @@ class TestScenarioRangesCheckedFirst:
         assert code == 2 and out == "" and repr(field) in err
         assert not out_path.exists()
 
+    def test_kelly_margin_with_the_bet_zero_control_exits_2_before_drawing(self, capsys, tmp_path,
+                                                                           monkeypatch):
+        # The control places no bet, so a margin would be ignored under its own config hash.
+        def fail(*args, **kwargs):
+            raise AssertionError("the scenario drew before checking its config")
+
+        payload = {"runs": 2, "n": 10, "bet_zero_control": True}
+        cfg = write_json(tmp_path / "default.json", {**payload, "kelly_margin": 0.01})
+        code, _, _ = run_cli(capsys, "experiment", "fairness", "--config", str(cfg),
+                             "--out", str(tmp_path / "default.csv"))
+        assert code == 0
+        monkeypatch.setattr("credalmarket.experiments._draw_outcomes", fail)
+        cfg = write_json(tmp_path / "cfg.json", {**payload, "kelly_margin": 0.5})
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "experiment", "fairness", "--config", str(cfg),
+                                 "--out", str(out_path))
+        assert code == 2 and out == "" and "'kelly_margin'" in err and "'bet_zero_control'" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("scenario, payload, field, repeated", [
         ("fairness", {"gammas": [0.4, 0.4], "runs": 2, "n": 30}, "gammas", "0.4"),
         ("chi2_strategic", {"alpha_grid": [0.05, 0.1, 0.05, 0.1]}, "alpha_grid", "0.05"),

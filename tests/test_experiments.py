@@ -6,15 +6,17 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import loggamma
 
-from credalmarket import experiments
+from credalmarket import betting, experiments
+from credalmarket.betting import KellyConfig, _mean_se, plugin_paths
 from credalmarket.credal import CredalSet
-from credalmarket.evidence import Categorical, EvidenceSpace, ratio, spawn_seeds
+from credalmarket.evidence import Categorical, EvidenceSpace, log_ratio, ratio, spawn_seeds
 from credalmarket.experiments import (
     SPURIOUS_SPACE,
     Chi2Config,
@@ -22,6 +24,7 @@ from credalmarket.experiments import (
     ResultTable,
     SimplexGamingConfig,
     SpuriousConfig,
+    _cumulative_blocks,
     _cumulative_trajectories,
     load_config,
     paired_fairness_distribution,
@@ -144,6 +147,19 @@ class TestFairness:
         cfg = FairnessConfig(runs=2, n=50, bet_zero_control=True)
         table = run_fairness(cfg)
         assert np.allclose(table.column("betting_mean"), cfg.params.C)
+
+    @pytest.mark.parametrize("runs", [1, 9, 30])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bet_zero_control_has_the_full_matrix_bits(self, runs, n):
+        # 7.3 does not sum exactly, so a lone column (summed pairwise) and a
+        # column of a wider matrix (summed row by row) give different bits.
+        cfg = FairnessConfig(runs=runs, n=n, bet_zero_control=True, params=MechanismParams(C=7.3, R=250.0))
+        table = run_fairness(cfg)
+        mean, se = _mean_se(np.full((runs, n), 7.3))
+        for gamma in cfg.gammas:
+            rows = table.column("gamma") == gamma
+            assert np.array_equal(table.column("betting_mean")[rows], mean)
+            assert np.array_equal(table.column("betting_se")[rows], se)
 
     def test_small_run_headlines(self):
         cfg = FairnessConfig(runs=4, n=800, seed=11)
@@ -362,7 +378,8 @@ class TestCumulativeTrajectories:
 
     def paths(self, z, q, p_star, burn_in=0):
         q = Categorical(self.SPACE, q)
-        return _cumulative_trajectories(np.array(z), q, np.array(p_star), self.PARAMS, burn_in)
+        blocks = _cumulative_blocks(np.array(z), q, np.array(p_star), self.PARAMS, burn_in)
+        return np.hstack([licenses for _, licenses in blocks])
 
     def test_outcome_outside_q_support_sends_the_license_to_zero(self):
         got = self.paths([[0, 1, 0]], [1.0, 0.0], [0.5, 0.5])
@@ -388,6 +405,155 @@ class TestCumulativeTrajectories:
         assert np.all(got[:, :3] == self.PARAMS.C)
         assert np.allclose(got[:, 3:], self.PARAMS.C * 1.8 ** np.arange(1, 4), rtol=1e-14, atol=0.0)
         assert np.all(self.paths(z, [0.9, 0.1], [0.5, 0.5], burn_in=6) == self.PARAMS.C)
+
+
+def _full_cumulative(z, q, p_star, params, burn_in):
+    """The explicit route's licenses as one (runs, n) matrix: a cumsum over the whole matrix."""
+    logs = np.zeros(z.shape)
+    logs[:, burn_in:] = np.cumsum(log_ratio(q.probs, p_star)[z[:, burn_in:]], axis=1)
+    return experiments._capped_exp(math.log(params.C) + logs, params.R)
+
+
+def _full_naive_glr(z, points, params):
+    """The naive regulator's licenses as one (runs, n) matrix, from (runs, n, m) counts."""
+    m = len(points[0].probs)
+    counts = np.cumsum(z[:, :, None] == np.arange(m), axis=1, dtype=float)
+    t = np.arange(1, z.shape[1] + 1, dtype=float)[None, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(counts > 0, counts * np.log(np.where(counts > 0, counts / t, 1.0)), 0.0)
+    log_points = np.stack([np.log(p.probs)[z].cumsum(axis=1) for p in points])
+    naive_log = math.log(params.C) + terms.sum(axis=2) - log_points.max(axis=0)
+    return experiments._capped_exp(naive_log, params.R)
+
+
+def _group_mean_se(paths, groups):
+    """Per-step mean and SE of each equal row group of a full matrix, as (groups, n) arrays."""
+    stats = [_mean_se(rows) for rows in np.split(paths, groups)]
+    return np.array([s[0] for s in stats]), np.array([s[1] for s in stats])
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestBlockwiseReductions:
+    """Per-step mean and SE taken block by block equal the full matrices' bit for bit.
+
+    ``PATH_BLOCK_ROWS`` is patched to blocks of one round (1 row, or one row
+    fewer or more than a round) and of three rounds (three rounds of rows);
+    n = span + 1 and 3 * span + 1 leave a last block of one round, which numpy
+    would sum pairwise.  Runs of 9 and 30 are where pairwise sums differ.
+    """
+
+    PARAMS = MechanismParams(C=15.0, R=250.0)
+    BLOCKS = {"1": lambda rows: 1, "rows-1": lambda rows: rows - 1,
+              "rows+1": lambda rows: rows + 1, "3-rounds": lambda rows: 3 * rows}
+
+    @staticmethod
+    def span(block_rows, rows):
+        return max(1, block_rows // max(rows, 1))
+
+    @staticmethod
+    def n_for(case, span):
+        return {"1": 1, "2": 2, "span+1": span + 1, "3span+1": 3 * span + 1}[case]
+
+    @pytest.mark.parametrize("n_case", ["1", "2", "span+1", "3span+1"])
+    @pytest.mark.parametrize("block", list(BLOCKS))
+    @pytest.mark.parametrize("runs", [1, 9, 30])
+    def test_explicit_route(self, runs, block, n_case):
+        q = Categorical(EvidenceSpace.of_size(3), [0.5, 0.3, 0.2])
+        p_star = np.array([0.2, 0.3, 0.5])
+        block_rows = self.BLOCKS[block](runs)
+        span = self.span(block_rows, runs)
+        n = self.n_for(n_case, span)
+        z = experiments._draw_outcomes(q, runs, n, 3)
+        # burn-in 0, inside the second block, on its edge, and n - 1
+        for burn_in in sorted({b for b in (0, span + span // 2, span, n - 1) if b < n}):
+            want = _mean_se(_full_cumulative(z, q, p_star, self.PARAMS, burn_in))
+            with patch.object(betting, "PATH_BLOCK_ROWS", block_rows):
+                got = _cumulative_trajectories(z, q, p_star, self.PARAMS, burn_in)
+            _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("n_case", ["1", "2", "span+1", "3span+1"])
+    @pytest.mark.parametrize("block", list(BLOCKS))
+    @pytest.mark.parametrize("runs", [1, 9, 30])
+    def test_betting_route_warm_and_cold(self, runs, block, n_case):
+        # Two gammas' rows stacked, as fairness runs them.
+        cfg = FairnessConfig()
+        score = parity_betting_score(cfg.tau)
+        kelly_cfg = KellyConfig(margin=cfg.kelly_margin)
+        block_rows = self.BLOCKS[block](2 * runs)
+        n = self.n_for(n_case, self.span(block_rows, 2 * runs))
+        z = np.vstack([experiments._draw_outcomes(paired_fairness_distribution(gamma), runs, n, 5)
+                       for gamma in (0.4, 0.6)])
+        for warm_start in (True, False):
+            want = _group_mean_se(plugin_paths(z, score, kelly_cfg, cfg.params,
+                                               warm_start=warm_start)[2], 2)
+            with patch.object(betting, "PATH_BLOCK_ROWS", block_rows):
+                if warm_start:
+                    got = experiments._betting_trajectories(z, score, kelly_cfg, cfg.params, 2)
+                else:
+                    blocks = ((t0, issued) for t0, _, _, issued in
+                              betting._plugin_blocks(z, score, kelly_cfg, cfg.params))
+                    got = experiments._per_step_mean_se(blocks, n, 2)
+            _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("n_case", ["1", "2", "span+1", "3span+1"])
+    @pytest.mark.parametrize("block", list(BLOCKS))
+    @pytest.mark.parametrize("runs", [1, 9, 30])
+    def test_naive_route(self, runs, block, n_case):
+        points = [Categorical(EvidenceSpace.of_size(3), p) for p in experiments.SIMPLEX_POINTS]
+        q = Categorical(EvidenceSpace.of_size(3), [0.6, 0.3, 0.1])
+        block_rows = self.BLOCKS[block](runs)
+        n = self.n_for(n_case, self.span(block_rows, runs))
+        z = experiments._draw_outcomes(q, runs, n, 7)
+        want = _mean_se(_full_naive_glr(z, points, self.PARAMS))
+        with patch.object(betting, "PATH_BLOCK_ROWS", block_rows):
+            (mean,), (se,) = experiments._per_step_mean_se(
+                experiments._naive_glr_blocks(z, points, self.PARAMS), n)
+        _assert_same_bits((mean, se), want)
+
+    def test_lone_round_block_sums_differ_from_its_column_of_a_wider_block(self):
+        # Why a one-round block is reduced beside a copy: at 30 runs numpy's
+        # pairwise sum of one column moves the last bits of some means.
+        x = np.random.default_rng(0).uniform(0.0, 250.0, size=(30, 200))
+        lone = [x[:, [t]].mean(axis=0)[0] for t in range(200)]
+        assert not np.array_equal(lone, x.mean(axis=0))
+        got, _ = experiments._per_step_mean_se(((t, x[:, [t]]) for t in range(200)), 200)
+        assert np.array_equal(got[0], x.mean(axis=0))
+
+
+#: tracemalloc peak of ``run_fairness`` and ``run_simplex_gaming`` at 30 runs,
+#: above their int64 outcome matrices and the result table they return.  The
+#: full-matrix routes measured 3.2 MB and 11.9 MB (fairness) and 4.3 MB and
+#: 17.1 MB (simplex_gaming) at n = 2,000 and 8,000; taken block by block,
+#: 1.1 MB and 0.7 MB, and 0.13 MB and 0.53 MB, whose growth is the per-step
+#: mean and SE columns and the lists they reach the rows through.  One
+#: (runs, n) float matrix left in simplex_gaming would alone grow by 1.44 MB.
+SCENARIO_PEAK_ABOVE_OUTCOMES = 2 * 1024 * 1024
+SCENARIO_PEAK_GROWTH = 768 * 1024
+
+
+class TestScenarioPeakMemory:
+    @pytest.mark.parametrize("run, make, groups", [
+        (run_fairness, FairnessConfig, 2),
+        (run_simplex_gaming, SimplexGamingConfig, 1),
+    ], ids=["fairness", "simplex_gaming"])
+    def test_peak_does_not_grow_with_n(self, run, make, groups):
+        run(make(runs=2, n=20))  # the first call loads modules and caches
+        above = []
+        for n in (2000, 8000):
+            tracemalloc.start()
+            try:
+                table = run(make(runs=30, n=n))
+                kept, peak = tracemalloc.get_traced_memory()  # kept: the returned table
+            finally:
+                tracemalloc.stop()
+            assert len(table.rows) == groups * n
+            above.append(peak - kept - groups * 30 * n * 8)
+        assert max(above) <= SCENARIO_PEAK_ABOVE_OUTCOMES, above
+        assert above[1] - above[0] <= SCENARIO_PEAK_GROWTH, above
 
 
 class TestSpurious:
