@@ -388,12 +388,14 @@ def write_trajectory_csv(
     """
     outcomes = sample(stream, n)
     lams, log_wealth, licenses = plugin_paths(outcomes[None, :], b, cfg, params)
-    rows = []
-    for t in range(n):
-        try:
-            wealth = math.exp(log_wealth[0, t])
-        except OverflowError:
-            wealth = math.inf
-        rows.append((t + 1, lams[0, t], int(outcomes[t]), wealth, licenses[0, t]))
-    write_csv(path, ("step", "lambda", "outcome", "wealth", "license_value"), rows,
-              comment=header_comment)
+    wealth = np.fromiter(map(_exp_or_inf, log_wealth[0].tolist()), float, n)
+    write_csv(path, ("step", "lambda", "outcome", "wealth", "license_value"),
+              [(np.arange(1, n + 1), lams[0], outcomes, wealth, licenses[0])], comment=header_comment)
+
+
+def _exp_or_inf(log_value: float) -> float:
+    """``math.exp``, or inf past the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf

@@ -102,20 +102,32 @@ def json_digest(obj) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def write_csv(path: str | Path, columns, rows, comment: str | None = None) -> None:
-    """A CSV table: an optional ``# comment`` line, the ``columns`` header, then ``rows``.
+def _csv_cells(column) -> list:
+    """One column's cells: a float, NumPy's included, as ``repr(float(v))``, anything else as is."""
+    if isinstance(column, np.ndarray):
+        cells = column.tolist()  # Python scalars
+        return list(map(repr, cells)) if column.dtype.kind == "f" else cells
+    return [repr(float(v)) if isinstance(v, float) else v for v in column]
 
-    The comment line ends in ``\\n`` and the csv module's rows in ``\\r\\n``.
-    A float cell, NumPy's included, is written as ``repr(float(v))``: the
-    shortest text that reads back to the same float, never ``np.float64(...)``.
+
+def write_csv(path: str | Path, header, blocks, comment: str | None = None) -> None:
+    """A CSV table: an optional ``# comment`` line, the ``header`` row, then the rows of ``blocks``.
+
+    ``blocks`` yields blocks of rows, each a tuple of equal-length columns
+    (arrays or sequences), one per header name, so a caller bounds the cells
+    formatted at a time by its block height.  The comment line ends in
+    ``\\n`` and the csv module's rows in ``\\r\\n``.  A float cell, NumPy's
+    included, is written as ``repr(float(v))``: the shortest text that reads
+    back to the same float, never ``np.float64(...)``; a float array's cells
+    are formatted as one ``repr`` pass over its Python floats.
     """
     with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
-                         for row in rows)
+        writer.writerow(header)
+        for block in blocks:
+            writer.writerows(zip(*map(_csv_cells, block)))
 
 
 # JSON input rules: each returns ``value`` itself once it has the JSON type it
@@ -324,8 +336,18 @@ class SampleStream:
         self._cdf = cdf
 
 
+def outcome_dtype(m: int) -> np.dtype:
+    """The dtype of outcome indices on a space of ``m`` outcomes: the smallest unsigned one that
+    holds m - 1 (``uint8`` up to 256 outcomes).
+
+    Outcome arrays are only used as indices.  Arithmetic on them must be done
+    in ``intp``: a ``uint8`` array times a Python int stays ``uint8`` and wraps.
+    """
+    return np.min_scalar_type(m - 1)
+
+
 def sample(stream: SampleStream, n: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. outcome indices, advancing the stream.
+    """Draw ``n`` i.i.d. outcome indices of :func:`outcome_dtype`, advancing the stream.
 
     A uniform u in [0, 1) draws the number of interior cdf boundaries at or
     below it, ``sum_j [u >= cdf[j]]`` over j < m - 1.  That is the binary
@@ -335,20 +357,32 @@ def sample(stream: SampleStream, n: int) -> np.ndarray:
     above every u.  Ties u == cdf[j] count alike, an outcome of mass 0 is
     never drawn, and m = 1 (no boundaries) draws 0.  On the small spaces
     sampled here one comparison pass per boundary is faster than the binary
-    search, and the sum needs no int64 copy.
+    search, and the sum, at most m - 1, is taken in the outcome dtype.
     """
     if n < 0:
         raise ValueError("sample count must be non-negative")
     u = stream._gen.random(n)
-    return (u >= stream._cdf[:-1, None]).sum(axis=0, dtype=np.int64)
+    return (u >= stream._cdf[:-1, None]).sum(axis=0, dtype=outcome_dtype(stream._cdf.size))
 
 
-def draw_outcomes(dist: Categorical, runs: int, n: int, seed: int) -> np.ndarray:
-    """(runs, n) int64 outcome matrix, row r from the r-th :func:`spawn_seeds` child of ``seed``."""
-    z = np.empty((runs, n), dtype=np.int64)
-    for row, s in zip(z, spawn_seeds(seed, runs)):
+def draw_outcomes(dist: Categorical, runs: int, n: int, seed: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """(runs, n) outcome matrix of :func:`outcome_dtype`, row r from the r-th :func:`spawn_seeds`
+    child of ``seed``.
+
+    The rows are drawn into ``out`` when it is given, which must be a
+    C-contiguous (runs, n) array of that dtype (a ValueError otherwise), such
+    as a block of rows of a larger matrix; ``out`` is returned.
+    """
+    dtype = outcome_dtype(dist.space.size)
+    if out is None:
+        out = np.empty((runs, n), dtype=dtype)
+    elif not (isinstance(out, np.ndarray) and out.dtype == dtype and out.shape == (runs, n)
+              and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous ({runs}, {n}) {dtype} array")
+    for row, s in zip(out, spawn_seeds(seed, runs)):
         row[:] = sample(SampleStream(dist, seed=s), n)
-    return z
+    return out
 
 
 def spawn_seeds(seed: int, n: int) -> list[int]:

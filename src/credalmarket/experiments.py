@@ -26,13 +26,13 @@ import concurrent.futures
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 from typing import ClassVar, Iterable, Iterator, Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .betting import BettingScore, KellyConfig, _mean_se, _plugin_blocks, _round_blocks, _smoothed
+from .betting import (PATH_BLOCK_ROWS, BettingScore, KellyConfig, _mean_se, _plugin_blocks, _round_blocks,
+                      _smoothed)
 from .credal import CredalSet, approximate_constraint_set
 from .evidence import (
     Categorical,
@@ -43,6 +43,7 @@ from .evidence import (
     json_numbers,
     json_object,
     log_ratio,
+    outcome_dtype,
     ratio,
     spawn_seeds,
     write_csv,
@@ -66,34 +67,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultTable:
-    """A rectangular result with provenance: scenario, seed, config hash."""
+    """A rectangular result with provenance: scenario, seed, config hash.
+
+    ``data`` holds one sequence per name of ``columns``, all of one length:
+    a numeric column is a float64 or int64 array, stored as a read-only
+    view, and a text column a tuple of strings.  No row is stored; ``rows``
+    builds them when read.
+    """
 
     scenario: str
     seed: int
     config_hash: str
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    data: tuple
     headline: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("result table rows must match the column schema")
+        if len(self.data) != len(self.columns):
+            raise ValueError("result table needs one column of values per column name")
+        if len({len(values) for values in self.data}) > 1:
+            raise ValueError("result table columns must have equal lengths")
+        object.__setattr__(self, "data", tuple(map(_stored_column, self.data)))
 
     @classmethod
-    def of(cls, cfg, columns: tuple[str, ...], rows, headline: dict[str, float]) -> "ResultTable":
+    def of(cls, cfg, columns: tuple[str, ...], data, headline: dict[str, float]) -> "ResultTable":
         """A run's table, stamped with the scenario, seed and config hash of ``cfg``."""
-        return cls(cfg.scenario, cfg.seed, json_digest(asdict(cfg)), columns, tuple(rows), headline)
+        return cls(cfg.scenario, cfg.seed, json_digest(asdict(cfg)), columns, tuple(data), headline)
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The rows as tuples of Python values (ints, floats, strings), built on each access."""
+        return tuple(zip(*(values.tolist() if isinstance(values, np.ndarray) else values
+                           for values in self.data)))
+
+    def column(self, name: str):
+        """The stored column ``name``: a read-only array, or a tuple of strings."""
+        return self.data[self.columns.index(name)]
 
     def to_csv(self, path: str | Path) -> None:
-        write_csv(path, self.columns, self.rows,
+        """The table through :func:`evidence.write_csv`, ``PATH_BLOCK_ROWS`` rows at a time."""
+        size = len(self.data[0]) if self.data else 0
+        blocks = (tuple(values[i:i + PATH_BLOCK_ROWS] for values in self.data)
+                  for i in range(0, size, PATH_BLOCK_ROWS))
+        write_csv(path, self.columns, blocks,
                   comment=f"scenario={self.scenario} seed={self.seed} config_hash={self.config_hash}")
 
-    def column(self, name: str) -> np.ndarray:
-        j = self.columns.index(name)
-        return np.array([row[j] for row in self.rows])
+
+def _stored_column(values):
+    """A text column as given, a tuple; any other column as a read-only array view."""
+    if isinstance(values, tuple):
+        return values
+    view = np.asarray(values).view()
+    view.flags.writeable = False
+    return view
 
 
 def _capped_exp(log_values: np.ndarray, cap: float) -> np.ndarray:
@@ -216,7 +244,8 @@ def run_simplex_gaming(cfg: SimplexGamingConfig) -> ResultTable:
     regulator pays the cumulative truncated likelihood ratio against the
     capped-KL projection onto the hull of the same points.  Both routes
     reduce their licenses to the per-step mean and SE one block of rounds
-    at a time, so the only (runs x n) array held is the outcome matrix.
+    at a time, so the only (runs x n) array held is the outcome matrix, one
+    byte per cell.  The table holds the step and the four per-step columns.
     """
     space = EvidenceSpace.of_size(3)
     points = [Categorical(space, p) for p in SIMPLEX_POINTS]
@@ -226,12 +255,10 @@ def run_simplex_gaming(cfg: SimplexGamingConfig) -> ResultTable:
     z = _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed)
     (naive_mean,), (naive_se,) = _per_step_mean_se(_naive_glr_blocks(z, points, cfg.params), cfg.n)
     _, credal_mean, credal_se = _explicit_route(z, q, hull, cfg.params, 0)
-    rows = zip(range(1, cfg.n + 1), naive_mean.tolist(), naive_se.tolist(),
-               credal_mean.tolist(), credal_se.tolist())
     return ResultTable.of(
         cfg,
         ("step", "naive_mean", "naive_se", "credal_mean", "credal_se"),
-        rows,
+        (np.arange(1, cfg.n + 1), naive_mean, naive_se, credal_mean, credal_se),
         {
             "naive_final_mean": float(naive_mean[-1]) if cfg.n else cfg.params.C,
             "credal_final_mean": float(credal_mean[-1]) if cfg.n else cfg.params.C,
@@ -359,21 +386,22 @@ def _explicit_route(z: np.ndarray, q: Categorical, credal: CredalSet, params: Me
 def run_fairness(cfg: FairnessConfig) -> ResultTable:
     """Mean license trajectories per fairness gap, betting and explicit routes.
 
-    Both routes see the same paired sample paths, drawn into one stacked
-    (gammas x runs, n) outcome matrix; every gamma's betting paths run as
-    rows of one warm-started batch, so each round is one :func:`kelly_bets`
-    call for every gamma.  The explicit route uses the provider's exact type
-    when burn_in = 0; with a positive burn-in the type is re-estimated from
-    the burn-in prefix (add-one smoothed) before the cumulative license
-    starts accumulating.
+    Both routes see the same paired sample paths, each gamma's drawn in place
+    into its rows of one stacked (gammas x runs, n) ``uint8`` outcome matrix;
+    every gamma's betting paths run as rows of one warm-started batch, so
+    each round is one :func:`kelly_bets` call for every gamma.  The explicit
+    route uses the provider's exact type when burn_in = 0; with a positive
+    burn-in the type is re-estimated from the burn-in prefix (add-one
+    smoothed) before the cumulative license starts accumulating.
 
     Both routes reduce each block of rounds (``betting.PATH_BLOCK_ROWS``
     path cells) to its per-step mean and SE per gamma, so the only (runs x
-    n) arrays held are the int64 outcomes.  The bits are those of reducing
+    n) array held is that outcome matrix.  The bits are those of reducing
     the full license matrices: each route carries its running log sum across
     blocks in the order of the whole-matrix formula (ln C before the
     betting route's first sum, after the explicit route's), and a block of
-    one round is reduced as a column of a wider block would be.
+    one round is reduced as a column of a wider block would be.  The table
+    holds six columns of gammas x n float64 and int64 cells, no row tuples.
 
     An invalid field (no gamma, a gamma out of range or repeated, a burn-in
     of n or more, a tau above every gap, a non-default ``kelly_margin``
@@ -395,33 +423,33 @@ def run_fairness(cfg: FairnessConfig) -> ResultTable:
     # Past the resolution check, only a tau above every gap leaves the set empty.
     with _naming_field(cfg, "grid_resolution" if cfg.grid_resolution < 2 else "tau"):
         credal = parity_credal_set(cfg.tau, cfg.grid_resolution)
-    stacked = np.empty((len(types) * cfg.runs, cfg.n), dtype=np.int64)
+    stacked = np.empty((len(types) * cfg.runs, cfg.n), dtype=outcome_dtype(PAIRED_SPACE.size))
     paths = np.split(stacked, len(types))  # each gamma's rows, as views
     for g_idx, (q, part) in enumerate(zip(types, paths)):
-        part[...] = _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed + g_idx)
+        _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed + g_idx, out=part)
     if cfg.bet_zero_control:  # every license stays at C, so every step reduces alike
         mean, se = _mean_se(np.full((cfg.runs, 2 if cfg.n > 1 else 1), float(cfg.params.C)))
         b_means, b_ses = (np.full((len(types), cfg.n), x[0]) for x in (mean, se))
     else:  # rows are solved independently, so every gamma's paths share one call
         b_means, b_ses = _betting_trajectories(stacked, score, kelly_cfg, cfg.params, len(types))
-    rows = []
+    e_means, e_ses = np.empty_like(b_means), np.empty_like(b_ses)
     headline: dict[str, float] = {}
-    for gamma, q, z, b_mean, b_se in zip(cfg.gammas, types, paths, b_means, b_ses):
+    for gamma, q, z, b_mean, e_mean, e_se in zip(cfg.gammas, types, paths, b_means, e_means, e_ses):
         if cfg.burn_in == 0:
             q_used = q
         else:
             pooled = z[:, : cfg.burn_in].reshape(-1)
             counts = np.bincount(pooled, minlength=q.space.size)
             q_used = Categorical(q.space, _smoothed(counts, pooled.size, q.space.size)[0])
-        _, e_mean, e_se = _explicit_route(z, q_used, credal, cfg.params, cfg.burn_in)
-        rows += zip(repeat(gamma), range(1, cfg.n + 1), b_mean.tolist(), b_se.tolist(),
-                    e_mean.tolist(), e_se.tolist())
+        _, e_mean[:], e_se[:] = _explicit_route(z, q_used, credal, cfg.params, cfg.burn_in)
         headline[f"betting_final_mean_gamma={gamma}"] = float(b_mean[-1])
         headline[f"explicit_final_mean_gamma={gamma}"] = float(e_mean[-1])
         headline[f"analytic_drift_gamma={gamma}"] = float(q.probs @ score.score)
     return ResultTable.of(
         cfg, ("gamma", "step", "betting_mean", "betting_se", "explicit_mean", "explicit_se"),
-        rows, headline,
+        (np.repeat(cfg.gammas, cfg.n), np.tile(np.arange(1, cfg.n + 1), len(types)),
+         b_means.ravel(), b_ses.ravel(), e_means.ravel(), e_ses.ravel()),
+        headline,
     )
 
 
@@ -527,24 +555,19 @@ def run_chi2_strategic(cfg: Chi2Config) -> ResultTable:
         )
         alt_stats = _batch_loglik_ratio(cfg.d0, cfg.d0, cfg.mc_power, cfg.n_per_test, seeds[1])
         null_stats = null_future.result()
-    rows = []
-    ratio = cfg.params.C / cfg.params.R
-    for alpha in cfg.alpha_grid:
-        if alpha == 0.0:
-            power = 0.0  # a size-0 test never rejects; the MC max is not its threshold
-        else:
-            threshold = float(np.quantile(null_stats, 1.0 - alpha))
-            power = float(np.mean(alt_stats > threshold))
-        null_enter = 1.0 if alpha * cfg.params.R >= cfg.params.C else 0.0
-        compliant_enter = 1.0 if power * cfg.params.R >= cfg.params.C else 0.0
-        null_approved = alpha if null_enter else 0.0
-        rows.append((float(alpha), power, null_enter, compliant_enter, float(null_approved)))
-    powers = {row[0]: row[1] for row in rows}
+    alphas = np.array(cfg.alpha_grid, dtype=float)
+    power = np.zeros(alphas.size)  # a size-0 test never rejects; the MC max is not its threshold
+    for i, alpha in enumerate(cfg.alpha_grid):
+        if alpha != 0.0:
+            power[i] = np.mean(alt_stats > float(np.quantile(null_stats, 1.0 - alpha)))
+    null_enter = (alphas * cfg.params.R >= cfg.params.C).astype(float)
+    compliant_enter = (power * cfg.params.R >= cfg.params.C).astype(float)
+    powers = dict(zip(alphas.tolist(), power.tolist()))
     return ResultTable.of(
         cfg,
         ("alpha", "power", "null_enter", "compliant_enter", "null_approved"),
-        rows,
-        {"fee_cap_ratio": ratio, "power_at_0.05": powers.get(0.05, float("nan"))},
+        (alphas, power, null_enter, compliant_enter, np.where(null_enter > 0.0, alphas, 0.0)),
+        {"fee_cap_ratio": cfg.params.C / cfg.params.R, "power_at_0.05": powers.get(0.05, float("nan"))},
     )
 
 
@@ -596,31 +619,30 @@ def run_synthetic_spurious(cfg: SpuriousConfig) -> ResultTable:
     _check_burn_in(cfg)
     hull = CredalSet(SPURIOUS_SPACE, (q_erm, p_rand))
 
-    rows = []
-    finals = {}
-    payouts = {}
+    means, ses, finals, payouts = [], [], {}, {}
     for agent, q in (("compliant", q_dro), ("non_compliant", q_erm)):
         # Same seed for both agents: paired paths, and equal surrogates give
         # identical trajectories.
         z = _draw_outcomes(q, cfg.runs, cfg.n, cfg.seed)
         p_star, mean, se = _explicit_route(z, q, hull, cfg.params, cfg.burn_in)
-        rows += zip(repeat("license"), repeat(agent), range(1, cfg.n + 1),
-                    mean.tolist(), se.tolist())
+        means.append(mean)
+        ses.append(se)
         finals[agent] = float(mean[-1])
         payouts[agent] = _truncated_payout(ratio(q.probs, p_star), cfg.params.C, cfg.params.R)
 
     payout_ratio = ratio(payouts["compliant"], payouts["non_compliant"])
-    for j, label in enumerate(SPURIOUS_SPACE.labels):
-        rows.append(("ratio", label, 0, float(payout_ratio[j]), 0.0))
     easy = float((qd[:2] @ payout_ratio[:2]) / qd[:2].sum())
     hard = float((qd[2:] @ payout_ratio[2:]) / qd[2:].sum())
-    rows.append(("ratio", "easy_group", 0, easy, 0.0))
-    rows.append(("ratio", "hard_group", 0, hard, 0.0))
+    ratio_keys = (*SPURIOUS_SPACE.labels, "easy_group", "hard_group")
 
     return ResultTable.of(
         cfg,
         ("series", "key", "step", "value", "stderr"),
-        rows,
+        (("license",) * (2 * cfg.n) + ("ratio",) * len(ratio_keys),
+         ("compliant",) * cfg.n + ("non_compliant",) * cfg.n + ratio_keys,
+         np.concatenate([np.tile(np.arange(1, cfg.n + 1), 2), np.zeros(len(ratio_keys), dtype=np.int64)]),
+         np.concatenate([*means, payout_ratio, [easy, hard]]),
+         np.concatenate([*ses, np.zeros(len(ratio_keys))])),
         {
             "compliant_final_mean": finals["compliant"],
             "non_compliant_final_mean": finals["non_compliant"],

@@ -107,9 +107,11 @@ class MarketReport:
         return out
 
     def to_csv(self, path: str | Path) -> None:
+        rows = self.rows
         write_csv(path, ("provider_id", "compliant", "sup_value", "participated", "classification"),
-                  [(r.provider_id, int(r.compliant), r.sup_value, int(r.participated), r.classification)
-                   for r in self.rows])
+                  [([r.provider_id for r in rows], [int(r.compliant) for r in rows],
+                    [r.sup_value for r in rows], [int(r.participated) for r in rows],
+                    [r.classification for r in rows])])
 
     def save_summary(self, path: str | Path) -> None:
         write_json(path, {"perfect": self.perfect, "counts": self.counts(),

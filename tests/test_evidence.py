@@ -129,16 +129,26 @@ class TestJsonRules:
 
 
 class TestWriters:
-    #: a trajectory row whose wealth overflowed: step, lambda, outcome, wealth, license_value
-    ROW = (7, 0.5, 1, math.inf, 250.0)
+    #: the columns of a trajectory row whose wealth overflowed: step, lambda, outcome, wealth,
+    #: license_value
+    COLUMNS = ((7,), (0.5,), (1,), (math.inf,), (250.0,))
 
     def test_numpy_float_cells_write_as_python_floats(self, tmp_path):
-        numpy_row = tuple(np.float64(v) if isinstance(v, float) else v for v in self.ROW)
-        for name, row in (("python.csv", self.ROW), ("numpy.csv", numpy_row)):
+        cells = [tuple(np.float64(v) if isinstance(v, float) else v for v in col) for col in self.COLUMNS]
+        arrays = [np.array(col) for col in self.COLUMNS]  # int64 and float64 arrays
+        for name, columns in (("python.csv", self.COLUMNS), ("numpy.csv", cells), ("arrays.csv", arrays)):
             write_csv(tmp_path / name, ("step", "lambda", "outcome", "wealth", "license_value"),
-                      [row], comment="run")
-        assert (tmp_path / "python.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes() == (
-            b"# run\nstep,lambda,outcome,wealth,license_value\r\n7,0.5,1,inf,250.0\r\n")
+                      [columns], comment="run")
+        written = {(tmp_path / name).read_bytes() for name in ("python.csv", "numpy.csv", "arrays.csv")}
+        assert written == {b"# run\nstep,lambda,outcome,wealth,license_value\r\n7,0.5,1,inf,250.0\r\n"}
+
+    def test_blocks_write_one_after_another(self, tmp_path):
+        x = np.array([0.1, 2.5, -0.0, math.nan, math.inf])
+        write_csv(tmp_path / "one.csv", ("i", "x"), [(np.arange(5), x)])
+        write_csv(tmp_path / "three.csv", ("i", "x"),
+                  [(np.arange(2), x[:2]), (np.arange(2, 3), x[2:3]), (range(3, 5), x[3:].tolist())])
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "three.csv").read_bytes() == (
+            b"i,x\r\n0,0.1\r\n1,2.5\r\n2,-0.0\r\n3,nan\r\n4,inf\r\n")
 
     def test_json_is_indented_with_a_final_newline(self, tmp_path):
         write_json(tmp_path / "a.json", {"x": [1, 0.5]})
@@ -306,7 +316,7 @@ class TestSampling:
         stream, twin = SampleStream(dist, seed), SampleStream(dist, seed)
         z = sample(stream, n)
         expected = np.searchsorted(twin._cdf, twin._gen.random(n), side="right")
-        assert z.dtype == np.int64 and z.shape == (n,)
+        assert z.dtype == np.uint8 and z.shape == (n,)
         assert np.array_equal(z, expected)
         assert np.all(dist.probs[z] > 0.0)
 
@@ -325,7 +335,7 @@ class TestSampling:
                             [0.0, largest]])
         stream._gen = FixedUniforms(u)
         z = sample(stream, u.size)
-        assert z.dtype == np.int64
+        assert z.dtype == np.uint8
         assert np.array_equal(z, np.searchsorted(stream._cdf, u, side="right"))
         assert np.all(stream.source.probs[z] > 0.0)
 
@@ -334,8 +344,35 @@ class TestSampling:
         dist = Categorical(EvidenceSpace.of_size(4), [0.1, 0.0, 0.6, 0.3])
         z = draw_outcomes(dist, runs, n, seed=17)
         rows = [sample(SampleStream(dist, s), n) for s in spawn_seeds(17, runs)]
-        assert z.dtype == np.int64 and z.shape == (runs, n) and z.flags.c_contiguous
-        assert z.tobytes() == np.array(rows, dtype=np.int64).reshape(runs, n).tobytes()
+        assert z.dtype == np.uint8 and z.shape == (runs, n) and z.flags.c_contiguous
+        assert z.tobytes() == np.array(rows, dtype=np.uint8).reshape(runs, n).tobytes()
+
+    def test_draw_outcomes_fills_a_row_block_in_place(self):
+        dist = Categorical(EvidenceSpace.of_size(4), [0.1, 0.0, 0.6, 0.3])
+        matrix = np.full((9, 40), 255, dtype=np.uint8)
+        block = matrix[3:8]  # rows 3..7, a C-contiguous view
+        assert draw_outcomes(dist, 5, 40, seed=17, out=block) is block
+        assert matrix[3:8].tobytes() == draw_outcomes(dist, 5, 40, seed=17).tobytes()
+        assert np.all(matrix[:3] == 255) and np.all(matrix[8:] == 255)
+
+    def test_a_space_of_257_outcomes_draws_uint16(self):
+        dist = Categorical.uniform(EvidenceSpace.of_size(257))
+        z = draw_outcomes(dist, 3, 2000, seed=5)
+        assert z.dtype == np.uint16 and z.max() > 255
+        out = np.empty((3, 2000), dtype=np.uint16)
+        assert draw_outcomes(dist, 3, 2000, seed=5, out=out).tobytes() == z.tobytes()
+        assert sample(SampleStream(dist, seed=5), 10).dtype == np.uint16
+
+    @pytest.mark.parametrize("out", [
+        np.empty((2, 6), dtype=np.int64),          # the wrong dtype
+        np.empty((3, 6), dtype=np.uint8),          # the wrong shape
+        np.empty((6, 2), dtype=np.uint8).T,        # Fortran order
+        np.empty((2, 12), dtype=np.uint8)[:, ::2],  # strided columns
+    ], ids=["dtype", "shape", "fortran", "strided"])
+    def test_draw_outcomes_rejects_a_wrong_out(self, out):
+        dist = Categorical(EvidenceSpace.of_size(3), [0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            draw_outcomes(dist, 2, 6, seed=1, out=out)
 
     def test_spawn_seeds_deterministic(self):
         assert spawn_seeds(5, 4) == spawn_seeds(5, 4)

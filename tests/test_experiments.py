@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import os
@@ -64,10 +65,10 @@ class TestDeterminism:
         assert header.startswith(f"# scenario={cfg.scenario} seed={cfg.seed} config_hash=")
 
     def test_numpy_float_cells_write_as_python_floats(self, tmp_path):
-        python_row = (1, 2.5, 0.1 + 0.2, math.inf, "a")
-        numpy_row = (1, *map(np.float64, python_row[1:4]), "a")
-        written = [table_bytes(ResultTable("s", 0, "h", ("i", "x", "y", "z", "k"), (row,)), tmp_path, name)
-                   for row, name in ((python_row, "python.csv"), (numpy_row, "numpy.csv"))]
+        python_columns = ((1,), (2.5,), (0.1 + 0.2,), (math.inf,), ("a",))
+        numpy_columns = (np.array([1]), *(np.array(c) for c in python_columns[1:4]), ("a",))
+        written = [table_bytes(ResultTable("s", 0, "h", ("i", "x", "y", "z", "k"), columns), tmp_path, name)
+                   for columns, name in ((python_columns, "python.csv"), (numpy_columns, "numpy.csv"))]
         want = b"# scenario=s seed=0 config_hash=h\ni,x,y,z,k\r\n1,2.5,0.30000000000000004,inf,a\r\n"
         assert written == [want, want]
 
@@ -75,6 +76,57 @@ class TestDeterminism:
         a = table_bytes(run_simplex_gaming(SimplexGamingConfig(runs=3, n=40, seed=1)), tmp_path, "a.csv")
         b = table_bytes(run_simplex_gaming(SimplexGamingConfig(runs=3, n=40, seed=2)), tmp_path, "b.csv")
         assert a != b
+
+
+#: SHA-256 of ``repr(table.rows)`` at each config, recorded from the runners when
+#: they built their tables as tuples of row tuples: the column table must give
+#: the same rows, with the same Python types (an int step, a float gamma).
+ROW_TUPLE_DIGESTS = [
+    (SimplexGamingConfig(runs=3, n=40, seed=7),
+     "60e19d5a870716a60f11c3e72fdb8eac2ec5c06fdc483e98060556e0de017c7d"),
+    (FairnessConfig(runs=2, n=60, seed=7),
+     "a712698e6f3432efabfa664f85ca9bcb7058e6a5a44ce9c6c29bdb3f7471d2d0"),
+    (FairnessConfig(runs=3, n=50, seed=7, burn_in=10, gammas=(0.2, 0.5, 0.6)),
+     "cc8ef3c4b4091fed486e5383947c9efe4fb340c03fb6291e2086ff3bc359f990"),
+    (FairnessConfig(runs=2, n=30, seed=7, bet_zero_control=True),
+     "42cb391e420da2f672c0db3422edc68011c627640972218b7e8e6899403cd6a6"),
+    (Chi2Config(n_per_test=50, mc_calibration=2000, mc_power=2000, seed=7),
+     "20fefbd5b1b919983181c08c0d6d7c3715a13ffba6252f9479630b0323c5ff0e"),
+    (SpuriousConfig(runs=3, n=120, burn_in=20, seed=7),
+     "237fb12c0992ce403017b57860b039826f412add58db692acc6fac32615807f0"),
+]
+
+
+class TestResultTable:
+    @pytest.mark.parametrize("cfg, digest", ROW_TUPLE_DIGESTS,
+                             ids=["simplex", "fairness", "fairness-burn-in", "fairness-control",
+                                  "chi2", "spurious"])
+    def test_rows_are_the_row_tuples(self, cfg, digest):
+        table = run_scenario(cfg)
+        assert hashlib.sha256(repr(table.rows).encode()).hexdigest() == digest
+        assert type(table.rows) is tuple and all(type(row) is tuple for row in table.rows)
+
+    def test_columns_are_stored_read_only(self):
+        table = run_synthetic_spurious(SpuriousConfig(runs=2, n=30, burn_in=5))
+        value = table.column("value")
+        assert value.dtype == np.float64 and table.column("step").dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 1.0
+        assert type(table.column("series")) is tuple and table.column("key")[:2] == ("compliant",) * 2
+        mine = np.arange(3.0)
+        ResultTable("s", 0, "h", ("x",), (mine,))
+        assert mine.flags.writeable  # the table made a read-only view, not the caller's array
+
+    def test_ragged_columns_are_a_value_error(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            ResultTable("s", 0, "h", ("a", "b"), (np.arange(3), ("x", "y")))
+
+    def test_csv_blocks_do_not_move_a_byte(self, tmp_path):
+        table = run_scenario(FairnessConfig(runs=2, n=60, seed=7))
+        whole = table_bytes(table, tmp_path, "whole.csv")
+        with patch.object(experiments, "PATH_BLOCK_ROWS", 7):  # 18 blocks, the last of 1 row
+            assert table_bytes(table, tmp_path, "blocks.csv") == whole
+        assert whole.count(b"\r\n") == 1 + 120
 
 
 class TestSimplexGaming:
@@ -525,14 +577,19 @@ class TestBlockwiseReductions:
 
 
 #: tracemalloc peak of ``run_fairness`` and ``run_simplex_gaming`` at 30 runs,
-#: above their int64 outcome matrices and the result table they return.  The
-#: full-matrix routes measured 3.2 MB and 11.9 MB (fairness) and 4.3 MB and
-#: 17.1 MB (simplex_gaming) at n = 2,000 and 8,000; taken block by block,
-#: 1.1 MB and 0.7 MB, and 0.13 MB and 0.53 MB, whose growth is the per-step
-#: mean and SE columns and the lists they reach the rows through.  One
-#: (runs, n) float matrix left in simplex_gaming would alone grow by 1.44 MB.
+#: above their outcome matrices (one byte per cell) and the result table they
+#: return.  The full-matrix routes measured 3.2 MB and 11.9 MB (fairness) and
+#: 4.3 MB and 17.1 MB (simplex_gaming) at n = 2,000 and 8,000 above int64
+#: outcomes.  Taken block by block, with uint8 outcomes and a column table,
+#: they measure 1.41 MB and 1.21 MB (fairness, where the kappa search sets the
+#: peak) and 0.27 MB and 0.12 MB (simplex_gaming).  One (runs, n) float matrix
+#: left in simplex_gaming would alone grow by 1.44 MB.
 SCENARIO_PEAK_ABOVE_OUTCOMES = 2 * 1024 * 1024
 SCENARIO_PEAK_GROWTH = 768 * 1024
+#: bytes per row of the returned table: its float and int columns take 8 bytes a
+#: cell (48 for fairness's six columns, 40 for simplex_gaming's five), where a
+#: table of row tuples of Python floats took about 220
+TABLE_BYTES_PER_ROW = 64
 
 
 class TestScenarioPeakMemory:
@@ -551,7 +608,8 @@ class TestScenarioPeakMemory:
             finally:
                 tracemalloc.stop()
             assert len(table.rows) == groups * n
-            above.append(peak - kept - groups * 30 * n * 8)
+            assert kept <= TABLE_BYTES_PER_ROW * groups * n, (n, kept)
+            above.append(peak - kept - groups * 30 * n)
         assert max(above) <= SCENARIO_PEAK_ABOVE_OUTCOMES, above
         assert above[1] - above[0] <= SCENARIO_PEAK_GROWTH, above
 
@@ -666,8 +724,8 @@ class TestConfigLoading:
         assert load_config("fairness", {"scenario": "fairness", "runs": 2}) == FairnessConfig(runs=2)
 
     def test_result_table_shape_checked(self):
-        with pytest.raises(ValueError):
-            ResultTable("s", 0, "h", ("a", "b"), ((1,),))
+        with pytest.raises(ValueError, match="one column of values per column name"):
+            ResultTable("s", 0, "h", ("a", "b"), (np.array([1]),))
 
 
 class TestRunExperimentsCheck:
