@@ -28,7 +28,6 @@ __all__ = [
     "KellyConfig",
     "kelly_bets",
     "kelly_optimal_bet",
-    "plugin_paths",
     "run_sequential_license",
     "verify_supermartingale",
     "write_trajectory_csv",
@@ -42,7 +41,7 @@ KELLY_MAX_ITER = 200
 GRID_FALLBACK = 20001
 #: entry fee C, the starting wealth of every :func:`verify_supermartingale` run
 AUDIT_ENTRY_FEE = 15.0
-#: Path rows of one block of rounds of :func:`plugin_paths` and of the
+#: Path rows of one block of rounds of :func:`_plugin_blocks` and of the
 #: scenarios' explicit and naive routes: as many whole rounds as fit (at
 #: least one), which bounds a block's memory to a few arrays of that many
 #: rows.  A cold path solves a block per :func:`kelly_bets` call, so the
@@ -182,14 +181,39 @@ def _round_blocks(n: int, rows: int) -> Iterator[tuple[int, int]]:
     return ((t0, min(n, t0 + span)) for t0 in range(0, n, span))
 
 
-def _bet_blocks(
-    z: np.ndarray, b: BettingScore, cfg: KellyConfig, warm_start: bool = False,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(t0, bets) of :func:`plugin_paths`, one block of rounds t0, t0 + 1, ... at a time."""
+def _plugin_blocks(
+    z: np.ndarray, b: BettingScore, cfg: KellyConfig, params: MechanismParams,
+    warm_start: bool = False,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(t0, bets, log-wealth, licenses) of plug-in Kelly betting along each row of ``z``, one
+    block of rounds at a time: the only plug-in wealth loop.
+
+    The three arrays hold rounds t0, t0 + 1, ... of every row, one per column.
+    Round t bets against the add-one-smoothed counts of the row's first t
+    outcomes (round 0 bets nothing).  Those counts depend only on ``z``, so
+    every path runs in blocks of whole rounds, at most ``PATH_BLOCK_ROWS``
+    rows (at least one round), with the counts carried across blocks as a
+    cumulative one-hot sum; each block solves its bets, then sums its
+    log-wealth.  A caller keeps what it reads, such as a per-step
+    mean, the final licenses or a CSV block, and holds no (runs, n) float
+    array.  A cold path solves each block as one :func:`kelly_bets` call.
+    ``warm_start`` starts each solve from the row's previous bet instead, so
+    a warm path solves its blocks one round per call.  A warm start changes
+    the Newton path, so its bets agree with cold starts only to
+    ``NEWTON_TOL``, not bit for bit; the fairness scenario's CSV depends on
+    its warm starts (turning them off moves 11,098 fairness cells, at most
+    9.1e-11 relative, 4 of them at 10 significant digits).  Wealth starts at
+    C: ln C is added to each row's first ``math.log1p`` factor before the
+    running sum, which carries across blocks in round order, so rows match
+    a scalar loop bit for bit whatever the blocks.  The issued license is R
+    once log-wealth reaches ln R, else the wealth.
+    """
     runs, n = z.shape
     m = b.space.size
     seen = np.zeros((runs, m), dtype=np.int64)  # outcome counts before the block
     bets = np.zeros(runs)  # the last round's bets, a warm solve's starts
+    wealth_so_far = np.full(runs, math.log(params.C))
+    log_cap = math.log(params.R)
     for t0, t1 in _round_blocks(n, runs):
         lams = np.zeros((runs, t1 - t0))
         first = max(t0, 1)  # round 0 bets nothing
@@ -202,18 +226,7 @@ def _bet_blocks(
                     bets = lams[:, t - t0] = kelly_bets(probs[:, t - first], b, cfg, init=bets)
             else:
                 lams[:, first - t0:] = kelly_bets(probs.reshape(-1, m), b, cfg).reshape(runs, t1 - first)
-        yield t0, lams
-
-
-def _wealth_blocks(
-    z: np.ndarray, b: BettingScore, params: MechanismParams,
-    bet_blocks: Iterator[tuple[int, np.ndarray]],
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(t0, bets, log-wealth, licenses) of each block of rounds of ``bet_blocks``, in order."""
-    wealth_so_far = np.full(z.shape[0], math.log(params.C))
-    log_cap = math.log(params.R)
-    for t0, lams in bet_blocks:
-        steps = lams * b.score[z[:, t0:t0 + lams.shape[1]]]
+        steps = lams * b.score[z[:, t0:t1]]
         block = np.fromiter(map(math.log1p, steps.flat), float, steps.size).reshape(steps.shape)
         block[:, 0] += wealth_so_far  # ln C enters before the first cumsum
         np.cumsum(block, axis=1, out=block)
@@ -222,56 +235,6 @@ def _wealth_blocks(
         below = block < log_cap
         issued[below] = np.fromiter(map(math.exp, block[below]), float)
         yield t0, lams, block, issued
-
-
-def _plugin_blocks(
-    z: np.ndarray, b: BettingScore, cfg: KellyConfig, params: MechanismParams,
-    warm_start: bool = False,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(t0, bets, log-wealth, licenses) of :func:`plugin_paths`, one block of rounds at a time.
-
-    The three arrays hold rounds t0, t0 + 1, ... of every row, one per column.
-    """
-    return _wealth_blocks(z, b, params, _bet_blocks(z, b, cfg, warm_start))
-
-
-def plugin_paths(
-    z: np.ndarray, b: BettingScore, cfg: KellyConfig, params: MechanismParams,
-    warm_start: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bets, log-wealth, licenses) of plug-in Kelly betting along each row of ``z``.
-
-    Round t bets against the add-one-smoothed counts of the row's first t
-    outcomes (round 0 bets nothing).  Those counts depend only on ``z``, so
-    every path runs in blocks of whole rounds, at most ``PATH_BLOCK_ROWS``
-    rows (at least one round), with the counts carried across blocks as a
-    cumulative one-hot sum.  ``_plugin_blocks`` yields the blocks; a caller
-    that reads less than the full arrays, such as a per-step mean or the
-    final licenses, takes them itself and holds no (runs, n) float array.
-    This function solves every block's bets first, then allocates the
-    log-wealth and license arrays and fills them from the same blocks of
-    bets, so the solver's temporaries never coexist with all three outputs.
-    A cold path solves each block as one :func:`kelly_bets` call.
-    ``warm_start`` starts each solve from the row's previous bet instead, so
-    a warm path solves its blocks one round per call.  A warm start changes
-    the Newton path, so its bets agree with cold starts only to
-    ``NEWTON_TOL``, not bit for bit; the fairness scenario's CSV depends on
-    its warm starts (turning them off moves 11,098 fairness cells, at most
-    9.1e-11 relative, 4 of them at 10 significant digits).  Wealth starts at
-    C: ln C is added to each row's first ``math.log1p`` factor before the
-    running sum, which carries across blocks in round order, so rows match
-    a scalar loop bit for bit whatever the blocks.  The issued license is R
-    once log-wealth reaches ln R, else the wealth.
-    """
-    lams = np.empty(z.shape)
-    for t0, block in _bet_blocks(z, b, cfg, warm_start):
-        lams[:, t0:t0 + block.shape[1]] = block
-    log_wealth, licenses = np.empty(z.shape), np.empty(z.shape)
-    bet_blocks = ((t0, lams[:, t0:t1]) for t0, t1 in _round_blocks(z.shape[1], z.shape[0]))
-    for t0, _, block, issued in _wealth_blocks(z, b, params, bet_blocks):
-        log_wealth[:, t0:t0 + block.shape[1]] = block
-        licenses[:, t0:t0 + block.shape[1]] = issued
-    return lams, log_wealth, licenses
 
 
 def run_sequential_license(
@@ -284,7 +247,8 @@ def run_sequential_license(
     """Adaptive betting for n rounds; returns the per-step license values."""
     if n < 1:
         raise ValueError("need at least one betting round")
-    return plugin_paths(sample(stream, n)[None, :], b, cfg, params)[2][0]
+    z = sample(stream, n)[None, :]
+    return np.concatenate([licenses[0] for *_, licenses in _plugin_blocks(z, b, cfg, params)])
 
 
 def verify_supermartingale(
@@ -303,7 +267,7 @@ def verify_supermartingale(
     Obedience holds when mean <= C + 3 * SE.  The null's edge E[b] may exceed
     0 by ``PROB_ATOL * max(1, max|b|)``, the round-off of a zero-drift null.
 
-    Bets are the same plug-in Kelly rule as :func:`plugin_paths`; since the
+    Bets are the same plug-in Kelly rule as :func:`_plugin_blocks`; since the
     rule depends on history only through outcome counts, each round's bets
     are those of its distinct count rows, shared across trajectories.
 
@@ -384,13 +348,20 @@ def write_trajectory_csv(
     """Run one adaptive trajectory and dump step, lambda, outcome, wealth, license_value.
 
     The file opens with the line ``# {header_comment}``.  Wealth is uncapped
-    and reads ``inf`` once it passes the float range.
+    and reads ``inf`` once it passes the float range.  Rows are written as
+    :func:`_plugin_blocks` yields each block of rounds, so only the outcomes
+    are held whole.
     """
     outcomes = sample(stream, n)
-    lams, log_wealth, licenses = plugin_paths(outcomes[None, :], b, cfg, params)
-    wealth = np.fromiter(map(_exp_or_inf, log_wealth[0].tolist()), float, n)
-    write_csv(path, ("step", "lambda", "outcome", "wealth", "license_value"),
-              [(np.arange(1, n + 1), lams[0], outcomes, wealth, licenses[0])], comment=header_comment)
+
+    def rows():
+        for t0, lams, log_wealth, licenses in _plugin_blocks(outcomes[None, :], b, cfg, params):
+            t1 = t0 + lams.shape[1]
+            wealth = np.fromiter(map(_exp_or_inf, log_wealth[0].tolist()), float, t1 - t0)
+            yield np.arange(t0 + 1, t1 + 1), lams[0], outcomes[t0:t1], wealth, licenses[0]
+
+    write_csv(path, ("step", "lambda", "outcome", "wealth", "license_value"), rows(),
+              comment=header_comment)
 
 
 def _exp_or_inf(log_value: float) -> float:

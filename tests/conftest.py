@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from credalmarket.betting import _plugin_blocks
 from credalmarket.credal import CredalSet
 from credalmarket.evidence import Categorical, EvidenceSpace, log_ratio
 from credalmarket.licenses import MechanismParams
@@ -61,3 +62,13 @@ def kappa(q: Categorical, p: Categorical, params: MechanismParams) -> float:
     support = q.probs > 0.0
     qs = q.probs[support]
     return float(qs @ np.minimum(log_ratio(qs, p.probs[support]), math.log(params.cap_ratio)))
+
+
+def plugin_paths(z, b, cfg, params, warm_start=False):
+    """(bets, log-wealth, licenses) of plug-in Kelly betting along each row of ``z``: the blocks
+    of ``betting._plugin_blocks`` laid side by side in three (runs, n) arrays."""
+    paths = tuple(np.empty(z.shape) for _ in range(3))
+    for t0, *blocks in _plugin_blocks(z, b, cfg, params, warm_start):
+        for path, block in zip(paths, blocks):
+            path[:, t0:t0 + block.shape[1]] = block
+    return paths

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import plugin_paths
 from credalmarket import betting
 from credalmarket.betting import (
     BettingScore,
@@ -14,7 +15,6 @@ from credalmarket.betting import (
     _smoothed,
     kelly_bets,
     kelly_optimal_bet,
-    plugin_paths,
     run_sequential_license,
     verify_supermartingale,
     write_trajectory_csv,
@@ -33,11 +33,14 @@ from credalmarket.licenses import MechanismParams
 from credalmarket.market import Provider, Requirement, _betting_sup_values
 
 PARAMS = MechanismParams(C=15.0, R=250.0)
-#: tracemalloc peak of one cold plug-in call on the market's shape, above its
-#: three output arrays: measured 123 kB at n = 500 and 119 kB at n = 5,000,
-#: since every bet is solved before the log-wealth and license arrays exist
-#: (a loop with full-size temporaries: 0.66 MB and 5.5 MB)
+#: bound on the growth of ``write_trajectory_csv``'s tracemalloc peak from
+#: n = 5,000 to 50,000: of its outputs it holds only the one-byte outcomes
+#: whole (45 kB of the measured 48 kB) and writes the other columns block by
+#: block as ``betting._plugin_blocks`` yields them (full (1, n) arrays grew 14.5 MB)
 PEAK_ABOVE_OUTPUTS = 256 * 1024
+#: largest change in the tracemalloc peak of ``betting._plugin_blocks``,
+#: consumed block by block on the market's shape, from n = 500 to 5,000
+BLOCK_PEAK_DRIFT = 4 * 1024
 #: tracemalloc peak of one supermartingale audit at 10^4 runs x 500 rounds,
 #: above its log-wealth vector
 AUDIT_PEAK_ABOVE_WEALTH = 1024 * 1024
@@ -278,22 +281,41 @@ class TestBatchedPaths:
             assert got_array.shape == (runs, n)
             assert np.array_equal(got_array, np.reshape(want_arrays, (runs, n)))
 
-    def test_cold_path_peak_memory_does_not_grow_with_n(self):
+    def test_cold_blocks_peak_memory_does_not_grow_with_n(self):
         # The market's shape: 4 providers x 30 replicates over 6 outcomes.
         space = EvidenceSpace.of_size(6)
         b = BettingScore.from_metric(space, [0.4, 1.0, 0.0, 0.8, 0.2, 0.6], 0.5)
         q = Categorical(space, [0.1, 0.3, 0.1, 0.25, 0.1, 0.15])
-        above_outputs = []
+        # A first pass makes numpy's one-time allocations (about 5 kB), so make it untraced.
+        for _ in betting._plugin_blocks(_draw_outcomes(q, 120, 20, 1), b, KellyConfig(), PARAMS):
+            pass
+        peaks = []
         for n in (500, 5000):
             z = _draw_outcomes(q, 120, n, 0)
             tracemalloc.start()
             try:
-                plugin_paths(z, b, KellyConfig(), PARAMS)
-                peak = tracemalloc.get_traced_memory()[1]
+                for _ in betting._plugin_blocks(z, b, KellyConfig(), PARAMS):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            above_outputs.append(peak - 3 * z.size * 8)  # bets, log-wealth, licenses
-        assert max(above_outputs) <= PEAK_ABOVE_OUTPUTS, above_outputs
+        # measured 862 kB at both n: a block's counts, probabilities and solver temporaries
+        assert abs(peaks[1] - peaks[0]) <= BLOCK_PEAK_DRIFT, peaks
+
+    def test_trajectory_csv_peak_memory_does_not_grow_with_n(self, tmp_path):
+        space = EvidenceSpace.of_size(6)
+        b = BettingScore.from_metric(space, [0.4, 1.0, 0.0, 0.8, 0.2, 0.6], 0.5)
+        q = Categorical(space, [0.1, 0.3, 0.1, 0.25, 0.1, 0.15])
+        peaks = []
+        for n in (5000, 50_000):
+            stream = SampleStream(q, seed=0)
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(tmp_path / f"{n}.csv", b, KellyConfig(), PARAMS, stream, n, "peak")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= PEAK_ABOVE_OUTPUTS, peaks
 
     def test_fairness_loop_matches_per_run_scalar_loop(self):
         cfg = FairnessConfig(runs=4, n=300)
@@ -323,11 +345,14 @@ class TestBatchedPaths:
                         _betting_trajectories(z, score, kelly_cfg, floats, 1)):
             assert a.dtype == float and np.array_equal(a, b)
 
-    def test_sequential_license_matches_scalar_loop(self):
+    @pytest.mark.parametrize("block_rows", [1, 7, betting.PATH_BLOCK_ROWS])
+    def test_sequential_license_matches_scalar_loop(self, block_rows):
+        # The licenses are the blocks' rows, concatenated in round order.
         space = EvidenceSpace.of_size(3)
         score = BettingScore(space, [0.5, -0.3, -1.0])
         q = Categorical(space, [0.6, 0.3, 0.1])
-        got = run_sequential_license(SampleStream(q, seed=5), score, KellyConfig(), PARAMS, 300)
+        with patch.object(betting, "PATH_BLOCK_ROWS", block_rows):
+            got = run_sequential_license(SampleStream(q, seed=5), score, KellyConfig(), PARAMS, 300)
         want = scalar_license_path(sample(SampleStream(q, seed=5), 300), score, KellyConfig(), PARAMS)
         assert np.array_equal(got, want)
 
@@ -588,15 +613,28 @@ class TestSupermartingaleStateTable:
         assert peak - 10_000 * 8 <= AUDIT_PEAK_ABOVE_WEALTH, peak
 
 
-def test_trajectory_csv(tmp_path, bspace):
-    path = tmp_path / "trajectory.csv"
-    stream = SampleStream(binary_dist(bspace, 0.7), seed=2)
-    write_trajectory_csv(path, binary_score(bspace), KellyConfig(), PARAMS, stream, 25,
-                         header_comment="test run")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
+@pytest.mark.parametrize("n", [1, 2, 25, 2050])  # 2,050 rounds cross the default block
+def test_trajectory_csv(tmp_path, bspace, n):
+    # The rows are written block by block; the blocks must not show in the file.
+    score, dist = binary_score(bspace), binary_dist(bspace, 0.7)
+    files = []
+    for block_rows in (1, 7, betting.PATH_BLOCK_ROWS):
+        path = tmp_path / f"trajectory-{block_rows}.csv"
+        with patch.object(betting, "PATH_BLOCK_ROWS", block_rows):
+            write_trajectory_csv(path, score, KellyConfig(), PARAMS, SampleStream(dist, seed=2), n,
+                                 header_comment="test run")
+        files.append(path.read_bytes())
+    assert files[1] == files[0] and files[2] == files[0]
+    lines = files[0].decode().splitlines()
+    assert lines[0] == "# test run"
     assert lines[1] == "step,lambda,outcome,wealth,license_value"
-    assert len(lines) == 2 + 25
-    last = lines[-1].split(",")
-    assert int(last[0]) == 25
-    assert float(last[4]) <= PARAMS.R
+    assert len(lines) == 2 + n
+    step, lam, outcome, wealth, license_value = zip(*(line.split(",") for line in lines[2:]))
+    z = sample(SampleStream(dist, seed=2), n)
+    lams, log_wealth, licenses = scalar_paths(z, score, KellyConfig(), PARAMS)
+    assert list(map(int, step)) == list(range(1, n + 1))
+    assert list(map(int, outcome)) == z.tolist()
+    assert np.array_equal(np.array(lam, dtype=float), lams)
+    assert list(map(float, wealth)) == [math.exp(v) for v in log_wealth.tolist()]
+    assert np.array_equal(np.array(license_value, dtype=float), licenses)
+    assert np.all(licenses <= PARAMS.R)

@@ -14,8 +14,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import loggamma
 
+from conftest import plugin_paths
 from credalmarket import betting, experiments
-from credalmarket.betting import KellyConfig, _mean_se, plugin_paths
+from credalmarket.betting import KellyConfig, _mean_se
 from credalmarket.credal import CredalSet
 from credalmarket.evidence import Categorical, EvidenceSpace, log_ratio, ratio, spawn_seeds
 from credalmarket.experiments import (
