@@ -2,9 +2,14 @@
 
 Solves  max c.x  subject to  A x <= b,  0 <= x <= u  with b, u >= 0, which is
 the shape of every linear program here: the optimal-license programs and the
-hull-membership test.  The origin is always feasible, so no phase-1 step is
-needed.  Bland's pivoting rule (R. G. Bland, "New finite pivoting rules for
-the simplex method", Math. Oper. Res. 2(2), 1977) keeps the method finite and
+hull-membership test.  The bounds x <= u are tableau rows; with ``upper``
+None, :func:`solve_box_lps` drops them for LPs whose A rows already bound x
+(the membership LP's do), so a tableau has k + 1 rows instead of k + n + 1;
+dropping implied bounds is standard presolve (E. D. Andersen and K. D.
+Andersen, "Presolving in linear programming", Math. Programming 71, 1995).
+The origin is always feasible, so no phase-1 step is needed.  Bland's
+pivoting rule (R. G. Bland, "New finite pivoting rules for the simplex
+method", Math. Oper. Res. 2(2), 1977) keeps the method finite and
 deterministic.  Problem sizes are tiny (tens of variables), so the cost of a
 solve is numpy call overhead, not arithmetic: the tableau is written in place
 into one zeroed array, and each pivot is a rank-1 update of it.  The lowest
@@ -25,11 +30,12 @@ import numpy as np
 
 PIVOT_TOL = 1e-10
 #: Entries of the largest stack of tableaux :func:`solve_box_lps` pivots at
-#: once (1 MB: 275 license or 222 membership LPs of the benchmark's market),
+#: once (1 MB: 275 license or 985 membership LPs of the benchmark's market),
 #: which bounds its memory to a few copies of one block.  On 1,000 such LPs
-#: one call's tracemalloc peak is 2.7 MB, against 9-11 MB with no blocks, and
-#: the benchmark's optimal-LP market peaks at 42.4-42.7 MB RSS.  Four times
-#: smaller blocks make the solve about twice as slow.
+#: one call's tracemalloc peak is 2.7 MB (license) or 2.8 MB (membership),
+#: against 9-11 MB with no blocks, and the benchmark's optimal-LP market
+#: peaks at 42.4-42.7 MB RSS.  Four times smaller blocks make the solve about
+#: twice as slow.
 BLOCK_ENTRIES = 1 << 17
 
 
@@ -39,40 +45,42 @@ class LpSolution:
 
     x: np.ndarray
     value: float | np.ndarray
-    duals: np.ndarray  # one multiplier per row of A (then per upper bound)
+    duals: np.ndarray  # per row of A, then per upper-bound row, none when upper is None
     iterations: int | np.ndarray
 
 
 def _as_floats(c, A, b, upper) -> tuple[np.ndarray, ...]:
-    """The LP data as float arrays, with A at least 2-D."""
+    """The LP data as float arrays, with A at least 2-D and a None ``upper`` kept."""
     return (np.asarray(c, dtype=float), np.atleast_2d(np.asarray(A, dtype=float)),
-            np.asarray(b, dtype=float), np.asarray(upper, dtype=float))
+            np.asarray(b, dtype=float), None if upper is None else np.asarray(upper, dtype=float))
 
 
 def _tableaux(c, A, b, upper) -> np.ndarray:
-    """Validated initial tableaux, shape (N, k + n + 1, 2n + k + 1), of LPs sharing A and upper.
+    """Validated initial tableaux, shape (N, m + 1, n + m + 1), of LPs sharing A and upper.
 
     ``c`` is (N, n) and ``b`` is (N, k).  The upper bounds are folded in as
-    rows x_j + s = u_j; slacks form the initial basis.  Tableau columns: n
-    structural vars, k + n slacks, rhs; the last row holds the reduced costs
-    of a max problem.  Both identity blocks are diagonals of the flat tableau
-    with stride width + 1.
+    rows x_j + s = u_j, so m = k + n; with ``upper`` None there are no bound
+    rows and m = k.  Slacks form the initial basis.  Tableau columns: n
+    structural vars, m slacks, rhs; the last row holds the reduced costs of a
+    max problem.  Both identity blocks are diagonals of the flat tableau with
+    stride width + 1.
     """
     N, n = c.shape
     k = A.shape[0]
-    if A.shape[1] != n or b.shape != (N, k) or upper.shape != (n,):
+    if A.shape[1] != n or b.shape != (N, k) or (upper is not None and upper.shape != (n,)):
         raise ValueError("inconsistent LP dimensions")
-    if (b < 0).any() or (upper < 0).any():
+    if (b < 0).any() or (upper is not None and (upper < 0).any()):
         raise ValueError("right-hand sides must be non-negative")
-    m_rows = k + n
+    m_rows = k if upper is None else k + n
     width = n + m_rows + 1
     T = np.zeros((N, m_rows + 1, width))
     flat = T.reshape(N, (m_rows + 1) * width)
     T[:, :k, :n] = A
-    flat[:, k * width : m_rows * width : width + 1] = 1.0  # upper-bound rows
     flat[:, n : m_rows * width : width + 1] = 1.0  # slack columns
     T[:, :k, -1] = b
-    T[:, k:m_rows, -1] = upper
+    if upper is not None:
+        flat[:, k * width : m_rows * width : width + 1] = 1.0  # upper-bound rows
+        T[:, k:m_rows, -1] = upper
     T[:, -1, :n] = -c
     return T
 
@@ -87,7 +95,7 @@ def solve_box_lp(c, A, b, upper) -> LpSolution:
         raise ValueError("inconsistent LP dimensions")
     T = _tableaux(c[None], A, b[None], upper)[0]
     n = c.size
-    m_rows = A.shape[0] + n
+    m_rows = T.shape[0] - 1
     basis = list(range(n, n + m_rows))
 
     iterations = 0
@@ -134,8 +142,17 @@ def solve_box_lps(c, A, b, upper) -> LpSolution:
 
     ``c`` is (N, n) and ``b`` is (N, k); either may be 1-D when every LP
     shares it.  ``A`` (k, n) and ``upper`` (n,) are shared.  Row i of the
-    result is, to the byte, what :func:`solve_box_lp` returns for LP i.  The
-    LPs run in blocks of at most ``BLOCK_ENTRIES`` tableau entries, each one
+    result is, to the byte, what :func:`solve_box_lp` returns for LP i.
+
+    ``upper`` None solves  max c_i.x  s.t.  A x <= b_i,  x >= 0  with no bound
+    rows; A must then bound x, and the duals are (N, k).  When the A rows
+    imply bounds u to well within ``PIVOT_TOL``, a bound row of u never
+    leaves the basis (of tied rows, its slack has the highest basic index),
+    and each rank-1 update is row-local, so x, the value and the pivot count
+    are, to the byte, those of the solve with ``upper`` u, and the duals its
+    first k.
+
+    The LPs run in blocks of at most ``BLOCK_ENTRIES`` tableau entries, each one
     pivot loop.  In each round every LP of the block that still has an
     improving column pivots once: the entering column, the ratio test and the
     rank-1 update of :func:`solve_box_lp` are the same float operations done
@@ -148,7 +165,7 @@ def solve_box_lps(c, A, b, upper) -> LpSolution:
     N = c.shape[0] if c.ndim == 2 else b.shape[0] if b.ndim == 2 else 1
     c, b = np.broadcast_to(c, (N, c.shape[-1])), np.broadcast_to(b, (N, b.shape[-1]))
     n = c.shape[1]
-    m_rows = A.shape[0] + n
+    m_rows = A.shape[0] if u is None else A.shape[0] + n  # the tableau's constraint rows
     x = np.zeros((N, n))
     duals = np.zeros((N, m_rows))
     iterations = np.zeros(N, dtype=int)

@@ -3,8 +3,9 @@
 A credal set is stored by its generating vertices; the represented set is
 their convex hull, which is closed and convex by construction.  Envelope
 queries reduce to finite maxima over vertices, hull membership to a small
-box linear program solved in lock-step blocks on the package's simplex
-solver (one LP for :func:`membership`, many for :func:`uncovered_masses`).
+linear program (w >= 0, its bounds w <= 1 implied) solved in lock-step
+blocks on the package's simplex solver (one LP for :func:`membership`, many
+for :func:`uncovered_masses`).
 A threshold set {P : E_P[score] >= tau}, such as the fairness scenario's
 non-compliant set, is built from the probability grid points it contains.
 
@@ -114,21 +115,26 @@ class MembershipWitness(NamedTuple):
 
 def _membership_lps(qs: list[Categorical], credal: CredalSet) -> LpSolution:
     """The membership LPs of the types, solved in lock-step blocks on
-    :func:`_linprog.solve_box_lps`: max sum w  s.t.  V^T w <= q,  0 <= w <= 1."""
+    :func:`_linprog.solve_box_lps`: max sum w  s.t.  V^T w <= q,  w >= 0.
+
+    The bounds w <= 1 are implied, so they get no tableau rows: each vertex
+    has unit mass, so V^T w <= q gives sum w <= sum q = 1 (to ``PROB_ATOL``).
+    The bits are those of the box LP with 0 <= w <= 1 as rows."""
     space = require_same_space(credal, *qs)
     k = credal.vertex_matrix.shape[0]
     b = np.array([q.probs for q in qs]).reshape(len(qs), space.size)
-    return solve_box_lps(np.ones(k), credal.vertex_matrix.T, b, np.ones(k))
+    return solve_box_lps(np.ones(k), credal.vertex_matrix.T, b, None)
 
 
 def membership(q: Categorical, credal: CredalSet) -> MembershipWitness:
     """Test whether q lies in the convex hull of the vertices.
 
-    Solves the box LP  max sum w  s.t.  V^T w <= q,  0 <= w <= 1.  V^T w has
-    mass sum w and q has mass 1, so the uncovered mass 1 - sum w is the L1
-    distance from q to the best sub-mixture below it; it is 0 exactly when q
-    is a mixture of the vertices.  q is a member when the uncovered mass is at
-    most ``MEMBERSHIP_TOL``, with witness weights w / sum w.
+    Solves the LP  max sum w  s.t.  V^T w <= q,  w >= 0.  V^T w has mass
+    sum w and q has mass 1, so w <= 1 needs no constraint of its own, and the
+    uncovered mass 1 - sum w is the L1 distance from q to the best
+    sub-mixture below it; it is 0 exactly when q is a mixture of the
+    vertices.  q is a member when the uncovered mass is at most
+    ``MEMBERSHIP_TOL``, with witness weights w / sum w.
     """
     sol = _membership_lps([q], credal)
     uncovered = 1.0 - float(sol.value[0])

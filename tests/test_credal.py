@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from conftest import random_categorical, random_credal
 from credalmarket import credal, market
+from credalmarket._linprog import solve_box_lps
 from credalmarket.credal import (
     GAMING_HORIZON,
     MEMBERSHIP_TOL,
@@ -130,6 +131,42 @@ def test_uncovered_masses_are_the_membership_masses_to_the_byte():
     assert masses.shape == (len(types),)
     for q, mass in zip(types, masses):
         assert np.float64(membership(q, hull).uncovered).tobytes() == mass.tobytes()
+
+
+@given(m=st.integers(2, 7), k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_membership_lps_match_the_box_lp_with_bound_rows(m, k, seed):
+    # The membership LP has no rows for w <= 1; its x, value and pivot count
+    # are, to the byte, those of the box LP with 0 <= w <= 1 as rows, and
+    # membership's witness is the one that LP gives.  The types are the
+    # vertices, hull mixtures, mixtures on a face of vertices that have zero
+    # entries, and Dirichlet draws.
+    rng = np.random.default_rng(seed)
+
+    def sparse(rows, cols):
+        p = rng.dirichlet(np.ones(cols), size=rows) * (rng.random((rows, cols)) > 0.4)
+        p[np.arange(rows), rng.integers(cols, size=rows)] += 0.1  # no all-zero row
+        return p
+
+    space = EvidenceSpace.of_size(m)
+    hull = CredalSet(space, tuple(Categorical(space, v / v.sum()) for v in sparse(k, m)))
+    V = hull.vertex_matrix
+    probs = np.vstack([V, rng.dirichlet(np.ones(k), size=4) @ V, sparse(4, k) @ V,
+                       rng.dirichlet(np.ones(m), size=4)])
+    types = [Categorical(space, p / p.sum()) for p in probs]
+    sol = credal._membership_lps(types, hull)
+    b = np.array([q.probs for q in types])
+    ref = solve_box_lps(np.ones(k), V.T, b, np.ones(k))
+    assert sol.x.tobytes() == ref.x.tobytes()
+    assert sol.value.tobytes() == ref.value.tobytes()
+    assert sol.iterations.tobytes() == ref.iterations.tobytes()
+    for q, x, value in zip(types, ref.x, ref.value):
+        res = membership(q, hull)
+        assert np.float64(res.uncovered).tobytes() == np.float64(1.0 - value).tobytes()
+        assert res.is_member == (1.0 - value <= MEMBERSHIP_TOL)
+        if res.is_member:
+            w = np.clip(x, 0.0, None)
+            assert res.weights.tobytes() == (w / w.sum()).tobytes()
 
 
 class TestMembershipAgainstOracle:

@@ -258,6 +258,31 @@ class TestSimplexSolver:
                                     lps_per_block * (rows + 1) * (n + rows + 1))
             assert_lock_step_rows_equal_single_solves(*lp)
 
+    def test_lock_step_without_implied_bound_rows(self):
+        # Membership LPs: each column of A = V^T has unit mass, so A w <= q
+        # implies w <= 1.  With upper None, each row is the looped solve with
+        # the bound rows, to the byte, and its duals are the first k of that
+        # solve's, whose bound-row duals are 0.  Each batch stacks the
+        # vertices themselves (w_j = 1 ties a bound row), hull mixtures, face
+        # mixtures and Dirichlet draws.
+        rng = np.random.default_rng(8)
+        V = market_vertices()
+        batches = [(V, np.vstack([V, rng.dirichlet(np.ones(12), size=10) @ V,
+                                  (rng.dirichlet(np.ones(12), size=10) * (rng.random((10, 12)) > 0.6)) @ V,
+                                  rng.dirichlet(np.ones(6), size=10)]))]
+        batches += [(A.T, np.vstack([b, A.T])) for _, A, b, _ in random_box_lps()[1:300:3]]
+        for V, q in batches:
+            n, k = V.shape
+            q = q / q.sum(axis=1, keepdims=True)
+            batch = solve_box_lps(np.ones(n), V.T, q, None)
+            assert batch.duals.shape == (len(q), k)
+            for i, qi in enumerate(q):
+                x, value, duals, iterations = looped_box_lp(np.ones(n), V.T, qi, np.ones(n))
+                assert batch.x[i].tobytes() == x.tobytes()
+                assert batch.value[i].tobytes() == np.float64(value).tobytes()
+                assert batch.iterations[i] == iterations
+                assert not duals[k:].any() and batch.duals[i].tobytes() == duals[:k].tobytes()
+
     def test_lock_step_memory_is_bounded_by_the_block(self):
         # 1,000 market-shaped LPs of each kind: the tableaux of one block and
         # their temporaries, not of the whole batch (about 9-11 MB unblocked).
@@ -278,6 +303,8 @@ class TestSimplexSolver:
         empty = solve_box_lps(np.zeros((0, 3)), np.ones((2, 3)), np.zeros((0, 2)), np.ones(3))
         assert empty.x.shape == (0, 3) and empty.value.shape == (0,)
         assert empty.duals.shape == (0, 5) and empty.iterations.shape == (0,)
+        no_bound_rows = solve_box_lps(np.zeros((0, 3)), np.ones((2, 3)), np.zeros((0, 2)), None)
+        assert no_bound_rows.x.shape == (0, 3) and no_bound_rows.duals.shape == (0, 2)
         for rows in (0, 2):
             batch = assert_lock_step_rows_equal_single_solves(
                 np.zeros((4, 0)), np.zeros((rows, 0)), np.ones((4, rows)), [])
@@ -316,6 +343,10 @@ class TestSimplexSolver:
             solve_box_lps([[1.0], [1.0]], [[1.0]], [[1.0], [-1.0]], [1.0])
         with pytest.raises(ValueError):
             solve_box_lps([[1.0], [1.0]], [[1.0]], [[1.0], [1.0], [1.0]], [1.0])
+        with pytest.raises(ValueError):  # with no bound rows, A and b are still checked
+            solve_box_lps([[1.0]], [[1.0, 2.0]], [1.0], None)
+        with pytest.raises(ValueError):
+            solve_box_lps([[1.0], [1.0]], [[1.0]], [[1.0], [-1.0]], None)
 
 
 class TestObedience:
