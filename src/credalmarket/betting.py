@@ -12,6 +12,7 @@ Wealth is tracked in log space and the cap applies only at license issuance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,6 +94,19 @@ class KellyConfig:
         return min(LAMBDA_DEFAULT_MAX, (1.0 - self.margin) / (-worst))
 
 
+@functools.lru_cache(maxsize=64)
+def _kelly_constants(
+    b: BettingScore, cfg: KellyConfig,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """B and the read-only vectors b / (1 + B b), b^2 and -b^2 of one (score, config) pair."""
+    score = b.score
+    ceiling = cfg.ceiling(score)
+    vectors = score / (1.0 + ceiling * score), score**2, -(score**2)
+    for v in vectors:
+        v.flags.writeable = False
+    return (ceiling, *vectors)
+
+
 def kelly_bets(probs, b: BettingScore, cfg: KellyConfig, init=None) -> np.ndarray:
     """Per row of an (N, m) ``probs``: argmax over [0, B] of E[ln(1 + lambda * b(Z))].
 
@@ -100,7 +114,8 @@ def kelly_bets(probs, b: BettingScore, cfg: KellyConfig, init=None) -> np.ndarra
     derivative converges fast; a dense grid pass backs up rows that stall.  A
     non-positive edge (E[b] <= 0) means no bet.  ``init`` holds optional
     per-row warm starts, used where strictly inside (0, B).  Rows are solved
-    together, each bit-identical to solving it alone.
+    together, each bit-identical to solving it alone; B and its score
+    vectors are computed once per (score, config).
     """
     # Row dots use np.vecdot on contiguous rows: it rounds like the 1-D
     # ``probs @ x`` of a single solve, where einsum or sum(axis=1) do not.
@@ -108,46 +123,60 @@ def kelly_bets(probs, b: BettingScore, cfg: KellyConfig, init=None) -> np.ndarra
     # go through ``licenses._column_subset`` to keep these bits.
     P = np.ascontiguousarray(probs, dtype=float)
     score = b.score
+    ceiling, slope, sq, neg_sq = _kelly_constants(b, cfg)
     out = np.zeros(P.shape[0])
     edge = np.vecdot(P, score)
-    ceiling = cfg.ceiling(score)
     rows = np.flatnonzero(edge > 0.0)
-    P_rows = P[rows]
+    if rows.size < P.shape[0]:
+        P, edge = P[rows], edge[rows]
     # Objective still increasing at the ceiling: bet the ceiling.
-    rising = np.vecdot(P_rows, score / (1.0 + ceiling * score)) >= 0.0
-    out[rows[rising]] = ceiling
-    rows, P_rows = rows[~rising], P_rows[~rising]
+    rising = np.vecdot(P, slope) >= 0.0
+    if np.count_nonzero(rising):
+        out[rows[rising]] = ceiling
+        keep = ~rising
+        rows, P, edge = rows[keep], P[keep], edge[keep]
+    if rows.size == 0:
+        return out
 
     # f'(lo) > 0 > f'(hi) brackets the root; start from the small-lambda
     # approximation unless a usable warm start is given.
-    lam = np.minimum(edge[rows] / np.vecdot(P_rows, score**2), ceiling)
-    if init is not None:
-        guess = np.asarray(init, dtype=float)[rows]
-        lam = np.where((0.0 < guess) & (guess < ceiling), guess, lam)
+    if init is None:
+        lam = np.minimum(edge / np.vecdot(P, sq), ceiling)
+    else:
+        lam = np.asarray(init, dtype=float)[rows]
+        cold = ~((0.0 < lam) & (lam < ceiling))
+        if np.count_nonzero(cold):
+            lam[cold] = np.minimum(edge[cold] / np.vecdot(P[cold], sq), ceiling)
     lo, hi = np.zeros(rows.size), np.full(rows.size, ceiling)
-    neg_sq = -(score**2)
     for _ in range(KELLY_MAX_ITER):
-        if rows.size == 0:
-            break
         denom = 1.0 + lam[:, None] * score
-        d1 = np.vecdot(P_rows, score / denom)
-        rising = d1 > 0
-        lo, hi = np.where(rising, lam, lo), np.where(rising, hi, lam)
-        lam_next = lam - d1 / np.vecdot(P_rows, neg_sq / denom**2)
-        lam_next = np.where((lo < lam_next) & (lam_next < hi), lam_next, 0.5 * (lo + hi))
+        d1 = np.vecdot(P, score / denom)
+        rising = d1 > 0.0
+        np.copyto(lo, lam, where=rising)
+        np.copyto(hi, lam, where=~rising)
+        lam_next = lam - d1 / np.vecdot(P, neg_sq / denom**2)
+        inside = (lo < lam_next) & (lam_next < hi)
+        if np.count_nonzero(inside) < rows.size:
+            np.copyto(lam_next, 0.5 * (lo + hi), where=~inside)
         # A flat derivative keeps lam; otherwise stop once the step is tiny.
-        lam_next = np.where(np.abs(d1) <= NEWTON_TOL, lam, lam_next)
+        flat = np.abs(d1) <= NEWTON_TOL
+        if np.count_nonzero(flat):
+            np.copyto(lam_next, lam, where=flat)
         done = np.abs(lam_next - lam) <= NEWTON_TOL * np.maximum(1.0, lam)
-        if done.any():
+        finished = np.count_nonzero(done)
+        if finished == rows.size:
+            out[rows] = lam_next
+            return out
+        if finished:
             out[rows[done]] = lam_next[done]
-            rows, P_rows, lam_next, lo, hi = (a[~done] for a in (rows, P_rows, lam_next, lo, hi))
+            keep = ~done
+            rows, P, lam_next, lo, hi = (a[keep] for a in (rows, P, lam_next, lo, hi))
         lam = lam_next
-    if rows.size:
-        # Bisection stalled inside tolerance of the bracket; fall back to a grid.
-        grid = np.linspace(0.0, ceiling, GRID_FALLBACK)
-        table = np.log1p(np.outer(grid, score))
-        for r in rows:
-            out[r] = grid[int(np.argmax(table @ P[r]))]
+    # Bisection stalled inside tolerance of the bracket; fall back to a grid.
+    grid = np.linspace(0.0, ceiling, GRID_FALLBACK)
+    table = np.log1p(np.outer(grid, score))
+    for r, p in zip(rows, P):
+        out[r] = grid[int(np.argmax(table @ p))]
     return out
 
 
@@ -222,8 +251,8 @@ def _plugin_blocks(
             seen = counts[:, -1]
             probs = _smoothed(counts, np.arange(first, t1)[:, None], m)
             if warm_start:
-                for t in range(first, t1):
-                    bets = lams[:, t - t0] = kelly_bets(probs[:, t - first], b, cfg, init=bets)
+                for t, round_probs in enumerate(probs.transpose(1, 0, 2).copy(), first):
+                    bets = lams[:, t - t0] = kelly_bets(round_probs, b, cfg, init=bets)
             else:
                 lams[:, first - t0:] = kelly_bets(probs.reshape(-1, m), b, cfg).reshape(runs, t1 - first)
         steps = lams * b.score[z[:, t0:t1]]

@@ -131,13 +131,16 @@ def cmd_market(args: argparse.Namespace) -> int:
         requirement = Requirement(kind=req["kind"], credal=credal,
                                   metric=req.get("metric"), tau=req.get("tau"))
     n = json_integer(payload.get("n", 500), "market config field 'n'", 0)
+    mechanism = payload.get("mechanism", "optimal-LP")
+    if "n" in payload and mechanism in ("optimal-LP", "risk-averse"):
+        raise ValueError(f"market config field 'n' is for the betting mechanism, not {mechanism!r}")
     seed = json_integer(args.seed if args.seed is not None else payload.get("seed", 0), "seed", 0)
     if args.out is not None:
         _check_out(args.out, args.force)
         summary = Path(args.out).with_suffix(".summary.json")
         _check_out(summary, args.force)
     report = simulate_market(providers, requirement, credal, params,
-                             mechanism=payload.get("mechanism", "optimal-LP"), n=n, seed=seed)
+                             mechanism=mechanism, n=n, seed=seed)
 
     if args.out is not None:
         report.to_csv(args.out)

@@ -194,19 +194,36 @@ class TestKellyBet:
 
 @st.composite
 def kelly_problems(draw):
-    """Shapes and Newton iteration budgets from hypothesis, values from a drawn seed."""
+    """Shapes, margins, batch layouts, warm starts and Newton iteration budgets from
+    hypothesis, values from a drawn seed."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(2, 6))
     rows = draw(st.integers(1, 12))
     score = rng.uniform(-2.0, 2.0, size=m)
-    if draw(st.booleans()):
-        score = np.abs(score)  # no losing outcome: the default ceiling applies
+    if draw(st.sampled_from([False, False, False, True])):
+        score = np.abs(score)  # no losing outcome: the default ceiling applies, and every row bets it
     probs = rng.dirichlet(np.full(m, draw(st.sampled_from([0.3, 1.0, 5.0]))), size=rows)
+    layout = draw(st.sampled_from(["drawn", "drawn", "ceiling", "repeated"]))
+    if layout == "ceiling":  # about half the rows all but certain of the best outcome: they bet B
+        sure = rng.random(rows) < 0.5
+        probs[sure] = 1e-6 / (m - 1)
+        probs[sure, np.argmax(score)] = 1.0 - 1e-6
+    elif layout == "repeated":  # one row copied: from a shared start, every row stops at once
+        probs = np.repeat(probs[:1], rows, axis=0)
     max_iter = draw(st.sampled_from([1, 2, 200]))
-    cfg = KellyConfig()
+    cfg = KellyConfig(draw(st.sampled_from([0.01, 0.01, 0.05, 0.3])))  # several ceilings
+    ceiling = cfg.ceiling(score)
     init = None
-    if draw(st.booleans()):
-        init = rng.uniform(-0.5, 1.5, size=rows) * cfg.ceiling(score)  # some outside (0, B)
+    starts = draw(st.sampled_from(["cold", "drawn", "mixed", "solved"]))
+    if starts != "cold":
+        init = rng.uniform(-0.5, 1.5, size=rows) * ceiling  # some outside (0, B)
+    if starts == "mixed":  # a third each: drawn, unusable, and the row's answer
+        kind = rng.integers(0, 3, size=rows)
+        init[kind == 1] = rng.choice([np.nan, 0.0, ceiling, -ceiling, 2.0 * ceiling, np.inf],
+                                     size=int(np.sum(kind == 1)))
+    if starts in ("mixed", "solved"):  # a row that starts at its answer stops on iteration 1
+        solved = kind == 2 if starts == "mixed" else np.ones(rows, dtype=bool)
+        init[solved] = [scalar_kelly(p, score, cfg) for p in probs[solved]]
     return BettingScore(EvidenceSpace.of_size(m), score), probs, cfg, init, max_iter
 
 
@@ -220,6 +237,43 @@ class TestKellyBets:
             want = [scalar_kelly(probs[i], b.score, cfg, None if init is None else float(init[i]))
                     for i in range(len(probs))]
         assert np.array_equal(got, want)
+
+    def test_constants_follow_the_score_object_and_the_margin(self):
+        space = EvidenceSpace.of_size(3)
+        first, second = (BettingScore(space, [0.5, -1.5, 1.0]) for _ in range(2))
+        assert first != second  # eq=False: equal arrays, two objects
+        cfgs = [KellyConfig(0.01), KellyConfig(0.4)]
+        assert cfgs[0].ceiling(first.score) != cfgs[1].ceiling(first.score)
+        probs = np.random.default_rng(5).dirichlet(np.ones(3), size=40)
+        for b in (first, second, first):
+            for cfg in cfgs + cfgs[::-1]:
+                want = [scalar_kelly(p, b.score, cfg) for p in probs]
+                assert np.array_equal(kelly_bets(probs, b, cfg), want)
+
+    def test_solver_settings_are_read_at_call_time(self, bspace):
+        cfg = KellyConfig()
+        score = BettingScore(bspace, [1.0, -0.5])
+        probs = np.array([[0.5, 0.5], [0.6, 0.4]])
+        newton = kelly_bets(probs, score, cfg)  # a first call with the default settings
+        with patch.object(betting, "KELLY_MAX_ITER", 1), patch.object(betting, "GRID_FALLBACK", 1001):
+            got = kelly_bets(probs, score, cfg)
+            want = [scalar_kelly(p, score.score, cfg) for p in probs]
+        assert np.array_equal(got, want) and not np.array_equal(got, newton)
+        assert np.all(np.isin(got, np.linspace(0.0, cfg.ceiling(score.score), 1001)))
+        with patch.object(betting, "NEWTON_TOL", 1e-3):
+            loose = kelly_bets(probs, score, cfg)
+            want = [scalar_kelly(p, score.score, cfg) for p in probs]
+        assert np.array_equal(loose, want) and not np.array_equal(loose, newton)
+        assert np.array_equal(kelly_bets(probs, score, cfg), newton)
+
+    def test_rows_stopped_by_the_step_rule(self, bspace):
+        # At p = 0.96 the Newton step drops under NEWTON_TOL before the derivative does.
+        cfg = KellyConfig()
+        score = BettingScore(bspace, [1.0, -0.5])
+        for probs in (np.tile([0.96, 0.04], (4, 1)),  # every row stops on one iteration
+                      np.array([[0.96, 0.04], [0.6, 0.4], [0.96, 0.04], [0.8, 0.2]])):
+            want = [scalar_kelly(p, score.score, cfg) for p in probs]
+            assert np.array_equal(kelly_bets(probs, score, cfg), want)
 
     def test_edge_cases_in_one_batch(self, bspace):
         cfg = KellyConfig()

@@ -252,7 +252,7 @@ MARKET_CONFIG = {
     "params": {"C": 15.0, "R": 250.0},
     "providers": [{"id": "good", "q": [0.9, 0.05, 0.05]}],
     "requirement": {"kind": "threshold", "metric": [1.0, 0.0, 0.0], "tau": 0.5},
-    "mechanism": "optimal-LP", "seed": 0, "n": 50,
+    "mechanism": "optimal-LP", "seed": 0,
 }
 
 
@@ -270,6 +270,21 @@ class TestInputValidation:
         code, out, _ = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
                                "--config", str(cfg))
         assert code == 0 and "perfect=true" in out
+
+    @pytest.mark.parametrize("mechanism", ["optimal-LP", "risk-averse"])
+    def test_rounds_on_a_mechanism_without_rounds_exit_2(self, capsys, tmp_path, hull_credal,
+                                                          mechanism):
+        cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, "mechanism": mechanism, "n": 7})
+        code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                                 "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "'n'" in err and repr(mechanism) in err
+
+    def test_rounds_on_the_betting_mechanism_are_accepted(self, capsys, tmp_path, hull_credal):
+        cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, "mechanism": "betting", "n": 7})
+        code, out, _ = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
+                               "--config", str(cfg))
+        assert code == 0 and "perfect=" in out
 
     @pytest.mark.parametrize("field", ["metric", "tau"])
     def test_threshold_requirement_field_missing_exits_2(self, capsys, tmp_path, hull_credal,
