@@ -254,6 +254,8 @@ MARKET_CONFIG = {
     "requirement": {"kind": "threshold", "metric": [1.0, 0.0, 0.0], "tau": 0.5},
     "mechanism": "optimal-LP", "seed": 0,
 }
+#: "n", the rounds of each replicate, is read only by the betting mechanism
+BETTING_MARKET_CONFIG = {**MARKET_CONFIG, "mechanism": "betting", "n": 50}
 
 
 @pytest.fixture
@@ -384,7 +386,8 @@ class TestInputValidation:
 class TestMalformedNumbers:
     @pytest.mark.parametrize("field, value", [("seed", 1.5), ("n", 2.9), ("seed", -1)])
     def test_market_integer_fields_exit_2(self, capsys, tmp_path, hull_credal, field, value):
-        cfg = write_json(tmp_path / "market.json", {**MARKET_CONFIG, field: value})
+        base = BETTING_MARKET_CONFIG if field == "n" else MARKET_CONFIG
+        cfg = write_json(tmp_path / "market.json", {**base, field: value})
         code, out, err = run_cli(capsys, "market", "simulate", "--credal", str(hull_credal),
                                  "--config", str(cfg))
         assert code == 2 and out == ""
@@ -710,7 +713,8 @@ class TestScipyIsLoadedLazily:
         inputs = {"license": LICENSE_CONFIG, "singleton": SINGLETON_CREDAL, "hull": HULL_CREDAL,
                   "betting": BETTING_CONFIG}
         inputs.update((f"market-{m}", dict(MARKET_CONFIG, mechanism=m))
-                      for m in ("optimal-LP", "risk-averse", "betting"))
+                      for m in ("optimal-LP", "risk-averse"))
+        inputs["market-betting"] = BETTING_MARKET_CONFIG
         inputs.update(self.SMOKE)
         for name, payload in inputs.items():
             write_json(tmp_path / f"{name}.json", payload)
@@ -798,8 +802,8 @@ CLI_INPUTS = [
         (("providers", 0, "q"), "numbers"), (("requirement",), "object"),
         (("requirement", "kind"), "string"), (("requirement", "metric"), "numbers"),
         (("requirement", "tau"), "number"), (("mechanism",), "string"), (("seed",), "integer"),
-        (("n",), "integer"),
     ]),
+    ("market", BETTING_MARKET_CONFIG, [(("n",), "integer")]),
     ("betting", BETTING_CONFIG, PARAMS_FIELDS + [
         (("labels",), "labels"), (("source",), "numbers"), (("metric",), "numbers"),
         (("tau",), "number"), (("n",), "integer"), (("seed",), "integer"),
